@@ -22,8 +22,8 @@ import numpy as np
 
 from . import growth as growth_mod
 from .lattice import SparseSet, StrengthSequence, SystemSpec, estimate_threshold
-from .spectrum import (ClassifyConfig, classify, fd_oracle_eigenvalues,
-                       truncated_eigenvalues)
+from .spectrum import (ClassifyConfig, classify, fd_count_past,
+                       fd_oracle_eigenvalues, truncated_eigenvalues)
 from .transfer import fundamental_matrix, jump_matrix, sample_solution
 
 EXIT_OK = 0
@@ -385,8 +385,10 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
               "grid_resolution": resolution, "tol": tol, "oracle": oracle}
     if oracle == "fd":
         fd_h = _number(p, "fd_h", "params", positive=True)
-        fd_count = _integer(p, "fd_count", "params",
-                            max(len(eigs.values) + 4, 8), minimum=1)
+        if "fd_count" in p:
+            fd_count = _integer(p, "fd_count", "params", minimum=1)
+        else:
+            fd_count = fd_count_past(run.system, n_max, fd_h, float(rng[1]))
         fd = fd_oracle_eigenvalues(run.system, n_max, fd_h, fd_count)
         columns += ["fd_lambda", "rel_deviation"]
         for row in rows:
@@ -444,7 +446,7 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dic
     rows = []
     for n, (x, v) in enumerate(zip(xs, vecs)):
         rows.append([n, x, float(v[0]), float(v[1]),
-                     float(np.log(np.linalg.norm(v)))])
+                     math.log(math.hypot(v[0], v[1]))])
         if dense > 0 and n < len(xs) - 1:
             pts = np.linspace(x, xs[n + 1], dense + 2)[1:-1]
             sample = sample_solution(run.system, lam, np.array(xi0, dtype=float),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .lattice import DELTA, SystemSpec
+from .lattice import DELTA, RatioWindow, SystemSpec, _check_window, ratio_window
 from .transfer import DIRICHLET_START, diagonalizer, operator_norm, propagate
 
 
@@ -83,22 +83,22 @@ def series_terms(system: SystemSpec, lam0: float, n_max: int) -> GrowthProfile:
                          terms=log_gaps - 2.0 * log_products)
 
 
+def _log_dalembert_tail(system: SystemSpec, lam0: float, w: RatioWindow,
+                        tail_len: int) -> np.ndarray:
+    """Log term ratios of the divergence series over the last tail_len indices."""
+    s = math.sqrt(_effective_lambda(system, lam0))
+    out = np.log1p(w.abs_alphas[-tail_len:] / s)
+    out *= -2.0
+    out += w.log_sparse[-tail_len:]
+    return out
+
+
 def dalembert_ratio(system: SystemSpec, lam0: float, n: int) -> float:
     """Exact consecutive-term ratio of the divergence series at index n."""
     if n < 1:
         raise IndexError("term ratio needs n >= 1")
-    lam_eff = _effective_lambda(system, lam0)
-    lat = system.lattice
-    lr = (lat.log_gap(n) - lat.log_gap(n - 1)
-          - 2.0 * float(_log_factors(system, lam_eff, n, n)[0]))
+    lr = float(_log_dalembert_tail(system, lam0, ratio_window(system, n, n), 1)[0])
     return math.exp(lr) if lr < 700.0 else math.inf
-
-
-def _log_dalembert_ratios(system: SystemSpec, lam0: float,
-                          n_lo: int, n_hi: int) -> np.ndarray:
-    lam_eff = _effective_lambda(system, lam0)
-    lg = system.lattice.log_gaps(n_lo - 1, n_hi)
-    return lg[1:] - lg[:-1] - 2.0 * _log_factors(system, lam_eff, n_lo, n_hi)
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,31 @@ def series_verdict(system: SystemSpec, lam0: float, window: tuple[int, int],
     ``tail_fraction`` of the indices): divergence requires every tail ratio
     above ``1 + margin`` and a nondecreasing tail.
     """
-    n_lo, n_hi = window
-    if n_lo < 1 or n_hi <= n_lo:
-        raise ValueError("window must satisfy 1 <= start < end")
-    logr = _log_dalembert_ratios(system, lam0, n_lo, n_hi)
-    tail_len = max(2, int(math.ceil(len(logr) * tail_fraction)))
-    tail = logr[-tail_len:]
-    tail_start = n_hi - len(tail) + 1
+    _check_window(*window)
+    return _verdict_from_window(system, lam0, ratio_window(system, *window),
+                                margin, tail_fraction)
+
+
+def _verdict_from_window(system: SystemSpec, lam0: float, w: RatioWindow,
+                         margin: float = 0.05,
+                         tail_fraction: float = 0.5) -> DivergenceVerdict:
+    """``series_verdict`` over an already evaluated window."""
+    n_lo, n_hi = w.window
+    tail_len = max(2, int(math.ceil((n_hi - n_lo + 1) * tail_fraction)))
+    tail = _log_dalembert_tail(system, lam0, w, tail_len)
+    tail_min = np.min(tail)
     with np.errstate(over="ignore"):
-        est = float(np.exp(np.min(tail)))
+        est = float(np.exp(tail_min))
     nondecreasing = bool(np.all(np.diff(tail) >= -1e-12))
-    diverges = nondecreasing and np.min(tail) > math.log1p(margin)
+    diverges = nondecreasing and tail_min > math.log1p(margin)
     return DivergenceVerdict(verdict="diverges" if diverges else "inconclusive",
                              liminf_ratio_estimate=est, window=(n_lo, n_hi),
-                             tail_start=tail_start, margin=margin)
+                             tail_start=n_hi - tail_len + 1, margin=margin)
+
+
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    """Euclidean row norms of boundary vectors, finite for every finite row."""
+    return np.hypot(np.abs(vecs[:, 0]), np.abs(vecs[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -162,7 +173,7 @@ def lower_bound_check(system: SystemSpec, lam: float, n_max: int,
     u, u_inv = diagonalizer(lam)
     c = 1.0 / (operator_norm(u) * operator_norm(u_inv))
     vecs = propagate(system, lam, xi0, n_max)
-    norms = np.linalg.norm(vecs, axis=1)
+    norms = _norms(vecs)
     if n_max >= 1:
         log_products = np.cumsum(_log_factors(system, lam_eff, 1, n_max))
         slack = norms[1:] * np.exp(log_products) / (c * norms[0])
@@ -177,7 +188,7 @@ def weighted_norm_sum(system: SystemSpec, lam: float, n_max: int,
                       xi0=DIRICHLET_START) -> float:
     """log of sum over n = 0..n_max of gap_n * ||xi_n||^2, via log-sum-exp."""
     vecs = propagate(system, lam, xi0, n_max)
-    log_norms = np.log(np.linalg.norm(vecs, axis=1))
+    log_norms = np.log(_norms(vecs))
     log_gaps = system.lattice.log_gaps(0, n_max)
     return float(logsumexp(log_gaps + 2.0 * log_norms))
 
@@ -191,7 +202,7 @@ def propagation_profile(system: SystemSpec, lam0: float,
     """
     prof = series_terms(system, lam0, n_max)
     vecs = propagate(system, lam0, DIRICHLET_START, n_max)
-    log_norms = np.log(np.linalg.norm(vecs, axis=1))
+    log_norms = np.log(_norms(vecs))
     return GrowthProfile(lam0=lam0, log_gaps=prof.log_gaps,
                          log_products=prof.log_products, terms=prof.terms,
                          log_norms=log_norms)

@@ -28,11 +28,9 @@ _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
 
 def _log_expm1(y):
-    """log(e^y - 1) for y > 0 without overflow."""
+    """log(e^y - 1) for y > 0 without overflow: y + log(1 - e^-y)."""
     y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.where(y > 30.0, y + np.log1p(-np.exp(-np.minimum(y, 700.0))),
-                        np.log(np.expm1(np.minimum(y, 30.0))))
+    return y + np.log(-np.expm1(-y))
 
 
 @dataclass(frozen=True)
@@ -186,12 +184,54 @@ class SparseSet:
         pts = np.asarray(self.points)
         return np.log(pts[n_lo + 1:n_hi + 2] - pts[n_lo:n_hi + 1])
 
+    def log_gap_ratios(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """Vectorized ln(gap(n) / gap(n-1)) over inclusive range [n_lo, n_hi].
+
+        Each generator's ratio has a closed form in terms of m = n - 1, so no
+        entry is the difference of two large logarithms; explicit lattices
+        difference their gaps.  The first ratio gap(1)/gap(0) involves
+        x_0 = 0, which no generator formula covers, and comes from log_gaps.
+        """
+        if n_lo < 1:
+            raise IndexError("gap ratios need n >= 1")
+        self._check_gap_index(n_hi)
+        if n_hi < n_lo:
+            raise ValueError("empty index range")
+        if self.kind == "explicit":
+            return np.diff(self.log_gaps(n_lo - 1, n_hi))
+        if n_lo == 1:
+            first = np.diff(self.log_gaps(0, 1))
+            if n_hi == 1:
+                return first
+            return np.concatenate([first, self.log_gap_ratios(2, n_hi)])
+        m = np.arange(n_lo - 1, n_hi + 1, dtype=float)
+        if self.kind == "factorial":
+            # gap(m) = m * m!, so gap(n) / gap(n-1) = n^2 / (n-1)
+            log_m = np.log(m)
+            out = 2.0 * log_m[1:]
+            out -= log_m[:-1]
+            return out
+        if self.kind == "power":
+            # gap(m) = c m^p expm1(p log1p(1/m))
+            y = self.p * np.log1p(1.0 / m)
+            out = np.diff(_log_expm1(y))
+            out += y[:-1]
+            return out
+        # gap(m) = c exp(q m^r) expm1(q dr(m)) with dr(m) = (m+1)^r - m^r,
+        # which is 1 for r = 1 and otherwise m^r expm1(r log1p(1/m))
+        if self.r == 1.0:
+            return np.full(len(m) - 1, self.q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self.q * m ** self.r * np.expm1(self.r * np.log1p(1.0 / m))
+            out = np.diff(_log_expm1(y))
+            out += y[:-1]
+        return out
+
     def sparseness_ratio(self, n: int) -> float:
         """Gap ratio gap(n)/gap(n-1), computed in log space; may be +inf."""
         if n < 1:
             raise IndexError("sparseness ratio needs n >= 1")
-        self._check_gap_index(n)
-        d = self.log_gap(n) - self.log_gap(n - 1)
+        d = float(self.log_gap_ratios(n, n)[0])
         return math.inf if d > _LOG_MAX_DOUBLE else math.exp(d)
 
 
@@ -293,6 +333,37 @@ class ThresholdEstimate:
     infinity_threshold: float
 
 
+@dataclass(frozen=True)
+class RatioWindow:
+    """Gap ratios and strengths over one index window, evaluated once.
+
+    Entry ``i`` belongs to index ``n = window[0] + i``: ``log_sparse`` holds
+    ln(gap(n)/gap(n-1)), ``abs_alphas`` holds |alpha_n| and ``log_threshold``
+    the log threshold ratio ln(gap(n) / (gap(n-1) alpha_n^2)).  The threshold
+    estimate, the precondition report and every per-energy ratio test read
+    these arrays instead of evaluating the lattice again.
+    """
+
+    window: tuple[int, int]
+    log_sparse: np.ndarray
+    abs_alphas: np.ndarray
+    log_threshold: np.ndarray
+    all_positive: bool
+
+
+def ratio_window(system: SystemSpec, n_lo: int, n_hi: int) -> RatioWindow:
+    """Evaluate the lattice and the strengths once over [n_lo, n_hi], n_lo >= 1."""
+    log_sparse = system.lattice.log_gap_ratios(n_lo, n_hi)
+    alphas = system.strengths.alphas(n_lo, n_hi)
+    all_positive = bool(np.all(alphas > 0))
+    log_threshold = system.strengths.log_abs_alphas(n_lo, n_hi)
+    log_threshold *= -2.0
+    log_threshold += log_sparse
+    return RatioWindow(window=(n_lo, n_hi), log_sparse=log_sparse,
+                       abs_alphas=np.abs(alphas), log_threshold=log_threshold,
+                       all_positive=all_positive)
+
+
 def threshold_ratio(system: SystemSpec, n: int) -> float:
     """Ratio gap(n) / (gap(n-1) * alpha_n^2), the classification quantity.
 
@@ -301,33 +372,26 @@ def threshold_ratio(system: SystemSpec, n: int) -> float:
     """
     if n < 1:
         raise IndexError("threshold ratio needs n >= 1")
-    lat = system.lattice
-    a = system.strengths.alpha(n)
-    if a == 0.0:
-        return math.inf
-    d = lat.log_gap(n) - lat.log_gap(n - 1) - 2.0 * math.log(abs(a))
+    d = float(ratio_window(system, n, n).log_threshold[0])
     return math.inf if d > _LOG_MAX_DOUBLE else math.exp(d)
 
 
-def _log_threshold_ratios(system: SystemSpec, n_lo: int, n_hi: int) -> np.ndarray:
-    lat = system.lattice
-    lg = lat.log_gaps(n_lo - 1, n_hi)
-    la = system.strengths.log_abs_alphas(n_lo, n_hi)
-    return lg[1:] - lg[:-1] - 2.0 * la
-
-
-def _tail_trend(values: np.ndarray, tail_len: int, slop: float = 1e-14) -> tuple[str, np.ndarray]:
-    tail = values[-tail_len:]
-    d = np.diff(tail)
+def _tail_trend(values: np.ndarray, tail_len: int, slop: float = 1e-14) -> str:
+    d = np.diff(values[-tail_len:])
     if len(d) == 0 or np.any(np.isnan(d)):
-        return "mixed", tail
+        return "mixed"
     if np.all(np.abs(d) <= slop):
-        return "flat", tail
+        return "flat"
     if np.all(d >= -slop):
-        return "increasing", tail
+        return "increasing"
     if np.all(d <= slop):
-        return "decreasing", tail
-    return "mixed", tail
+        return "decreasing"
+    return "mixed"
+
+
+def _check_window(window_start: int, window_end: int):
+    if window_start < 1 or window_start >= window_end:
+        raise ValueError("window must satisfy 1 <= start < end")
 
 
 def estimate_threshold(system: SystemSpec, window_start: int, window_end: int,
@@ -339,17 +403,20 @@ def estimate_threshold(system: SystemSpec, window_start: int, window_end: int,
     ``infinity_threshold``.  Both pieces are reported so a caller can refuse
     to overclaim a limit.
     """
-    if window_start < 1 or window_start >= window_end:
-        raise ValueError("window must satisfy 1 <= start < end")
-    system.lattice._check_gap_index(window_end)
-    logr = _log_threshold_ratios(system, window_start, window_end)
+    _check_window(window_start, window_end)
+    return _threshold_from_window(ratio_window(system, window_start, window_end),
+                                  infinity_threshold)
+
+
+def _threshold_from_window(w: RatioWindow,
+                           infinity_threshold: float) -> ThresholdEstimate:
+    """``estimate_threshold`` over an already evaluated window."""
+    logr = w.log_threshold
     with np.errstate(over="ignore"):
-        ratios = np.exp(logr)
-    value = float(np.min(ratios))
-    tail_len = max(2, min(len(logr), 25))
-    trend, _ = _tail_trend(logr, tail_len)
-    last = float(ratios[-1])
+        value = float(np.exp(np.min(logr)))
+        last = float(np.exp(logr[-1]))
+    trend = _tail_trend(logr, max(2, min(len(logr), 25)))
     diverging = trend == "increasing" and last > infinity_threshold
     return ThresholdEstimate(value=value, diverging=diverging, trend=trend,
-                             window=(window_start, window_end), last_ratio=last,
+                             window=w.window, last_ratio=last,
                              infinity_threshold=infinity_threshold)

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .growth import DivergenceVerdict, series_verdict
-from .lattice import (DELTA, DELTA_PRIME, SystemSpec, ThresholdEstimate,
-                      _tail_trend, estimate_threshold)
+from .growth import DivergenceVerdict, _verdict_from_window, series_verdict
+from .lattice import (DELTA, DELTA_PRIME, RatioWindow, SystemSpec,
+                      ThresholdEstimate, _check_window, _tail_trend,
+                      _threshold_from_window, ratio_window)
 from .transfer import DIRICHLET_START, propagate
 
 CASE_I_DELTA = "case_i_delta"
@@ -128,7 +129,12 @@ def point_spectrum_exclusion(system: SystemSpec, lam0: float,
     eigenvalues at and above lam0 for delta systems and at and below lam0
     for delta-prime systems; otherwise the result is inconclusive.
     """
-    sv = series_verdict(system, lam0, window, margin=margin)
+    return _exclusion(system, lam0,
+                      series_verdict(system, lam0, window, margin=margin))
+
+
+def _exclusion(system: SystemSpec, lam0: float,
+               sv: DivergenceVerdict) -> ExclusionResult:
     if sv.verdict != "diverges":
         return ExclusionResult(lambda0=lam0, verdict="inconclusive",
                                excluded=None, series=sv)
@@ -140,30 +146,24 @@ def point_spectrum_exclusion(system: SystemSpec, lam0: float,
                            excluded=excluded, series=sv)
 
 
-def _precondition_report(system: SystemSpec, window: tuple[int, int],
-                         config: ClassifyConfig) -> dict:
-    n_lo, n_hi = window
-    lat = system.lattice
-    lg = lat.log_gaps(n_lo - 1, n_hi)
-    log_sparse = lg[1:] - lg[:-1]
-    tail_len = max(2, min(len(log_sparse), 25))
-    sparse_trend, _ = _tail_trend(log_sparse, tail_len)
-    last_sparse = float(np.exp(min(log_sparse[-1], 700.0)))
+def _precondition_report(w: RatioWindow, config: ClassifyConfig) -> dict:
+    tail_len = max(2, min(len(w.log_sparse), 25))
+    sparse_trend = _tail_trend(w.log_sparse, tail_len)
+    last_sparse = float(np.exp(min(w.log_sparse[-1], 700.0)))
     sparse_ok = (sparse_trend == "increasing"
                  and last_sparse > config.sparseness_threshold)
-    alphas = system.strengths.alphas(n_lo, n_hi)
-    abs_tail_trend, _ = _tail_trend(np.abs(alphas), tail_len)
+    abs_tail_trend = _tail_trend(w.abs_alphas, tail_len)
+    last_abs = float(w.abs_alphas[-1])
     strength_ok = (abs_tail_trend == "increasing"
-                   and abs(alphas[-1]) > config.strength_threshold)
-    positive = bool(np.all(alphas > 0))
+                   and last_abs > config.strength_threshold)
     return {
         "sparseness_ok": sparse_ok,
         "sparseness_trend": sparse_trend,
         "last_sparseness_ratio": last_sparse,
         "strength_ok": strength_ok,
         "strength_trend": abs_tail_trend,
-        "last_abs_strength": float(abs(alphas[-1])),
-        "all_strengths_positive": positive,
+        "last_abs_strength": last_abs,
+        "all_strengths_positive": w.all_positive,
     }
 
 
@@ -179,9 +179,10 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
     ``no_conclusion`` with diagnostics.  An optional grid of probe energies
     cross-checks the point-spectrum window against the exclusion test.
     """
-    est = estimate_threshold(system, window[0], window[1],
-                             infinity_threshold=config.divergence_threshold)
-    pre = _precondition_report(system, window, config)
+    _check_window(*window)
+    w = ratio_window(system, *window)
+    est = _threshold_from_window(w, config.divergence_threshold)
+    pre = _precondition_report(w, config)
     caveats = [
         f"liminf threshold estimated from finite window {list(window)}",
         f"divergence flag requires increasing tail with last ratio > "
@@ -238,8 +239,8 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
 
     if lambda0_grid is not None:
         grid = [float(g) for g in lambda0_grid]
-        verdicts = [point_spectrum_exclusion(system, g, window, config.margin)
-                    for g in grid]
+        verdicts = [_exclusion(system, g, _verdict_from_window(
+                        system, g, w, config.margin)) for g in grid]
         excluded_at = [r.lambda0 for r in verdicts if r.verdict == "excluded"]
         diagnostics["lambda0_grid"] = grid
         diagnostics["exclusion_verdicts"] = [r.verdict for r in verdicts]
@@ -450,8 +451,35 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     tridiagonal after mass scaling.  The right end is closed to match the
     shooting solver: Dirichlet for delta, Neumann for delta-prime.
     """
-    if not (h > 0 and count >= 1):
-        raise ValueError("need positive mesh size and count >= 1")
+    if not count >= 1:
+        raise ValueError("need count >= 1")
+    dt, et = _fd_tridiagonal(system, n_max, h)
+    count = min(count, len(dt))
+    vals = eigh_tridiagonal(dt, et, select="i",
+                            select_range=(0, count - 1), eigvals_only=True)
+    return EigenvalueList(values=np.asarray(vals))
+
+
+def fd_count_past(system: SystemSpec, n_max: int, h: float,
+                  upper: float) -> int:
+    """Smallest ``fd_oracle_eigenvalues`` count whose list reaches past upper.
+
+    That is the number of FD eigenvalues at or below ``upper`` plus one
+    (capped at the matrix size), so negative and below-range eigenvalues
+    cannot push the ones near ``upper`` out of the list.
+    """
+    dt, et = _fd_tridiagonal(system, n_max, h)
+    lower = float(np.min(dt) - 2.0 * np.max(np.abs(et))) - 1.0  # Gershgorin
+    below = eigh_tridiagonal(dt, et, select="v", select_range=(lower, upper),
+                             eigvals_only=True)
+    return min(len(below) + 1, len(dt))
+
+
+def _fd_tridiagonal(system: SystemSpec, n_max: int,
+                    h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-scaled diagonal and off-diagonal of the FD truncation matrix."""
+    if not h > 0:
+        raise ValueError("need positive mesh size")
     length = system.lattice.position(n_max)
     if not math.isfinite(length):
         raise OverflowError("truncation endpoint beyond double range")
@@ -510,9 +538,4 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     d = np.asarray(diag)
     e = np.asarray([v for v in off[1:]])
     scale = 1.0 / np.sqrt(np.asarray(mass))
-    dt = d * scale * scale
-    et = e * scale[:-1] * scale[1:]
-    count = min(count, len(dt))
-    vals = eigh_tridiagonal(dt, et, select="i",
-                            select_range=(0, count - 1), eigvals_only=True)
-    return EigenvalueList(values=np.asarray(vals))
+    return d * scale * scale, e * scale[:-1] * scale[1:]

@@ -219,6 +219,27 @@ class TestEigsCommand:
         assert code == 2
         assert "lambda_range" in err
 
+    def test_default_fd_count_reaches_past_range(self, tmp_path, capsys):
+        # attractive couplings put FD eigenvalues below zero and below the
+        # range; the default count must still reach the top roots
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "explicit", "points": [
+                              0.5, 1.5, 2.25, 2.5, 2.75, 3.25, 3.75, 4.0, 4.75,
+                              5.5, 6.5, 7.25, 7.75, 8.0, 8.25]},
+                          "strengths": {"type": "explicit", "values": [
+                              6.842, -4.048, 0.475, 1.06, -5.647, 2.242, 5.465,
+                              -2.179, -7.499, -2.237, -5.44, 7.431, -2.798,
+                              -6.025, -6.019]}},
+               "params": {"n_points": 15, "lambda_range": [0.09, 16.0],
+                          "grid_resolution": 500, "oracle": "fd",
+                          "fd_h": 1.0 / 128}}
+        cfg = write_config(tmp_path, doc)
+        code, out, _ = run_cli(["eigs", "--config", cfg], capsys)
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert len(rows) >= 5
+        assert all(float(r[5]) <= 1e-3 for r in rows)
+
     def test_unresolved_roots_warning_footer(self, tmp_path, capsys):
         # a huge positive strength pushes levels up and nearly degenerates a
         # pair, so the scan finds fewer roots than the free count
@@ -277,6 +298,23 @@ class TestPropagateCommand:
         for r, v in zip(rows, vecs):
             assert float(r[4]) == pytest.approx(
                 math.log(np.linalg.norm(v)), abs=1e-10)
+
+    def test_log_norm_finite_beyond_squared_overflow(self, tmp_path, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "factorial"},
+                          "strengths": {"type": "constant", "c": 1e4}},
+               "params": {"lambda": 1.0, "n_max": 60}}
+        cfg = write_config(tmp_path, doc)
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+        big = [r for r in rows if math.hypot(float(r[2]), float(r[3])) > 1e154]
+        assert len(big) >= 10
+        with mpmath.workdps(40):
+            for r in big:
+                want = mpmath.log(mpmath.hypot(mpmath.mpf(r[2]), mpmath.mpf(r[3])))
+                assert float(r[4]) == pytest.approx(float(want), rel=1e-14)
 
     def test_overflow_footer_and_strict(self, tmp_path, capsys):
         doc = {"system": {"kind": "delta",

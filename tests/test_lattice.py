@@ -92,6 +92,48 @@ class TestSparseSet:
         for n in range(31):
             assert arr[n] == pytest.approx(lat.log_gap(n), abs=1e-13)
 
+    @pytest.mark.parametrize("lat", [
+        SparseSet.factorial(max_index=10**8 + 1),
+        SparseSet.power(2.0, 1.7, max_index=10**8 + 1),
+        SparseSet.power(0.3, 0.5, max_index=10**8 + 1),
+        SparseSet.exponential(1.5, 0.8, 1.0, max_index=10**8 + 1),
+        SparseSet.exponential(1.5, 0.8, 1.2, max_index=10**8 + 1),
+        SparseSet.exponential(1.0, 2.0, 0.5, max_index=10**8 + 1),
+        SparseSet.exponential(1.0, 0.5, 2.0, max_index=10**8 + 1),
+    ])
+    def test_log_gap_ratios_against_mpmath(self, lat):
+        mp = pytest.importorskip("mpmath")
+
+        def log_gap(m):
+            m = mp.mpf(m)
+            if lat.kind == "factorial":
+                return mp.log(m) + mp.loggamma(m + 1)
+            if lat.kind == "power":
+                return mp.log(lat.c * ((m + 1) ** lat.p - m ** lat.p))
+            a, b = lat.q * m ** lat.r, lat.q * (m + 1) ** lat.r
+            return mp.log(lat.c) + a + mp.log(mp.expm1(b - a))
+
+        with mp.workdps(60):
+            for n in (2, 10**3, 10**6, 10**7 - 1, 10**8):
+                exact = float(log_gap(n) - log_gap(n - 1))
+                got = float(lat.log_gap_ratios(n, n)[0])
+                assert abs(got - exact) <= 1e-14 * max(1.0, abs(exact)), n
+
+    @pytest.mark.parametrize("lat", [
+        SparseSet.factorial(),
+        SparseSet.power(2.0, 1.7),
+        SparseSet.exponential(1.5, 0.8),
+        SparseSet.exponential(1.5, 0.8, 1.2),
+        SparseSet.explicit(np.cumsum([0.0, 0.7, 1.3, 2.9, 0.6, 4.0, 0.1])),
+    ])
+    def test_log_gap_ratios_match_log_gaps(self, lat):
+        # includes n = 1, whose ratio reads gap(0) = x_1
+        assert np.allclose(lat.log_gap_ratios(1, 5), np.diff(lat.log_gaps(0, 5)),
+                           rtol=1e-12, atol=1e-12)
+        assert np.array_equal(lat.log_gap_ratios(3, 5), lat.log_gap_ratios(1, 5)[2:])
+        with pytest.raises(IndexError):
+            lat.log_gap_ratios(0, 5)
+
     def test_sparseness_ratio_factorial(self):
         lat = SparseSet.factorial()
         assert lat.sparseness_ratio(4) == pytest.approx(16.0 / 3.0, rel=1e-12)

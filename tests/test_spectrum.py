@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -144,6 +145,35 @@ class TestClassify:
             if lam0 <= 0.8:
                 assert verdict == "excluded"
         assert res_p.diagnostics["pp_lower_from_exclusions"] == 0.8
+
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_quarter_power_case_ii_at_the_index_cap(self, kind):
+        # the default max_index admits window ends up to 10^7 - 1; the ratio
+        # tail there must not drown in rounding noise
+        sys = SystemSpec(kind, SparseSet.factorial(),
+                         StrengthSequence.power(1.5, 0.25))
+        res = classify(sys, window=(7_500_000, 9_999_999))
+        assert res.case == "case_ii"
+        assert res.threshold.trend == "increasing"
+
+    def test_window_evaluated_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for name in ("log_gaps", "log_gap_ratios", "gap", "log_gap"):
+            counting(SparseSet, name)
+        counting(StrengthSequence, "alphas")
+        sys = factorial_system("delta", 0.25)
+        res = classify(sys, window=(2, 10**5), lambda0_grid=[0.1, 1.0, 10.0])
+        assert res.diagnostics["exclusion_verdicts"] == ["excluded"] * 3
+        assert calls == {"log_gap_ratios": 1, "alphas": 1}
 
 
 class TestPointSpectrumExclusion:
