@@ -22,9 +22,9 @@ import numpy as np
 
 from . import growth as growth_mod
 from .lattice import SparseSet, StrengthSequence, SystemSpec, estimate_threshold
-from .spectrum import (ClassifyConfig, classify, fd_count_past,
-                       fd_oracle_eigenvalues, truncated_eigenvalues)
-from .transfer import fundamental_matrix, jump_matrix, sample_solution
+from .spectrum import (ClassifyConfig, classify, fd_oracle_eigenvalues,
+                       truncated_eigenvalues)
+from .transfer import PropagationOverflow, free_flow, propagate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -346,12 +346,13 @@ def cmd_growth(run: RunConfig) -> tuple[list[str], list[list], list[str], dict]:
     if n_lo < 0 or n_hi <= n_lo:
         raise ConfigError("params.window must satisfy 0 <= start < end")
     prof = growth_mod.series_terms(run.system, lam0, n_hi)
-    log_ratios = np.diff(prof.terms)
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        ratio = math.nan if n == 0 else float(np.exp(min(log_ratios[n - 1], 700.0)))
-        rows.append([n, float(prof.log_gaps[n]), float(prof.log_products[n]),
-                     ratio, float(prof.terms[n])])
+    first = max(n_lo, 1)  # the ratio needs n >= 1
+    log_ratios = growth_mod.log_dalembert_ratios(run.system, lam0, first, n_hi)
+    ratios = ([math.nan] * (first - n_lo)
+              + np.exp(np.minimum(log_ratios, 700.0)).tolist())
+    rows = list(zip(range(n_lo, n_hi + 1), prof.log_gaps[n_lo:].tolist(),
+                    prof.log_products[n_lo:].tolist(), ratios,
+                    prof.terms[n_lo:].tolist()))
     footers = [f"# lambda0={lam0!r} window=[{n_lo},{n_hi}] kind={run.system.kind}"]
     params = {"lambda0": lam0, "window": list(window)}
     return GROWTH_COLUMNS, rows, footers, params
@@ -385,11 +386,10 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
               "grid_resolution": resolution, "tol": tol, "oracle": oracle}
     if oracle == "fd":
         fd_h = _number(p, "fd_h", "params", positive=True)
-        if "fd_count" in p:
-            fd_count = _integer(p, "fd_count", "params", minimum=1)
-        else:
-            fd_count = fd_count_past(run.system, n_max, fd_h, float(rng[1]))
-        fd = fd_oracle_eigenvalues(run.system, n_max, fd_h, fd_count)
+        fd_count = (_integer(p, "fd_count", "params", minimum=1)
+                    if "fd_count" in p else None)
+        fd = fd_oracle_eigenvalues(run.system, n_max, fd_h, fd_count,
+                                   upper=float(rng[1]))
         columns += ["fd_lambda", "rel_deviation"]
         for row in rows:
             lam = row[1]
@@ -397,7 +397,7 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
             row.append(float(fd.values[j]))
             row.append(abs(fd.values[j] - lam) / max(abs(lam), 1e-300))
         params["fd_h"] = fd_h
-        params["fd_count"] = fd_count
+        params["fd_count"] = len(fd) if fd_count is None else fd_count
     footers = []
     if eigs.warning:
         footers.append(f"# warning: suspected unresolved roots: "
@@ -422,39 +422,23 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dic
         raise ConfigError("params.xi0 must be [psi, dpsi]")
     dense = _integer(p, "dense_per_interval", "params", 0, minimum=0)
 
-    lat = run.system.lattice
-    vec = np.array(xi0, dtype=float)
-    vecs = [vec]
-    xs = [0.0]
-    overflow_at = None
-    for n in range(1, n_max + 1):
-        x = lat.position(n)
-        try:
-            if not math.isfinite(x):
-                raise OverflowError(f"position overflow at n={n}")
-            mat = jump_matrix(run.system.kind, run.system.strengths.alpha(n)) @ \
-                fundamental_matrix(lam, x - xs[-1])
-            nxt = mat @ vecs[-1]
-            if not np.all(np.isfinite(nxt)):
-                raise OverflowError(f"overflow at n={n}")
-        except OverflowError:
-            overflow_at = n
-            break
-        xs.append(x)
-        vecs.append(nxt)
-
-    rows = []
-    for n, (x, v) in enumerate(zip(xs, vecs)):
-        rows.append([n, x, float(v[0]), float(v[1]),
-                     math.log(math.hypot(v[0], v[1]))])
-        if dense > 0 and n < len(xs) - 1:
-            pts = np.linspace(x, xs[n + 1], dense + 2)[1:-1]
-            sample = sample_solution(run.system, lam, np.array(xi0, dtype=float),
-                                     pts)
-            for xg, ps, dps in zip(sample.x, sample.psi, sample.dpsi):
-                nrm = math.hypot(float(np.real(ps)), float(np.real(dps)))
-                rows.append([n, float(xg), float(np.real(ps)),
-                             float(np.real(dps)), math.log(nrm)])
+    try:
+        vecs = propagate(run.system, lam, xi0, n_max)
+        overflow_at = None
+    except PropagationOverflow as exc:
+        vecs, overflow_at = exc.vectors, exc.n
+    xs = run.system.lattice.positions(len(vecs) - 1)
+    if not np.all(np.isfinite(xs)):
+        overflow_at = int(np.argmin(np.isfinite(xs)))
+        vecs, xs = vecs[:overflow_at], xs[:overflow_at]
+    # each interval's rows: its left lattice point, then the dense points,
+    # which are the free flow of the lattice row's vector
+    x = np.append(np.linspace(xs[:-1], xs[1:], dense + 2, axis=1)[:, :-1], xs[-1])
+    n = np.arange(len(x)) // (dense + 1)
+    psi, dpsi = free_flow(lam, x - xs[n], vecs[n])
+    psi[::dense + 1], dpsi[::dense + 1] = vecs.T
+    rows = list(zip(n.tolist(), x.tolist(), psi.tolist(), dpsi.tolist(),
+                    np.log(np.hypot(psi, dpsi)).tolist()))
     footers = []
     if overflow_at is not None:
         footers.append(f"#overflow at n={overflow_at}")

@@ -93,11 +93,16 @@ def _log_dalembert_tail(system: SystemSpec, lam0: float, w: RatioWindow,
     return out
 
 
+def log_dalembert_ratios(system: SystemSpec, lam0: float, n_lo: int,
+                         n_hi: int) -> np.ndarray:
+    """Log consecutive-term ratios of the divergence series, n in [n_lo, n_hi]."""
+    return _log_dalembert_tail(system, lam0, ratio_window(system, n_lo, n_hi),
+                               n_hi - n_lo + 1)
+
+
 def dalembert_ratio(system: SystemSpec, lam0: float, n: int) -> float:
     """Exact consecutive-term ratio of the divergence series at index n."""
-    if n < 1:
-        raise IndexError("term ratio needs n >= 1")
-    lr = float(_log_dalembert_tail(system, lam0, ratio_window(system, n, n), 1)[0])
+    lr = float(log_dalembert_ratios(system, lam0, n, n)[0])
     return math.exp(lr) if lr < 700.0 else math.inf
 
 

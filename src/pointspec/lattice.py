@@ -21,8 +21,8 @@ KINDS = (DELTA, DELTA_PRIME)
 LATTICE_KINDS = ("factorial", "power", "exponential", "explicit")
 STRENGTH_KINDS = ("power", "constant", "explicit")
 
-# largest n with n * n! representable as a double
-_FACTORIAL_GAP_LIMIT = 169
+# exact factorial gaps n * n! up to n = 169, the last one below double overflow
+_FACTORIAL_GAPS = np.array([1.0] + [float(n * math.factorial(n)) for n in range(1, 170)])
 
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
@@ -131,21 +131,28 @@ class SparseSet:
 
     def gap(self, n: int) -> float:
         """Gap x_{n+1} - x_n; +inf marks a value beyond double range."""
-        self._check_gap_index(n)
+        return float(self.gaps(n, n)[0])
+
+    def gaps(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """Vectorized gaps over inclusive index range [n_lo, n_hi].
+
+        +inf marks a gap beyond double range.  Factorial and explicit gaps
+        are exact; the other generators exponentiate ``log_gaps``.
+        """
+        self._check_gap_index(n_lo)
+        self._check_gap_index(n_hi)
+        if n_hi < n_lo:
+            raise ValueError("empty index range")
         if self.kind == "factorial":
-            exact = 1 if n == 0 else n * math.factorial(n)
-            try:
-                return float(exact)
-            except OverflowError:
-                return math.inf
+            ns = np.arange(n_lo, n_hi + 1)
+            return np.where(ns < 170, _FACTORIAL_GAPS[np.minimum(ns, 169)], math.inf)
         if self.kind == "explicit":
-            return self.points[n + 1] - self.points[n]
-        lg = self.log_gap(n)
-        return math.inf if lg > _LOG_MAX_DOUBLE else math.exp(lg)
+            return np.diff(self.points[n_lo:n_hi + 2])
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_gaps(n_lo, n_hi))
 
     def log_gap(self, n: int) -> float:
         """ln(x_{n+1} - x_n), evaluated analytically per generator."""
-        self._check_gap_index(n)
         return float(self.log_gaps(n, n)[0])
 
     def log_gaps(self, n_lo: int, n_hi: int) -> np.ndarray:
@@ -270,15 +277,7 @@ class StrengthSequence:
         return cls(kind="explicit", values=tuple(values))
 
     def alpha(self, n: int) -> float:
-        if n < 1:
-            raise IndexError("strengths are indexed from 1")
-        if self.kind == "power":
-            return self.c * float(n) ** self.p
-        if self.kind == "constant":
-            return self.c
-        if n > len(self.values):
-            raise IndexError(f"strength index {n} beyond explicit list")
-        return self.values[n - 1]
+        return float(self.alphas(n, n)[0])
 
     def alphas(self, n_lo: int, n_hi: int) -> np.ndarray:
         """alpha_n over inclusive range [n_lo, n_hi], n_lo >= 1."""

@@ -304,17 +304,21 @@ def neumann_eigenvalues(length: float, k_max: int) -> EigenvalueList:
     return EigenvalueList(values=(math.pi * ks / length) ** 2)
 
 
-def box_eigenvalue_above(s: float, gap: float) -> float:
+def box_eigenvalue_above(s: float, gap):
     """Smallest Dirichlet eigenvalue of a box of the given length that is >= s.
 
-    Equals (pi * ceil(sqrt(s) * gap / pi) / gap)^2.  The ceiling is guarded
-    against float jitter when its argument sits essentially on an integer.
+    Equals (pi * ceil(sqrt(s) * gap / pi) / gap)^2, elementwise for an array
+    of gaps.  The ceiling is guarded against float jitter when its argument
+    sits essentially on an integer.
     """
-    if not (s > 0 and gap > 0):
+    gap = np.asarray(gap, dtype=float)
+    if not (s > 0 and np.all(gap > 0)):
         raise ValueError("s and gap must be positive")
     y = math.sqrt(s) * gap / math.pi
-    k = round(y) if abs(y - round(y)) < 1e-9 else math.ceil(y)
-    return (math.pi * k / gap) ** 2
+    k = np.round(y)
+    k = np.where(np.abs(y - k) < 1e-9, k, np.ceil(y))
+    vals = (math.pi * k / gap) ** 2
+    return float(vals) if vals.ndim == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -341,23 +345,18 @@ def essential_spectrum_probe(system: SystemSpec, s_values,
     eigenvalue above s, its distance to s, and the one-ceiling-step bound
     (pi/gap) * (2 sqrt(s) + pi/gap) that controls that distance.
     """
-    entries = []
     ns = np.arange(1, n_max + 1)
+    g = system.lattice.gaps(1, n_max)
+    if not np.all(np.isfinite(g)):
+        n = int(ns[np.argmin(np.isfinite(g))])
+        raise OverflowError(f"gap {n} not representable; probe needs "
+                            "double-precision gaps")
+    entries = []
     for s in s_values:
-        vals, gaps_to_s, bounds = [], [], []
-        for n in ns:
-            g = system.lattice.gap(int(n))
-            if not math.isfinite(g):
-                raise OverflowError(f"gap {n} not representable; probe needs "
-                                    "double-precision gaps")
-            lam = box_eigenvalue_above(s, g)
-            vals.append(lam)
-            gaps_to_s.append(lam - s)
-            bounds.append((math.pi / g) * (2.0 * math.sqrt(s) + math.pi / g))
-        entries.append(ProbeEntry(s=float(s), n=ns.copy(),
-                                  values=np.array(vals),
-                                  gaps_to_s=np.array(gaps_to_s),
-                                  bounds=np.array(bounds)))
+        vals = box_eigenvalue_above(s, g)
+        entries.append(ProbeEntry(
+            s=float(s), n=ns.copy(), values=vals, gaps_to_s=vals - s,
+            bounds=(math.pi / g) * (2.0 * math.sqrt(s) + math.pi / g)))
     return ProbeReport(entries=tuple(entries))
 
 
@@ -439,7 +438,8 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
 
 
 def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
-                          count: int) -> EigenvalueList:
+                          count: int | None = None,
+                          upper: float | None = None) -> EigenvalueList:
     """Independent finite-difference eigenvalues of the same truncation.
 
     Second-order scheme on a uniform mesh over [0, x_N] with the lattice
@@ -450,29 +450,26 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     a 1/alpha coupling between the two unknowns; the matrix stays symmetric
     tridiagonal after mass scaling.  The right end is closed to match the
     shooting solver: Dirichlet for delta, Neumann for delta-prime.
+
+    Returns the lowest ``count`` eigenvalues.  Without ``count`` it returns
+    every eigenvalue at or below ``upper`` plus the next one (capped at the
+    matrix size), so negative and below-range eigenvalues cannot push the
+    ones near ``upper`` out of the list.
     """
-    if not count >= 1:
+    if count is None and upper is None:
+        raise ValueError("need count or upper")
+    if count is not None and not count >= 1:
         raise ValueError("need count >= 1")
     dt, et = _fd_tridiagonal(system, n_max, h)
+    if count is None:
+        lower = float(np.min(dt) - 2.0 * np.max(np.abs(et))) - 1.0  # Gershgorin
+        count = len(eigh_tridiagonal(dt, et, select="v",
+                                     select_range=(lower, upper),
+                                     eigvals_only=True)) + 1
     count = min(count, len(dt))
     vals = eigh_tridiagonal(dt, et, select="i",
                             select_range=(0, count - 1), eigvals_only=True)
     return EigenvalueList(values=np.asarray(vals))
-
-
-def fd_count_past(system: SystemSpec, n_max: int, h: float,
-                  upper: float) -> int:
-    """Smallest ``fd_oracle_eigenvalues`` count whose list reaches past upper.
-
-    That is the number of FD eigenvalues at or below ``upper`` plus one
-    (capped at the matrix size), so negative and below-range eigenvalues
-    cannot push the ones near ``upper`` out of the list.
-    """
-    dt, et = _fd_tridiagonal(system, n_max, h)
-    lower = float(np.min(dt) - 2.0 * np.max(np.abs(et))) - 1.0  # Gershgorin
-    below = eigh_tridiagonal(dt, et, select="v", select_range=(lower, upper),
-                             eigvals_only=True)
-    return min(len(below) + 1, len(dt))
 
 
 def _fd_tridiagonal(system: SystemSpec, n_max: int,
@@ -492,8 +489,7 @@ def _fd_tridiagonal(system: SystemSpec, n_max: int,
         raise ValueError("mesh size does not divide the truncation length")
 
     nodes = []
-    for n in range(1, n_max + 1):
-        x = system.lattice.position(n)
+    for x in system.lattice.positions(n_max)[1:].tolist():
         j = int(round(x / h))
         if abs(x - j * h) > h / 2:
             raise ValueError(f"lattice point {x} misaligned with mesh by "
@@ -501,8 +497,7 @@ def _fd_tridiagonal(system: SystemSpec, n_max: int,
         nodes.append(j)
     if len(set(nodes)) != len(nodes) or any(j <= 0 for j in nodes):
         raise ValueError("lattice points collide on the mesh; refine h")
-    interact = {j: system.strengths.alpha(n)
-                for n, j in enumerate(nodes, start=1)}
+    interact = dict(zip(nodes, system.strengths.alphas(1, n_max).tolist()))
 
     delta_prime = system.kind == DELTA_PRIME
     # Interactions at the right endpoint are inert under the matching

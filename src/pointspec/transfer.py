@@ -9,11 +9,11 @@ exact and unrenormalized; explosive growth belongs to the log-domain code in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .lattice import DELTA, DELTA_PRIME, KINDS, SystemSpec
 
@@ -57,12 +57,23 @@ def step_matrix(system: SystemSpec, lam: float, n: int) -> np.ndarray:
     return jump_matrix(system.kind, alpha) @ fundamental_matrix(lam, g)
 
 
+class PropagationOverflow(OverflowError):
+    """Step ``n`` left double range; ``vectors`` holds xi_0 .. xi_{n-1}."""
+
+    def __init__(self, n: int, vectors: np.ndarray):
+        super().__init__(f"propagation overflowed at step n={n}")
+        self.n = n
+        self.vectors = vectors
+
+
 def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
               n_max: int = 0) -> np.ndarray:
     """Boundary vectors xi_0 .. xi_{n_max}, shape (n_max+1, 2).
 
-    No per-step renormalization is applied; an overflowing entry raises
-    OverflowError naming the first failing step.
+    Step n is jump_matrix(kind, alpha_n) @ fundamental_matrix(lam, gap n-1);
+    the entries of all steps come from one gaps and one alphas evaluation.
+    No per-step renormalization is applied; a vector leaving double range
+    (an infinite gap included) raises PropagationOverflow.
     """
     _check_lambda(lam)
     xi0 = np.asarray(xi0)
@@ -70,14 +81,34 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
         raise ValueError("initial boundary vector must have two components")
     if not np.any(xi0 != 0):
         raise ValueError("initial boundary vector must be nonzero")
-    out = np.zeros((n_max + 1, 2), dtype=np.result_type(xi0, float))
-    out[0] = xi0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_max + 1):
-            out[n] = step_matrix(system, lam, n) @ out[n - 1]
-            if not np.all(np.isfinite(out[n])):
-                raise OverflowError(f"propagation overflowed at step n={n}")
-    return out
+    dtype = np.result_type(xi0, float)
+    rows = [tuple(xi0.astype(dtype).tolist())]
+    if n_max > 0:
+        rt = math.sqrt(lam)
+        a = system.strengths.alphas(1, n_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = system.lattice.gaps(0, n_max - 1) * rt
+            f00, s = np.cos(phase), np.sin(phase)
+            f01, f10, f11 = s / rt, -rt * s, f00  # free propagator
+            if system.kind == DELTA:  # jump [[1, 0], [a, 1]]
+                m = (f00, f01, a * f00 + f10, a * f01 + f11)
+            else:  # jump [[1, a], [0, 1]]
+                m = (f00 + a * f10, f01 + a * f11, f10, f11)
+        v0, v1 = rows[0]
+        for n, (m00, m01, m10, m11) in enumerate(zip(*(e.tolist() for e in m)), 1):
+            v0, v1 = m00 * v0 + m01 * v1, m10 * v0 + m11 * v1
+            if not (cmath.isfinite(v0) and cmath.isfinite(v1)):
+                raise PropagationOverflow(n, np.array(rows, dtype=dtype))
+            rows.append((v0, v1))
+    return np.array(rows, dtype=dtype)
+
+
+def free_flow(lam: float, d, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, psi') of fundamental_matrix(lam, d[i]) @ vecs[i] for every row i."""
+    _check_lambda(lam)
+    rt = math.sqrt(lam)
+    c, s = np.cos(d * rt), np.sin(d * rt)
+    return c * vecs[:, 0] + (s / rt) * vecs[:, 1], -rt * s * vecs[:, 0] + c * vecs[:, 1]
 
 
 def diagonalizer(lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -129,23 +160,15 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def fundamental_norm_bound(lam: float) -> float:
-    """sup over d of the free-propagator spectral norm.
+    """sup over d of the free-propagator spectral norm, max(sqrt(lam), 1/sqrt(lam)).
 
-    Maximized numerically over one period of d (grid scan plus bounded
-    refinement); the closed-form candidate max(sqrt(lam), 1/sqrt(lam)) is not
-    assumed.
+    fundamental_matrix(lam, d) = D R D^-1 with D = diag(1, sqrt(lam)) and R
+    the rotation by d sqrt(lam), so its norm is at most the condition number
+    of D, and a quarter period attains it.
     """
     _check_lambda(lam)
-    period = 2.0 * math.pi / math.sqrt(lam)
-    ds = np.linspace(0.0, period, 2049)
-    norms = [operator_norm(fundamental_matrix(lam, d)) for d in ds]
-    k = int(np.argmax(norms))
-    lo = ds[max(k - 1, 0)]
-    hi = ds[min(k + 1, len(ds) - 1)]
-    res = minimize_scalar(lambda d: -operator_norm(fundamental_matrix(lam, d)),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    return max(float(-res.fun), float(norms[k]))
+    rt = math.sqrt(lam)
+    return max(rt, 1.0 / rt)
 
 
 @dataclass(frozen=True)
@@ -173,20 +196,13 @@ def sample_solution(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
         raise ValueError("grid positions must be nonnegative")
     x_max = float(np.max(grid))
     lat = system.lattice
-    xs = [0.0]
-    while xs[-1] < x_max and len(xs) - 1 < lat.max_index:
-        nxt = lat.position(len(xs))
-        if not math.isfinite(nxt):
-            raise OverflowError("lattice position overflow inside sampling range")
-        if nxt > x_max:
-            break
-        xs.append(nxt)
-    xs = np.asarray(xs)
+    n = 0
+    while n < lat.max_index and lat.position(n + 1) <= x_max:
+        n += 1
+    if n < lat.max_index and lat.position(n + 1) == math.inf:
+        raise OverflowError("lattice position overflow inside sampling range")
+    xs = lat.positions(n)
     vecs = propagate(system, lam, xi0, len(xs) - 1)
     cell = np.searchsorted(xs, grid, side="right") - 1
-    psi = np.empty(len(grid), dtype=vecs.dtype)
-    dpsi = np.empty(len(grid), dtype=vecs.dtype)
-    for i, (x, n) in enumerate(zip(grid, cell)):
-        v = fundamental_matrix(lam, x - xs[n]) @ vecs[n]
-        psi[i], dpsi[i] = v
+    psi, dpsi = free_flow(lam, grid - xs[cell], vecs[cell])
     return SolutionSample(x=grid, psi=psi, dpsi=dpsi)

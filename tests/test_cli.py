@@ -188,6 +188,29 @@ class TestGrowthCommand:
         assert doc["columns"][2] == "log_coupling_product"
         assert doc["rows"][0][2] == 0.0
 
+    def test_ratio_column_against_mpmath(self, tmp_path, capsys):
+        mp = pytest.importorskip("mpmath")
+        doc = {"system": FACTORIAL_QUARTER["system"],
+               "params": {"lambda0": 1.0, "window": [99990, 100000]}}
+        code, out, _ = run_cli(["growth", "--config",
+                                write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert len(rows) == 11
+        with mp.workdps(40):
+            for r in rows:
+                n = mp.mpf(int(r[0]))
+                # gap(n) / gap(n-1) = n^2 / (n-1), factor 1 + n^(1/4)
+                exact = n**2 / (n - 1) / (1 + n**0.25) ** 2
+                assert float(r[3]) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_ratio_column_starts_with_nan(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, window=(0, 3))
+        code, out, _ = run_cli(["growth", "--config", cfg], capsys)
+        rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert rows[0][3] == "nan"
+        assert all(math.isfinite(float(r[3])) for r in rows[1:])
+
 
 class TestEigsCommand:
     def test_free_system_first_root(self, tmp_path, capsys):
@@ -239,6 +262,30 @@ class TestEigsCommand:
         rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
         assert len(rows) >= 5
         assert all(float(r[5]) <= 1e-3 for r in rows)
+
+    def test_default_fd_count_assembles_matrix_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import pointspec.spectrum as spectrum
+        calls = []
+        original = spectrum._fd_tridiagonal
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(spectrum, "_fd_tridiagonal", counting)
+        doc = json.loads(json.dumps(FREE_PI))
+        doc["system"]["positions"]["points"] = [0.0, 1.0, 3.0]
+        doc["system"]["strengths"]["values"] = [5.0, 0.0]
+        doc["params"].update({"n_points": 2, "lambda_range": [0.05, 30.0],
+                              "oracle": "fd", "fd_h": 3.0 / 4096})
+        code, out, _ = run_cli(["eigs", "--config", write_config(tmp_path, doc),
+                                "--format", "json"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        # the echoed count is one past the FD eigenvalues up to 30
+        fd = spectrum.fd_oracle_eigenvalues(*calls[0], count=100)
+        assert json.loads(out)["params"]["fd_count"] == \
+            int(np.sum(fd.values <= 30.0)) + 1
 
     def test_unresolved_roots_warning_footer(self, tmp_path, capsys):
         # a huge positive strength pushes levels up and nearly degenerates a
@@ -336,6 +383,70 @@ class TestPropagateCommand:
         assert len(rows) == 4 + 3 * 3
         xs = [float(r[1]) for r in rows]
         assert xs == sorted(xs)
+
+    @pytest.mark.parametrize("dense", [0, 8])
+    def test_one_propagation_per_request(self, tmp_path, capsys, monkeypatch,
+                                         dense):
+        import pointspec.cli as cli
+        import pointspec.transfer as transfer
+        calls = []
+        original = transfer.propagate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        for module in (transfer, cli):
+            monkeypatch.setattr(module, "propagate", counting, raising=False)
+        doc = {"system": {"kind": "delta_prime",
+                          "positions": {"type": "power", "c": 1.3, "p": 1.5},
+                          "strengths": {"type": "constant", "c": 2.0}},
+               "params": {"lambda": 2.0, "n_max": 40,
+                          "dense_per_interval": dense}}
+        code, out, _ = run_cli(["propagate", "--config",
+                                write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        rows = [l for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert len(rows) == 41 + 40 * dense
+
+    def test_dense_rows_are_free_flow_of_their_lattice_row(self, tmp_path,
+                                                          capsys):
+        cfg = self.config(tmp_path, dense_per_interval=4)
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        rows = [[float(v) for v in l.split(",")]
+                for l in out.splitlines()[1:] if not l.startswith("#")]
+        anchors = {}
+        for n, x, psi, dpsi, log_norm in rows:
+            if n not in anchors:
+                anchors[n] = (x, np.array([psi, dpsi]))
+                continue
+            x0, v = anchors[n]
+            assert x0 < x
+            want = fundamental_matrix(1.0, x - x0) @ v
+            assert np.allclose([psi, dpsi], want, rtol=0,
+                               atol=1e-13 * np.linalg.norm(want))
+            assert log_norm == pytest.approx(math.log(np.linalg.norm(want)),
+                                             rel=1e-13, abs=1e-13)
+
+    def test_overflow_footer_rows_match_library_prefix(self, tmp_path, capsys):
+        from pointspec import SparseSet, StrengthSequence, SystemSpec, propagate
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "factorial"},
+                          "strengths": {"type": "constant", "c": 1.0}},
+               "params": {"lambda": 1.0, "n_max": 180, "dense_per_interval": 2}}
+        code, out, _ = run_cli(["propagate", "--config",
+                                write_config(tmp_path, doc)], capsys)
+        lines = out.splitlines()
+        assert "#overflow at n=171" in lines
+        rows = [[float(v) for v in l.split(",")]
+                for l in lines[1:] if not l.startswith("#")]
+        assert len(rows) == 171 + 170 * 2
+        vecs = propagate(SystemSpec("delta", SparseSet.factorial(),
+                                    StrengthSequence.constant(1.0)),
+                         1.0, (0.0, 1.0), 170)
+        assert [r[2:4] for r in rows[::3]] == vecs.tolist()
+        assert [r[1] for r in rows[::3]] == \
+            [float(math.factorial(n)) if n else 0.0 for n in range(171)]
 
 
 class TestConsoleScript:

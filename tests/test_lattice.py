@@ -86,6 +86,35 @@ class TestSparseSet:
             assert g > 0
             assert x1 == pytest.approx(x0 + g, rel=1e-12)
 
+    @pytest.mark.parametrize("lat,n_hi", [
+        (SparseSet.factorial(), 200),
+        (SparseSet.power(2.0, 1.7), 500),
+        (SparseSet.power(1.0, 500.0, max_index=10**6), 10**4),
+        (SparseSet.exponential(1.5, 0.8, 1.2), 600),
+        (SparseSet.explicit(np.cumsum([0.0, 0.7, 1.3, 2.9, 0.6])), 3),
+    ])
+    def test_gaps_match_gap_elementwise(self, lat, n_hi):
+        ns = range(0, n_hi + 1, max(1, n_hi // 300))
+        got = lat.gaps(0, n_hi)
+        for n in ns:
+            assert got[n] == lat.gap(n)
+        assert np.array_equal(lat.gaps(2, n_hi), got[2:])
+        assert got.dtype == float and got.shape == (n_hi + 1,)
+
+    def test_factorial_gaps_exact_until_double_overflow(self):
+        got = SparseSet.factorial().gaps(0, 200)
+        exact = [1.0] + [float(n * math.factorial(n)) for n in range(1, 170)]
+        assert got[:170].tolist() == exact
+        assert np.all(got[170:] == math.inf)
+
+    def test_gaps_range_errors(self):
+        lat = SparseSet.explicit([0.0, 1.0, 3.0])
+        assert lat.gaps(0, 1).tolist() == [1.0, 2.0]
+        with pytest.raises(IndexError):
+            lat.gaps(0, 2)
+        with pytest.raises(ValueError):
+            lat.gaps(1, 0)
+
     def test_log_gaps_vectorized_matches_scalar(self):
         lat = SparseSet.factorial()
         arr = lat.log_gaps(0, 30)
@@ -176,6 +205,17 @@ class TestStrengthSequence:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             StrengthSequence.explicit([1.0, math.inf])
+
+    @pytest.mark.parametrize("seq", [
+        StrengthSequence.power(1.5, 0.5), StrengthSequence.power(-2.0, 0.25),
+        StrengthSequence.constant(-3.0),
+        StrengthSequence.explicit([1.0, -2.5, 0.0, 7.0]),
+    ])
+    def test_alpha_is_a_view_of_alphas(self, seq):
+        arr = seq.alphas(1, 4)
+        assert [seq.alpha(n) for n in range(1, 5)] == arr.tolist()
+        with pytest.raises(IndexError):
+            seq.alpha(0)
 
 
 class TestSystemSpec:

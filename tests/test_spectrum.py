@@ -263,6 +263,29 @@ class TestEssentialSpectrumProbe:
         entry = essential_spectrum_probe(sys, [1.0], 5).entries[0]
         assert np.allclose(entry.values, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("lat,n_max", [
+        (SparseSet.factorial(), 20),
+        (SparseSet.power(0.7, 1.5), 200),
+        (SparseSet.explicit(np.cumsum([0.0, 0.3, 2.0, math.pi, 9.5])), 3),
+    ])
+    def test_entries_equal_scalar_box_eigenvalues(self, lat, n_max):
+        sys = SystemSpec("delta", lat, StrengthSequence.constant(1.0))
+        rep = essential_spectrum_probe(sys, [0.5, 1.0, 2.0, 7.3], n_max)
+        for entry in rep.entries:
+            s = entry.s
+            vals = [box_eigenvalue_above(s, lat.gap(n)) for n in range(1, n_max + 1)]
+            bounds = [(math.pi / lat.gap(n)) * (2.0 * math.sqrt(s) + math.pi / lat.gap(n))
+                      for n in range(1, n_max + 1)]
+            assert entry.n.tolist() == list(range(1, n_max + 1))
+            assert entry.values.tolist() == vals
+            assert entry.gaps_to_s.tolist() == [v - s for v in vals]
+            assert entry.bounds.tolist() == bounds
+
+    def test_unrepresentable_gap_raises(self):
+        sys = factorial_system("delta", 0.5)
+        with pytest.raises(OverflowError, match="gap 170"):
+            essential_spectrum_probe(sys, [2.0], 175)
+
     def test_wide_gap_close_approach(self):
         assert abs(box_eigenvalue_above(0.25, 100.0) - 0.25) < 0.02
 
@@ -359,6 +382,19 @@ class TestFdOracle:
         k = min(5, len(inside), len(sh.values))
         assert k >= 4
         assert np.allclose(sh.values[:k], inside[:k], rtol=1e-3)
+
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_upper_reaches_one_past(self, kind):
+        sys = SystemSpec(kind, SparseSet.explicit([0.0, 1.0, 2.5, 3.0]),
+                         StrengthSequence.explicit([-6.0, 2.0, 3.0]))
+        h = 3.0 / 600
+        for upper in (0.5, 12.0, 40.0):
+            fd = fd_oracle_eigenvalues(sys, 3, h, upper=upper)
+            assert fd.values[-1] > upper >= fd.values[-2]
+            assert np.array_equal(
+                fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
+        with pytest.raises(ValueError):
+            fd_oracle_eigenvalues(sys, 3, h)
 
     def test_colliding_nodes_rejected(self):
         lat = SparseSet.explicit([0.0, 1.0, 1.0 + 1e-5, 2.0])

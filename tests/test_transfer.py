@@ -7,6 +7,7 @@ from pointspec import (SparseSet, StrengthSequence, SystemSpec, diagonalizer,
                        fundamental_matrix, fundamental_norm_bound,
                        inverse_step_diagonalized, jump_matrix, operator_norm,
                        propagate, sample_solution, step_matrix)
+from pointspec.transfer import PropagationOverflow, free_flow
 
 from conftest import random_small_system
 
@@ -89,7 +90,61 @@ class TestStepMatrix:
             step_matrix(sys, 1.0, 171)
 
 
+def step_product(system, lam, xi0, n_max):
+    """One step_matrix product per step: the propagation reference."""
+    out = np.zeros((n_max + 1, 2))
+    out[0] = xi0
+    for n in range(1, n_max + 1):
+        out[n] = step_matrix(system, lam, n) @ out[n - 1]
+    return out
+
+
+ALL_LATTICES = [
+    (SparseSet.factorial(), StrengthSequence.power(1.0, 0.5), 15),
+    (SparseSet.power(1.3, 1.7), StrengthSequence.power(0.8, 0.25), 60),
+    (SparseSet.exponential(0.7, 0.4, 1.1), StrengthSequence.constant(1.5), 25),
+    (SparseSet.explicit(np.cumsum([0.0, 0.7, 1.3, 2.9, 0.6, 4.0, 0.1])),
+     StrengthSequence.explicit([2.0, -3.0, 0.5, 0.0, -1.0, 4.0]), 6),
+]
+
+
 class TestPropagate:
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    @pytest.mark.parametrize("lat,strengths,n_max", ALL_LATTICES,
+                             ids=[lat.kind for lat, _, _ in ALL_LATTICES])
+    def test_matches_step_matrix_product(self, lat, strengths, n_max, kind):
+        sys = SystemSpec(kind, lat, strengths)
+        for lam in (0.3, 1.0, 7.5):
+            for xi0 in ((0.0, 1.0), (1.0, -0.4)):
+                got = propagate(sys, lam, xi0, n_max)
+                want = step_product(sys, lam, xi0, n_max)
+                scale = np.hypot(want[:, 0], want[:, 1])[:, None]
+                assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_factorial_overflow_at_first_infinite_gap(self):
+        sys = SystemSpec("delta", SparseSet.factorial(),
+                         StrengthSequence.constant(1.0))
+        with pytest.raises(PropagationOverflow, match="n=171") as info:
+            propagate(sys, 1.0, (0.0, 1.0), 180)
+        assert info.value.n == 171
+        assert np.array_equal(info.value.vectors,
+                              propagate(sys, 1.0, (0.0, 1.0), 170))
+
+    def test_overflow_carries_finite_prefix(self):
+        lat = SparseSet.explicit(np.arange(6.0))
+        sys = SystemSpec("delta", lat,
+                         StrengthSequence.explicit([1e200, 1e200, 0, 0, 0]))
+        with pytest.raises(OverflowError) as info:
+            propagate(sys, 1.0, (0.0, 1.0), 5)
+        assert info.value.n == 2
+        assert np.array_equal(info.value.vectors,
+                              propagate(sys, 1.0, (0.0, 1.0), 1))
+
+    def test_zero_steps_returns_start(self):
+        sys = SystemSpec("delta", SparseSet.factorial(),
+                         StrengthSequence.constant(1.0))
+        assert np.array_equal(propagate(sys, 2.0, (0, 1)), [[0.0, 1.0]])
+
     def test_free_propagation_is_fundamental_flow(self):
         lat = SparseSet.explicit([0.0, 0.9, 2.2, 4.5, 8.0])
         sys = SystemSpec("delta", lat, StrengthSequence.constant(0.0))
@@ -229,6 +284,31 @@ class TestFundamentalNormBound:
     def test_known_bounds(self, lam, expected):
         assert fundamental_norm_bound(lam) == pytest.approx(expected, abs=1e-9)
 
+    def test_closed_form_matches_numeric_maximum(self, rng):
+        # grid scan over one period plus bounded refinement of the best cell
+        from scipy.optimize import minimize_scalar
+
+        for lam in [1.0, 0.25, 4.0, *rng.uniform(0.05, 50, 8)]:
+            period = 2.0 * math.pi / math.sqrt(lam)
+            ds = np.linspace(0.0, period, 2049)
+            norms = [operator_norm(fundamental_matrix(lam, d)) for d in ds]
+            k = int(np.argmax(norms))
+            res = minimize_scalar(
+                lambda d: -operator_norm(fundamental_matrix(lam, d)),
+                bounds=(ds[max(k - 1, 0)], ds[min(k + 1, len(ds) - 1)]),
+                method="bounded", options={"xatol": 1e-13})
+            numeric = max(float(-res.fun), float(norms[k]))
+            assert fundamental_norm_bound(lam) == pytest.approx(numeric, rel=1e-12)
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        import subprocess
+        import sys as system
+        code = ("import sys, pointspec.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        proc = subprocess.run([system.executable, "-c", code], check=True,
+                              capture_output=True, text=True)
+        assert proc.stdout.strip() == "False"
+
     def test_is_supremum_and_matches_conjecture(self, rng):
         for lam in rng.uniform(0.05, 50, 10):
             c = fundamental_norm_bound(lam)
@@ -236,6 +316,18 @@ class TestFundamentalNormBound:
                 assert operator_norm(fundamental_matrix(lam, d)) <= c + 1e-9
             conjecture = max(math.sqrt(lam), 1 / math.sqrt(lam))
             assert c == pytest.approx(conjecture, rel=1e-6)
+
+
+class TestFreeFlow:
+    def test_rows_match_fundamental_matrix(self, rng):
+        lam = 2.3
+        vecs = rng.normal(size=(40, 2))
+        d = rng.uniform(0.0, 30.0, 40)
+        psi, dpsi = free_flow(lam, d, vecs)
+        for i in range(40):
+            want = fundamental_matrix(lam, d[i]) @ vecs[i]
+            assert abs(psi[i] - want[0]) <= 1e-13 * np.hypot(*want)
+            assert abs(dpsi[i] - want[1]) <= 1e-13 * np.hypot(*want)
 
 
 class TestSampleSolution:
