@@ -6,7 +6,7 @@ so results are reproducible from the file alone.  Outputs are deterministic
 (no timestamps) and written atomically.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure under
-``--strict`` (overflow, suspected unresolved roots).
+``--strict`` (overflow, or eigs roots closer than ``tol`` reported once).
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
     footers = []
     if eigs.warning:
         footers.append(f"# warning: suspected unresolved roots: "
-                       f"{eigs.suspected_missed} (free-count heuristic)")
+                       f"{eigs.suspected_missed} (roots closer than tol)")
     footers.append(f"# n_points={n_max} lambda_range=[{rng[0]!r},{rng[1]!r}] "
                    f"grid_resolution={resolution} tol={tol!r}")
     return columns, rows, footers, params, eigs.warning
@@ -533,10 +533,7 @@ def main(argv=None) -> int:
         if degraded and args.strict:
             return EXIT_NUMERICAL
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, IndexError) as exc:
+    except (ConfigError, ValueError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as exc:

@@ -267,7 +267,11 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
 
 @dataclass(frozen=True)
 class EigenvalueList:
-    """Ascending eigenvalues; residuals/bracket widths when a solver made them."""
+    """Ascending eigenvalues; residuals/bracket widths when a solver made them.
+
+    ``suspected_missed`` counts the roots a solver knows are in its range but
+    could not separate (closer than its tolerance); ``warning`` flags any.
+    """
 
     values: np.ndarray
     residuals: np.ndarray | None = None
@@ -360,28 +364,29 @@ def essential_spectrum_probe(system: SystemSpec, s_values,
     return ProbeReport(entries=tuple(entries))
 
 
-def _closure_component(kind: str) -> int:
-    # Dirichlet closure for delta systems reads psi, Neumann closure for
-    # delta-prime reads psi'.
-    return 0 if kind == DELTA else 1
+def _count_below(system: SystemSpec, n_max: int, lams) -> np.ndarray:
+    """Eigenvalues at or below each energy of the truncation to [0, x_N].
 
-
-def _boundary_value(system: SystemSpec, lam: float, n_max: int) -> float:
-    vecs = propagate(system, lam, DIRICHLET_START, n_max)
-    return float(vecs[-1][_closure_component(system.kind)])
-
-
-def _expected_free_count(kind: str, length: float, lam_lo: float,
-                         lam_hi: float) -> int:
-    """Free-operator eigenvalue count in (lam_lo, lam_hi] for the closure."""
-    def count_upto(lam):
-        if lam <= 0:
-            return 0
-        t = length * math.sqrt(lam) / math.pi
-        if kind == DELTA:
-            return int(math.floor(t + 1e-12))
-        return int(math.floor(t + 0.5 + 1e-12))
-    return count_upto(lam_hi) - count_upto(lam_lo)
+    Steps the Prufer angle phi of (sqrt(lam) psi, psi') for all energies at
+    once; for delta-prime it follows psi', on which each interaction acts as
+    a delta of strength -lam alpha.  Whole half-turns go into the count and
+    phi stays in [0, pi).  By oscillation theory the delta count is every
+    eigenvalue <= lam, negative ones included, and the delta-prime count
+    every positive one; differences between energies are exact for both.
+    """
+    rt = np.sqrt(np.asarray(lams, dtype=float))
+    beta = 1.0 / rt if system.kind == DELTA else -rt
+    phi = np.full(rt.shape, 0.0 if system.kind == DELTA else 0.5 * math.pi)
+    count = np.zeros(rt.shape, dtype=np.int64)
+    gaps = system.lattice.gaps(0, n_max - 1).tolist()
+    alphas = system.strengths.alphas(1, n_max).tolist()
+    for n, (g, a) in enumerate(zip(gaps, alphas), 1):
+        turns, phi = np.divmod(phi + g * rt, math.pi)
+        count += turns.astype(np.int64)
+        if n < n_max:  # the interaction at x_N is inert under the closure
+            s = np.sin(phi)
+            phi = np.arctan2(s, np.cos(phi) + a * beta * s)
+    return count
 
 
 def truncated_eigenvalues(system: SystemSpec, n_max: int,
@@ -390,51 +395,48 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
                           tol: float = 1e-10) -> EigenvalueList:
     """Shooting eigenvalues of the truncation to [0, x_N].
 
-    Scans the boundary closure value over a uniform energy grid, brackets
-    sign changes, and bisects each to ``tol``.  The closure is Dirichlet at
-    x_N for delta systems and Neumann for delta-prime systems.  Missed-root
-    suspicion compares the count of found roots against the free-operator
-    count on the same range; it is a coarse heuristic and is reported, not
-    raised.
+    The closure is Dirichlet at x_N for delta systems and Neumann for
+    delta-prime systems.  An exact eigenvalue count (``_count_below``) on a
+    uniform grid of ``grid_resolution`` cells puts each root in the cell
+    where the count passes it; all roots are then bisected together on the
+    count until their brackets are no wider than ``tol`` (or than the gap
+    between adjacent doubles).  Roots closer than that share a bracket and
+    are reported once; ``suspected_missed`` is the exact number of roots in
+    the range that the list lacks.  More roots than grid cells raise.
     """
     lam_lo, lam_hi = lam_range
     if not (0 < lam_lo < lam_hi):
         raise ValueError("energy range must satisfy 0 < lo < hi")
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
-    length = system.lattice.position(n_max)
-    if not math.isfinite(length):
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    x_end = system.lattice.position(n_max)
+    if not math.isfinite(x_end):
         raise OverflowError("truncation endpoint beyond double range")
-
+    if math.sqrt(lam_hi) * x_end / math.pi + n_max > 2.0**53:  # bounds the count
+        raise ValueError("eigenvalue count passes 2^53, beyond exact doubles")
     grid = np.linspace(lam_lo, lam_hi, grid_resolution + 1)
-    bvals = np.array([_boundary_value(system, g, n_max) for g in grid])
-
-    roots, residuals, widths = [], [], []
-    for i in range(len(grid) - 1):
-        b0, b1 = bvals[i], bvals[i + 1]
-        if b0 == 0.0:
-            roots.append(grid[i]); residuals.append(0.0); widths.append(0.0)
-            continue
-        if b0 * b1 >= 0:
-            continue
-        lo, hi, flo = grid[i], grid[i + 1], b0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fm = _boundary_value(system, mid, n_max)
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
-        roots.append(root)
-        residuals.append(abs(_boundary_value(system, root, n_max)))
-        widths.append(hi - lo)
-    expected = _expected_free_count(system.kind, length, lam_lo, lam_hi)
-    missed = max(0, expected - len(roots))
-    return EigenvalueList(values=np.array(roots),
-                          residuals=np.array(residuals),
-                          bracket_widths=np.array(widths),
-                          suspected_missed=missed)
+    counts = _count_below(system, n_max, grid)
+    if (n_roots := counts[-1] - counts[0]) > grid_resolution:
+        raise ValueError(f"{n_roots} eigenvalues in range, more than "
+                         f"grid_resolution ({grid_resolution}); narrow the range")
+    js = np.arange(counts[0] + 1, counts[-1] + 1)  # counts of the roots in range
+    cell = np.searchsorted(counts, js) - 1
+    lo, hi = grid[cell], grid[cell + 1]
+    # adjacent doubles cannot be split, whatever tol asks
+    while np.any(live := hi - lo > np.maximum(tol, np.spacing(hi))):
+        mid = 0.5 * (lo[live] + hi[live])
+        left = _count_below(system, n_max, mid) >= js[live]
+        hi[live] = np.where(left, mid, hi[live])
+        lo[live] = np.where(left, lo[live], mid)
+    roots, first = np.unique(0.5 * (lo + hi), return_index=True)
+    col = 0 if system.kind == DELTA else 1  # psi(x_N) for delta, psi'(x_N) else
+    residuals = [abs(propagate(system, r, DIRICHLET_START, n_max)[-1][col])
+                 for r in roots.tolist()]
+    return EigenvalueList(values=roots, residuals=np.array(residuals),
+                          bracket_widths=(hi - lo)[first],
+                          suspected_missed=len(js) - len(roots))
 
 
 def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,

@@ -242,6 +242,16 @@ class TestEigsCommand:
         assert code == 2
         assert "lambda_range" in err
 
+    def test_more_roots_than_grid_cells_exits_2(self, tmp_path, capsys):
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "power", "c": 1.0, "p": 3.0},
+                          "strengths": {"type": "power", "c": 1.0, "p": 0.5}},
+               "params": {"n_points": 100, "lambda_range": [0.5, 10.0]}}
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli(["eigs", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "more than grid_resolution (2000)" in err
+
     def test_default_fd_count_reaches_past_range(self, tmp_path, capsys):
         # attractive couplings put FD eigenvalues below zero and below the
         # range; the default count must still reach the top roots
@@ -288,18 +298,41 @@ class TestEigsCommand:
             int(np.sum(fd.values <= 30.0)) + 1
 
     def test_unresolved_roots_warning_footer(self, tmp_path, capsys):
-        # a huge positive strength pushes levels up and nearly degenerates a
-        # pair, so the scan finds fewer roots than the free count
+        # a huge positive strength nearly decouples [0, 1] from [1, 3]: the
+        # pair near pi^2 (9.864, 9.870) is closer than tol, shares one
+        # bracket and is reported once
         doc = json.loads(json.dumps(FREE_PI))
         doc["system"]["positions"]["points"] = [0.0, 1.0, 3.0]
         doc["system"]["strengths"]["values"] = [5000.0, 0.0]
-        doc["params"].update({"n_points": 2, "lambda_range": [0.5, 30.0]})
+        doc["params"].update({"n_points": 2, "lambda_range": [0.5, 30.0],
+                              "grid_resolution": 10, "tol": 0.05})
         cfg = write_config(tmp_path, doc)
         code, out, _ = run_cli(["eigs", "--config", cfg], capsys)
         assert code == 0
-        assert any(l.startswith("# warning") for l in out.splitlines())
+        lines = out.splitlines()
+        assert len([l for l in lines[1:] if not l.startswith("#")]) == 3
+        assert ("# warning: suspected unresolved roots: 1 "
+                "(roots closer than tol)") in lines
         code2, _, _ = run_cli(["eigs", "--config", cfg, "--strict"], capsys)
         assert code2 == 3
+
+    def test_attractive_couplings_raise_no_phantom_warning(self, tmp_path,
+                                                            capsys):
+        # alpha = -6 at every point puts seven eigenvalues below zero; the one
+        # in range (FD 9.8691) is found and none is missing
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "explicit",
+                                        "points": [float(i) for i in range(9)]},
+                          "strengths": {"type": "constant", "c": -6.0}},
+               "params": {"n_points": 8, "lambda_range": [0.5, 10.0]}}
+        cfg = write_config(tmp_path, doc)
+        code, out, _ = run_cli(["eigs", "--config", cfg, "--strict"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+        assert len(rows) == 1
+        assert abs(float(rows[0][1]) - 9.8696) < 1e-4
+        assert not any(l.startswith("# warning") for l in lines)
 
 
 class TestPropagateCommand:

@@ -10,6 +10,7 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        essential_spectrum_probe, fd_oracle_eigenvalues,
                        neumann_eigenvalues, point_spectrum_exclusion,
                        truncated_eigenvalues)
+from pointspec.spectrum import _count_below
 
 from conftest import factorial_system
 
@@ -337,6 +338,13 @@ class TestTruncatedEigenvalues:
         assert errs[1].max() < 0.005
         assert errs[1].max() < errs[0].max()
 
+    def test_tol_below_double_spacing_stops_at_adjacent_doubles(self):
+        lat = SparseSet.explicit([0.0, math.pi])
+        sys = SystemSpec("delta", lat, StrengthSequence.explicit([0.0]))
+        res = truncated_eigenvalues(sys, 1, (0.5, 17.0), tol=1e-16)
+        assert np.allclose(res.values, [1.0, 4.0, 9.0, 16.0], atol=1e-12)
+        assert np.all(res.bracket_widths <= np.spacing(res.values + 1e-12))
+
     def test_rejects_bad_range(self):
         lat = SparseSet.explicit([0.0, math.pi])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([0.0]))
@@ -344,6 +352,83 @@ class TestTruncatedEigenvalues:
             truncated_eigenvalues(sys, 1, (2.0, 2.0))
         with pytest.raises(ValueError):
             truncated_eigenvalues(sys, 1, (-1.0, 2.0))
+
+    def test_rejects_empty_truncation(self):
+        lat = SparseSet.explicit([0.0, math.pi])
+        sys = SystemSpec("delta", lat, StrengthSequence.explicit([0.0]))
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            truncated_eigenvalues(sys, 0, (0.5, 3.0))
+
+    def test_rejects_more_roots_than_grid_cells(self):
+        # x_N = 1000^3: about 7.8e8 roots in [0.5, 10], far past 2000 cells
+        sys = SystemSpec("delta", SparseSet.power(1.0, 3.0),
+                         StrengthSequence.power(1.0, 0.5))
+        with pytest.raises(ValueError, match=r"eigenvalues in range, more "
+                                             r"than grid_resolution \(2000\)"):
+            truncated_eigenvalues(sys, 1000, (0.5, 10.0))
+
+    def test_rejects_count_beyond_exact_doubles(self):
+        # x_20 > 20! = 2.4e18: the phase passes 2^53 half-turns
+        with pytest.raises(ValueError, match="2\\^53"):
+            truncated_eigenvalues(factorial_system("delta", 0.5), 20, (0.5, 10.0))
+
+
+def random_truncation(rng, kind, n):
+    """n explicit points with gaps 0.25 * {1..4} and alpha uniform in [-8, 8]."""
+    gaps = rng.integers(1, 5, n) * 0.25
+    return SystemSpec(kind,
+                      SparseSet.explicit(np.concatenate([[0.0], np.cumsum(gaps)])),
+                      StrengthSequence.explicit(rng.uniform(-8.0, 8.0, n)))
+
+
+class TestCountBelow:
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_matches_fd_count(self, kind):
+        rng = np.random.default_rng(5 if kind == "delta" else 6)
+        lams = np.linspace(0.01, 30.0, 200)
+        checked = 0
+        for _ in range(10):
+            n = int(rng.integers(8, 33))
+            sys = random_truncation(rng, kind, n)
+            fd = fd_oracle_eigenvalues(sys, n, 0.25 / 64, upper=31.0).values
+            if kind == "delta_prime":
+                fd = fd[fd > 0]  # the delta-prime count covers positive ones
+            ref = np.sum(fd[None, :] <= lams[:, None], axis=1)
+            # within 2e-3 of an FD eigenvalue the mesh error decides
+            far = np.min(np.abs(fd[None, :] - lams[:, None]), axis=1) > 2e-3 * lams
+            assert np.array_equal(_count_below(sys, n, lams)[far], ref[far])
+            checked += int(np.sum(far))
+        assert checked > 1500
+
+    def test_free_counts(self):
+        lat = SparseSet.explicit([0.0, 1.0, 2.5])
+        lams = np.array([0.5, 3.0, 20.0, 90.0])
+        k = np.sqrt(lams) * 2.5 / math.pi
+        for kind, want in (("delta", np.floor(k)), ("delta_prime", np.floor(k + 0.5))):
+            sys = SystemSpec(kind, lat, StrengthSequence.explicit([0.0, 0.0]))
+            assert np.array_equal(_count_below(sys, 2, lams), want)
+
+    def test_finds_roots_the_grid_scan_missed(self):
+        # a sign-change scan of the closure value on the default grid finds
+        # 25 of these 27 roots: the pair at 12.7888/12.7944 shares one cell
+        rng = np.random.default_rng(1)
+        sys = random_truncation(rng, "delta_prime", 32)
+        res = truncated_eigenvalues(sys, 32, (0.5, 20.0))
+        fd = fd_oracle_eigenvalues(sys, 32, 0.25 / 64, upper=20.0).values
+        inside = fd[(fd > 0.5) & (fd < 20.0)]
+        assert len(res) == len(inside) == 27
+        assert res.suspected_missed == 0
+        assert np.allclose(res.values, inside, rtol=1e-3)
+
+    def test_roots_closer_than_tol_are_reported_once(self):
+        lat = SparseSet.explicit([0.0, 1.0, 3.0])
+        sys = SystemSpec("delta", lat, StrengthSequence.explicit([5000.0, 0.0]))
+        fine = truncated_eigenvalues(sys, 2, (0.5, 30.0))
+        coarse = truncated_eigenvalues(sys, 2, (0.5, 30.0),
+                                       grid_resolution=10, tol=0.05)
+        assert len(fine) == 4 and fine.suspected_missed == 0
+        assert len(coarse) == 3 and coarse.suspected_missed == 1
+        assert np.all(coarse.bracket_widths <= 0.05)
 
 
 class TestFdOracle:
