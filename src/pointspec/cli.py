@@ -5,13 +5,16 @@ output echoes the system, the resolved parameters, and any heuristic knobs,
 so results are reproducible from the file alone.  Outputs are deterministic
 (no timestamps) and written atomically.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure under
-``--strict`` (overflow, or eigs roots closer than ``tol`` reported once).
+Exit codes: 0 success, 2 configuration error (and any ``ValueError`` or
+``IndexError`` from the library), 3 numerical failure: under ``--strict`` a
+propagate overflow footer or eigs roots closer than ``tol`` reported once,
+and any other ``OverflowError`` with or without ``--strict``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -453,11 +456,19 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dic
 # output plumbing
 
 
+def _fmt_column(values) -> map:
+    """Format one column with a single formatter chosen by its cell types."""
+    types = set(map(type, values))
+    if types == {int}:
+        return map(str, values)
+    if types == {float}:
+        return map(float.__repr__, values)
+    return map(_fmt_cell, values)
+
+
 def _render_csv(columns, rows, footers) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    lines.extend(footers)
+    cells = zip(*map(_fmt_column, zip(*rows)))
+    lines = [",".join(columns), *map(",".join, cells), *footers]
     return "\n".join(lines) + "\n"
 
 
@@ -501,8 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args fills a fresh namespace on every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         run = load_config(args.config)
         fmt = args.format or run.output_format

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .lattice import DELTA, RatioWindow, SystemSpec, _check_window, ratio_window
 from .transfer import DIRICHLET_START, diagonalizer, operator_norm, propagate
@@ -189,13 +188,27 @@ def lower_bound_check(system: SystemSpec, lam: float, n_max: int,
                       passed=min_slack >= 1.0 - 1e-9)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) shifted by the largest term, which is summed apart.
+
+    -inf when every term is -inf; +inf or nan when the largest term is.
+    """
+    i = int(np.argmax(a))
+    top = a[i]
+    if not np.isfinite(top):
+        return float(top)
+    rest = np.delete(a, i)
+    rest -= top
+    return float(top + np.log1p(np.sum(np.exp(rest))))
+
+
 def weighted_norm_sum(system: SystemSpec, lam: float, n_max: int,
                       xi0=DIRICHLET_START) -> float:
     """log of sum over n = 0..n_max of gap_n * ||xi_n||^2, via log-sum-exp."""
     vecs = propagate(system, lam, xi0, n_max)
     log_norms = np.log(_norms(vecs))
     log_gaps = system.lattice.log_gaps(0, n_max)
-    return float(logsumexp(log_gaps + 2.0 * log_norms))
+    return _logsumexp(log_gaps + 2.0 * log_norms)
 
 
 def propagation_profile(system: SystemSpec, lam0: float,

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 DELTA = "delta"
 DELTA_PRIME = "delta_prime"
@@ -23,6 +22,8 @@ STRENGTH_KINDS = ("power", "constant", "explicit")
 
 # exact factorial gaps n * n! up to n = 169, the last one below double overflow
 _FACTORIAL_GAPS = np.array([1.0] + [float(n * math.factorial(n)) for n in range(1, 170)])
+_LOG_FACTORIAL_GAPS = np.log(_FACTORIAL_GAPS)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
@@ -31,6 +32,32 @@ def _log_expm1(y):
     """log(e^y - 1) for y > 0 without overflow: y + log(1 - e^-y)."""
     y = np.asarray(y, dtype=float)
     return y + np.log(-np.expm1(-y))
+
+
+def _factorial_log_gaps(n_lo: int, n_hi: int) -> np.ndarray:
+    """ln(n * n!) over [n_lo, n_hi], with gap(0) = 1.
+
+    Indices up to 169 read the log of the exact gap table.  Beyond it the
+    Stirling series (Abramowitz-Stegun 6.1.40) for ln(n * n!) =
+    (n + 3/2) ln n - n + ln(2 pi)/2 + 1/(12n) - 1/(360n^3) + 1/(1260n^5)
+    - 1/(1680n^7), with one log per element.  At n >= 170 the first omitted
+    term is below 1e-23, far under the rounding of the result.
+    """
+    n_table = len(_LOG_FACTORIAL_GAPS)
+    table = _LOG_FACTORIAL_GAPS[n_lo:n_hi + 1]
+    if n_hi < n_table:
+        return table.copy()
+    ns = np.arange(max(n_lo, n_table), n_hi + 1, dtype=float)
+    inv = 1.0 / ns
+    inv2 = inv * inv
+    series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (
+        1.0 / 1260.0 - inv2 * (1.0 / 1680.0))))
+    series += _HALF_LOG_2PI
+    series -= ns
+    out = np.log(ns)
+    out *= ns + 1.5
+    out += series
+    return np.concatenate([table, out])
 
 
 @dataclass(frozen=True)
@@ -161,13 +188,9 @@ class SparseSet:
         self._check_gap_index(n_hi)
         if n_hi < n_lo:
             raise ValueError("empty index range")
-        ns = np.arange(n_lo, n_hi + 1, dtype=float)
         if self.kind == "factorial":
-            # gap(n) = n * n! for n >= 1, gap(0) = 1
-            with np.errstate(divide="ignore"):
-                out = np.log(ns) + gammaln(ns + 1.0)
-            out[ns == 0] = 0.0
-            return out
+            return _factorial_log_gaps(n_lo, n_hi)
+        ns = np.arange(n_lo, n_hi + 1, dtype=float)
         if self.kind == "power":
             # gap(n) = c * n^p * ((1 + 1/n)^p - 1)
             out = np.empty_like(ns)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .growth import DivergenceVerdict, _verdict_from_window, series_verdict
 from .lattice import (DELTA, DELTA_PRIME, RatioWindow, SystemSpec,
@@ -462,6 +461,10 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
         raise ValueError("need count or upper")
     if count is not None and not count >= 1:
         raise ValueError("need count >= 1")
+    # the only scipy use in the package: importing it here keeps it off
+    # every other command's start-up
+    from scipy.linalg import eigh_tridiagonal
+
     dt, et = _fd_tridiagonal(system, n_max, h)
     if count is None:
         lower = float(np.min(dt) - 2.0 * np.max(np.abs(et))) - 1.0  # Gershgorin

@@ -409,6 +409,21 @@ class TestPropagateCommand:
                                  capsys)
         assert code2 == 3
 
+    def test_flags_do_not_carry_over_between_calls(self, tmp_path, capsys):
+        # main reuses one parser per process
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "factorial"},
+                          "strengths": {"type": "constant", "c": 1.0}},
+               "params": {"lambda": 1.0, "n_max": 180}}
+        cfg = write_config(tmp_path, doc)
+        code, out, _ = run_cli(["propagate", "--config", cfg, "--strict",
+                                "--format", "json"], capsys)
+        assert code == 3
+        assert json.loads(out)["command"] == "propagate"
+        code2, out2, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code2 == 0
+        assert out2.startswith("n,x,re_psi,re_dpsi,log_norm_xi\n")
+
     def test_dense_rows_between_lattice_points(self, tmp_path, capsys):
         cfg = self.config(tmp_path, dense_per_interval=3)
         code, out, _ = run_cli(["propagate", "--config", cfg], capsys)

@@ -180,6 +180,19 @@ class TestWeightedNormSum:
         assert last <= total < last + math.log(2.0)
 
 
+    def test_logsumexp_against_scipy(self, rng):
+        special = pytest.importorskip("scipy.special")
+        from pointspec.growth import _logsumexp
+        cases = [rng.normal(scale, 1.0, size) for scale in (-800.0, 0.0, 30.0, 900.0)
+                 for size in (1, 2, 7, 1000)]
+        cases += [np.array([0.0, 0.0, -np.inf]), rng.uniform(-3, 3, 5) - 1e-17,
+                  np.full(4, 700.0)]
+        for a in cases:
+            want = float(special.logsumexp(a))
+            assert abs(_logsumexp(a) - want) <= 1e-15 * max(1.0, abs(want))
+        assert _logsumexp(np.full(3, -np.inf)) == -np.inf
+
+
 class TestPropagationProfile:
     def test_log_norms_match_direct_propagation(self):
         sys = factorial_system("delta", 0.5)

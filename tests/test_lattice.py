@@ -58,6 +58,21 @@ class TestSparseSet:
         exact = math.log(300 * math.factorial(300))
         assert lat.log_gap(300) == pytest.approx(exact, rel=1e-13)
 
+    def test_factorial_log_gaps_against_mpmath(self):
+        # crosses the seam between the exact table (n <= 169) and the
+        # Stirling series (n >= 170)
+        mp = pytest.importorskip("mpmath")
+        lat = SparseSet.factorial(max_index=10**9)
+        ns = list(range(401)) + [10**k + d for k in range(3, 9) for d in (0, 1, 7)]
+        got = np.concatenate([lat.log_gaps(0, 400),
+                              [lat.log_gap(n) for n in ns[401:]]])
+        with mp.workdps(60):
+            for n, g in zip(ns, got):
+                exact = mp.log(n) + mp.loggamma(n + 1) if n else mp.mpf(0)
+                err = abs(mp.mpf(float(g)) - exact) / max(1, abs(exact))
+                assert err <= 1e-15, n
+        assert np.array_equal(lat.log_gaps(165, 175), got[165:176])
+
     def test_log_gap_explicit(self):
         lat = SparseSet.explicit([0.0, 1.0, 3.0])
         assert lat.log_gap(1) == pytest.approx(math.log(2.0), abs=1e-14)
