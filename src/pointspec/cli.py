@@ -1,9 +1,12 @@
 """Command-line surface: classify, avalue, growth, eigs, propagate.
 
-Configuration is a single JSON document (see README for the schema).  Every
-output echoes the system, the resolved parameters, and any heuristic knobs,
-so results are reproducible from the file alone.  Outputs are deterministic
-(no timestamps) and written atomically.
+Configuration is a single JSON document (see README for the schema).  Each
+generator family has one key table (``POSITION_KEYS``, ``STRENGTH_KEYS``) and
+classify's thresholds are the fields of ``ClassifyConfig``: each drives the
+accepted keys, the parse and the echo.  ``NaN``, ``Infinity`` and array
+entries that are not numbers are configuration errors.  Every output echoes
+the system and the resolved parameters, so results are reproducible from the
+file alone; outputs are deterministic (no timestamps) and written atomically.
 
 Exit codes: 0 success, 2 configuration error (and any ``ValueError`` or
 ``IndexError`` from the library), 3 numerical failure: under ``--strict`` a
@@ -14,12 +17,12 @@ and any other ``OverflowError`` with or without ``--strict``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,13 +52,18 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
 
 
+def _is_number(v) -> bool:
+    """An int or a float; JSON true and false load as bools, which are ints."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(d: dict, key: str, where: str, default=None, positive=False):
     if key not in d:
         if default is None:
             raise ConfigError(f"missing {where}.{key}")
         return default
     v = d[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise ConfigError(f"{where}.{key} must be a number")
     if positive and not v > 0:
         raise ConfigError(f"{where}.{key} must be positive")
@@ -87,86 +95,60 @@ def _int_pair(d: dict, key: str, where: str, default=None):
     return (v[0], v[1])
 
 
-def _parse_positions(block: dict) -> SparseSet:
-    where = "system.positions"
+# Each generator's keys in parse and echo order.  A key in OPTIONAL_KEYS takes
+# the library's default when absent; every other key is required.
+POSITION_KEYS = {"factorial": ("max_index",), "power": ("c", "p", "max_index"),
+                 "exponential": ("c", "q", "r", "max_index"),
+                 "explicit": ("points",)}
+STRENGTH_KEYS = {"power": ("c", "p"), "constant": ("c",), "explicit": ("values",)}
+OPTIONAL_KEYS = {"max_index", "r"}
+
+
+def _parse_generator(block, where: str, keys_by_type: dict, cls, positive: bool):
+    """Build ``cls`` from a generator block whose keys ``keys_by_type`` lists.
+
+    ``max_index`` is an integer >= 1, ``points`` and ``values`` nonempty
+    arrays of numbers, and every other key a number, positive if ``positive``.
+    """
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigError(f"{where} must be an object with a 'type' field")
     kind = block["type"]
-    if kind == "factorial":
-        _require_keys(block, {"type", "max_index"}, {"type"}, where)
-        return SparseSet.factorial(
-            max_index=_integer(block, "max_index", where, 10**7, minimum=1))
-    if kind == "power":
-        _require_keys(block, {"type", "c", "p", "max_index"}, {"type", "c", "p"}, where)
-        return SparseSet.power(_number(block, "c", where, positive=True),
-                               _number(block, "p", where, positive=True),
-                               max_index=_integer(block, "max_index", where,
-                                                  10**7, minimum=1))
-    if kind == "exponential":
-        _require_keys(block, {"type", "c", "q", "r", "max_index"},
-                      {"type", "c", "q"}, where)
-        return SparseSet.exponential(_number(block, "c", where, positive=True),
-                                     _number(block, "q", where, positive=True),
-                                     _number(block, "r", where, 1.0, positive=True),
-                                     max_index=_integer(block, "max_index",
-                                                        where, 10**7, minimum=1))
-    if kind == "explicit":
-        _require_keys(block, {"type", "points"}, {"type", "points"}, where)
-        pts = block["points"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError(f"{where}.points must be a nonempty array")
-        return SparseSet.explicit(pts)
-    raise ConfigError(f"{where}.type must be one of "
-                      "factorial|power|exponential|explicit, got "
-                      f"{kind!r}")
+    if not isinstance(kind, str) or kind not in keys_by_type:
+        raise ConfigError(f"{where}.type must be one of {'|'.join(keys_by_type)}, "
+                          f"got {kind!r}")
+    keys = keys_by_type[kind]
+    _require_keys(block, {"type", *keys}, {"type", *keys} - OPTIONAL_KEYS, where)
+    values = {}
+    for key in [k for k in keys if k in block]:
+        if key == "max_index":
+            values[key] = _integer(block, key, where, minimum=1)
+        elif key in ("points", "values"):
+            array = block[key]
+            if not isinstance(array, list) or not array:
+                raise ConfigError(f"{where}.{key} must be a nonempty array")
+            if not all(map(_is_number, array)):
+                raise ConfigError(f"{where}.{key} must hold only numbers")
+            values[key] = tuple(array)
+        else:
+            values[key] = _number(block, key, where, positive=positive)
+    return cls(kind=kind, **values)
 
 
-def _parse_strengths(block: dict) -> StrengthSequence:
-    where = "system.strengths"
-    if not isinstance(block, dict) or "type" not in block:
-        raise ConfigError(f"{where} must be an object with a 'type' field")
-    kind = block["type"]
-    if kind == "power":
-        _require_keys(block, {"type", "c", "p"}, {"type", "c", "p"}, where)
-        return StrengthSequence.power(_number(block, "c", where),
-                                      _number(block, "p", where))
-    if kind == "constant":
-        _require_keys(block, {"type", "c"}, {"type", "c"}, where)
-        return StrengthSequence.constant(_number(block, "c", where))
-    if kind == "explicit":
-        _require_keys(block, {"type", "values"}, {"type", "values"}, where)
-        vals = block["values"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"{where}.values must be a nonempty array")
-        return StrengthSequence.explicit(vals)
-    raise ConfigError(f"{where}.type must be one of power|constant|explicit, "
-                      f"got {kind!r}")
+def _generator_dict(generator, keys_by_type: dict) -> dict:
+    out = {"type": generator.kind}
+    for key in keys_by_type[generator.kind]:
+        value = getattr(generator, key)
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def _system_dict(system: SystemSpec) -> dict:
-    lat = system.lattice
-    if lat.kind == "factorial":
-        positions = {"type": "factorial", "max_index": lat.max_index}
-    elif lat.kind == "power":
-        positions = {"type": "power", "c": lat.c, "p": lat.p,
-                     "max_index": lat.max_index}
-    elif lat.kind == "exponential":
-        positions = {"type": "exponential", "c": lat.c, "q": lat.q,
-                     "r": lat.r, "max_index": lat.max_index}
-    else:
-        positions = {"type": "explicit", "points": list(lat.points)}
-    st = system.strengths
-    if st.kind == "power":
-        strengths = {"type": "power", "c": st.c, "p": st.p}
-    elif st.kind == "constant":
-        strengths = {"type": "constant", "c": st.c}
-    else:
-        strengths = {"type": "explicit", "values": list(st.values)}
-    return {"kind": system.kind, "positions": positions,
-            "strengths": strengths}
+    return {"kind": system.kind,
+            "positions": _generator_dict(system.lattice, POSITION_KEYS),
+            "strengths": _generator_dict(system.strengths, STRENGTH_KEYS)}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration document."""
 
@@ -196,9 +178,12 @@ def parse_config(doc: dict) -> RunConfig:
     if kind not in ("delta", "delta_prime"):
         raise ConfigError("system.kind must be 'delta' or 'delta_prime', "
                           f"got {kind!r}")
-    system = SystemSpec(kind=kind,
-                        lattice=_parse_positions(sysblock["positions"]),
-                        strengths=_parse_strengths(sysblock["strengths"]))
+    system = SystemSpec(
+        kind=kind,
+        lattice=_parse_generator(sysblock["positions"], "system.positions",
+                                 POSITION_KEYS, SparseSet, positive=True),
+        strengths=_parse_generator(sysblock["strengths"], "system.strengths",
+                                   STRENGTH_KEYS, StrengthSequence, positive=False))
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
@@ -216,9 +201,12 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    def reject_constant(name):
+        raise ConfigError(f"config {path} holds {name}, which is not a number")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -227,23 +215,14 @@ def load_config(path: str) -> RunConfig:
 
 
 def _json_safe(v):
-    if isinstance(v, bool):
-        return v
+    """Spell non-finite floats as strings; every command emits Python scalars."""
     if isinstance(v, float):
         return v if math.isfinite(v) else ("inf" if v > 0 else
                                            "-inf" if v < 0 else "nan")
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, (np.floating,)):
-        return _json_safe(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
     if isinstance(v, dict):
         return {k: _json_safe(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_json_safe(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_json_safe(x) for x in v.tolist()]
     return v
 
 
@@ -258,53 +237,30 @@ def _threshold_dict(est) -> dict:
     })
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_classify(run: RunConfig) -> dict:
     p = run.params
-    _require_keys(p, {"window", "lambda0_grid", "divergence_threshold",
-                      "zero_threshold", "sparseness_threshold",
-                      "strength_threshold", "margin"}, set(), "params")
-    defaults = ClassifyConfig()
-    config = ClassifyConfig(
-        divergence_threshold=_number(p, "divergence_threshold", "params",
-                                     defaults.divergence_threshold, positive=True),
-        zero_threshold=_number(p, "zero_threshold", "params",
-                               defaults.zero_threshold, positive=True),
-        sparseness_threshold=_number(p, "sparseness_threshold", "params",
-                                     defaults.sparseness_threshold, positive=True),
-        strength_threshold=_number(p, "strength_threshold", "params",
-                                   defaults.strength_threshold, positive=True),
-        margin=_number(p, "margin", "params", defaults.margin, positive=True))
+    thresholds = dataclasses.fields(ClassifyConfig)
+    _require_keys(p, {"window", "lambda0_grid", *(f.name for f in thresholds)},
+                  set(), "params")
+    config = ClassifyConfig(**{
+        f.name: _number(p, f.name, "params", f.default, positive=True)
+        for f in thresholds})
     window = _int_pair(p, "window", "params", (100, 10**6))
     grid = p.get("lambda0_grid")
-    if grid is not None:
-        if (not isinstance(grid, list) or not grid
-                or not all(isinstance(g, (int, float)) and g > 0 for g in grid)):
-            raise ConfigError("params.lambda0_grid must be an array of "
-                              "positive numbers")
+    if grid is not None and (not isinstance(grid, list) or not grid
+                             or not all(_is_number(g) and g > 0 for g in grid)):
+        raise ConfigError("params.lambda0_grid must be an array of positive numbers")
     result = classify(run.system, window=window, lambda0_grid=grid,
                       config=config)
     return {
         "command": "classify",
         "system": _system_dict(run.system),
-        "params": _json_safe({
-            "window": list(window),
-            "lambda0_grid": grid,
-            "divergence_threshold": config.divergence_threshold,
-            "zero_threshold": config.zero_threshold,
-            "sparseness_threshold": config.sparseness_threshold,
-            "strength_threshold": config.strength_threshold,
-            "margin": config.margin,
-        }),
+        "params": _json_safe({"window": list(window), "lambda0_grid": grid,
+                              **dataclasses.asdict(config)}),
         "result": {
             "case": result.case,
             "threshold": _threshold_dict(result.threshold),
@@ -340,7 +296,7 @@ GROWTH_COLUMNS = ["n", "log_gap", "log_coupling_product", "dalembert_ratio",
                   "series_term"]
 
 
-def cmd_growth(run: RunConfig) -> tuple[list[str], list[list], list[str], dict]:
+def cmd_growth(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bool]:
     p = run.params
     _require_keys(p, {"lambda0", "window"}, {"lambda0", "window"}, "params")
     lam0 = _number(p, "lambda0", "params", positive=True)
@@ -358,7 +314,7 @@ def cmd_growth(run: RunConfig) -> tuple[list[str], list[list], list[str], dict]:
                     prof.terms[n_lo:].tolist()))
     footers = [f"# lambda0={lam0!r} window=[{n_lo},{n_hi}] kind={run.system.kind}"]
     params = {"lambda0": lam0, "window": list(window)}
-    return GROWTH_COLUMNS, rows, footers, params
+    return GROWTH_COLUMNS, rows, footers, params, False
 
 
 EIGS_COLUMNS = ["index", "lambda", "residual", "bracket_width"]
@@ -372,7 +328,7 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
     n_max = _integer(p, "n_points", "params", minimum=1)
     rng = p.get("lambda_range")
     if (not isinstance(rng, list) or len(rng) != 2
-            or not all(isinstance(x, (int, float)) for x in rng)
+            or not all(map(_is_number, rng))
             or not 0 < rng[0] < rng[1]):
         raise ConfigError("params.lambda_range must be [lo, hi] with 0 < lo < hi")
     resolution = _integer(p, "grid_resolution", "params", 2000, minimum=2)
@@ -398,7 +354,7 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
             lam = row[1]
             j = int(np.argmin(np.abs(fd.values - lam)))
             row.append(float(fd.values[j]))
-            row.append(abs(fd.values[j] - lam) / max(abs(lam), 1e-300))
+            row.append(float(abs(fd.values[j] - lam) / max(abs(lam), 1e-300)))
         params["fd_h"] = fd_h
         params["fd_count"] = len(fd) if fd_count is None else fd_count
     footers = []
@@ -421,7 +377,7 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dic
     n_max = _integer(p, "n_max", "params", minimum=1)
     xi0 = p.get("xi0", [0.0, 1.0])
     if (not isinstance(xi0, list) or len(xi0) != 2
-            or not all(isinstance(x, (int, float)) for x in xi0)):
+            or not all(map(_is_number, xi0))):
         raise ConfigError("params.xi0 must be [psi, dpsi]")
     dense = _integer(p, "dense_per_interval", "params", 0, minimum=0)
 
@@ -456,18 +412,9 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dic
 # output plumbing
 
 
-def _fmt_column(values) -> map:
-    """Format one column with a single formatter chosen by its cell types."""
-    types = set(map(type, values))
-    if types == {int}:
-        return map(str, values)
-    if types == {float}:
-        return map(float.__repr__, values)
-    return map(_fmt_cell, values)
-
-
 def _render_csv(columns, rows, footers) -> str:
-    cells = zip(*map(_fmt_column, zip(*rows)))
+    # cells are Python ints and floats: str gives a float's shortest repr
+    cells = zip(*(map(str, column) for column in zip(*rows)))
     lines = [",".join(columns), *map(",".join, cells), *footers]
     return "\n".join(lines) + "\n"
 
@@ -523,31 +470,23 @@ def main(argv=None) -> int:
         fmt = args.format or run.output_format
         path = args.out if args.out is not None else run.output_path
 
-        if args.command in ("classify", "avalue"):
+        # built per call, so a cmd_* replaced on the module is the one that runs
+        documents = {"classify": cmd_classify, "avalue": cmd_avalue}
+        tables = {"growth": cmd_growth, "eigs": cmd_eigs, "propagate": cmd_propagate}
+        if args.command in documents:
             if fmt == "csv":
                 raise ConfigError(f"{args.command} emits JSON only")
-            doc = cmd_classify(run) if args.command == "classify" else cmd_avalue(run)
-            _write_output(_render_json(doc), path)
+            _write_output(_render_json(documents[args.command](run)), path)
             return EXIT_OK
 
-        if fmt is None:
-            fmt = "csv"
-        degraded = False
-        if args.command == "growth":
-            columns, rows, footers, params = cmd_growth(run)
-        elif args.command == "eigs":
-            columns, rows, footers, params, degraded = cmd_eigs(run)
-        else:
-            columns, rows, footers, params, degraded = cmd_propagate(run)
-        if fmt == "csv":
+        columns, rows, footers, params, degraded = tables[args.command](run)
+        if fmt in (None, "csv"):
             text = _render_csv(columns, rows, footers)
         else:
             text = _render_json(_table_json(args.command, run, columns, rows,
                                             footers, params))
         _write_output(text, path)
-        if degraded and args.strict:
-            return EXIT_NUMERICAL
-        return EXIT_OK
+        return EXIT_NUMERICAL if degraded and args.strict else EXIT_OK
     except (ConfigError, ValueError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

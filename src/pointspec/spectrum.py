@@ -493,49 +493,27 @@ def _fd_tridiagonal(system: SystemSpec, n_max: int,
     if abs(m * h - length) > h / 2:
         raise ValueError("mesh size does not divide the truncation length")
 
-    nodes = []
-    for x in system.lattice.positions(n_max)[1:].tolist():
-        j = int(round(x / h))
-        if abs(x - j * h) > h / 2:
-            raise ValueError(f"lattice point {x} misaligned with mesh by "
-                             f"more than h/2")
-        nodes.append(j)
-    if len(set(nodes)) != len(nodes) or any(j <= 0 for j in nodes):
+    xs = system.lattice.positions(n_max)[1:]
+    nodes = np.rint(xs / h)
+    misaligned = np.abs(xs - nodes * h) > h / 2
+    if np.any(misaligned):
+        raise ValueError(f"lattice point {xs[np.argmax(misaligned)].item()} "
+                         f"misaligned with mesh by more than h/2")
+    if len(np.unique(nodes)) != len(nodes) or np.any(nodes <= 0):
         raise ValueError("lattice points collide on the mesh; refine h")
-    interact = dict(zip(nodes, system.strengths.alphas(1, n_max).tolist()))
 
+    inner = nodes < m  # at node m psi or psi' vanishes: the interaction is inert
+    j, a = nodes[inner].astype(int) - 1, system.strengths.alphas(1, n_max)[inner]
     delta_prime = system.kind == DELTA_PRIME
-    # Interactions at the right endpoint are inert under the matching
-    # closure (psi or psi' vanishes there).
-    interior = {j: a for j, a in interact.items() if j < m}
-    merge_tol = 1e-12
-
-    diag, off, mass = [], [], []
-    prev_exists = False
-    for node in range(1, m + 1):
-        splits = (delta_prime and node in interior
-                  and abs(interior[node]) > merge_tol)
-        if splits:
-            a = interior[node]
-            diag.append(1.0 / h + 1.0 / a)
-            mass.append(h / 2.0)
-            off.append(-1.0 / h if prev_exists else None)
-            diag.append(1.0 / h + 1.0 / a)
-            mass.append(h / 2.0)
-            off.append(-1.0 / a)
-        else:
-            at_end = node == m
-            neumann_end = at_end and delta_prime
-            if at_end and not delta_prime:
-                break  # Dirichlet right end: node m is not an unknown
-            diag.append(1.0 / h if neumann_end else 2.0 / h)
-            mass.append(h / 2.0 if neumann_end else h)
-            off.append(-1.0 / h if prev_exists else None)
-            if not delta_prime and node in interior:
-                diag[-1] += interior[node]
-        prev_exists = True
-
-    d = np.asarray(diag)
-    e = np.asarray([v for v in off[1:]])
-    scale = 1.0 / np.sqrt(np.asarray(mass))
+    size = m if delta_prime else m - 1  # node m is an unknown under Neumann
+    d, mass, e = np.full(size, 2.0 / h), np.full(size, h), np.full(size - 1, -1.0 / h)
+    if not delta_prime:
+        d[j] += a
+    else:  # an interacting node splits into two unknowns coupled by -1/alpha
+        d[-1], mass[-1] = 1.0 / h, h / 2.0
+        j, a = j[np.abs(a) > 1e-12], a[np.abs(a) > 1e-12]
+        d[j], mass[j] = 1.0 / h + 1.0 / a, h / 2.0
+        d, mass = np.insert(d, j, d[j]), np.insert(mass, j, mass[j])
+        e = np.insert(e, j, -1.0 / a)
+    scale = 1.0 / np.sqrt(mass)
     return d * scale * scale, e * scale[:-1] * scale[1:]

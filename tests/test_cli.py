@@ -46,6 +46,28 @@ FREE_PI = {
     "params": {"n_points": 1, "lambda_range": [0.5, 17.0], "tol": 1e-12},
 }
 
+# each generator as given, and as echoed: defaults filled in, numbers as
+# floats, 0 prepended to explicit points; a strength's c may be negative
+POSITIONS = {
+    "factorial": ({"type": "factorial"},
+                  {"type": "factorial", "max_index": 10**7}),
+    "power": ({"type": "power", "c": 2, "p": 1.5},
+              {"type": "power", "c": 2.0, "p": 1.5, "max_index": 10**7}),
+    "exponential": ({"type": "exponential", "c": 1, "q": 0.5, "max_index": 50},
+                    {"type": "exponential", "c": 1.0, "q": 0.5, "r": 1.0,
+                     "max_index": 50}),
+    "explicit": ({"type": "explicit", "points": [1, 2.5]},
+                 {"type": "explicit", "points": [0.0, 1.0, 2.5]}),
+}
+STRENGTHS = {
+    "power": ({"type": "power", "c": 1, "p": 0.5},
+              {"type": "power", "c": 1.0, "p": 0.5}),
+    "constant": ({"type": "constant", "c": -2},
+                 {"type": "constant", "c": -2.0}),
+    "explicit": ({"type": "explicit", "values": [1, -0.5]},
+                 {"type": "explicit", "values": [1.0, -0.5]}),
+}
+
 
 class TestConfigParsing:
     def test_round_trip(self):
@@ -79,6 +101,121 @@ class TestConfigParsing:
         doc["system"]["kind"] = "delta_triple"
         with pytest.raises(ConfigError, match="system.kind"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("positions", POSITIONS)
+    @pytest.mark.parametrize("strengths", STRENGTHS)
+    def test_round_trip_every_generator(self, positions, strengths):
+        given_p, echo_p = POSITIONS[positions]
+        given_s, echo_s = STRENGTHS[strengths]
+        run = parse_config({"system": {"kind": "delta_prime", "positions": given_p,
+                                       "strengths": given_s}})
+        doc = run.to_dict()
+        # json.dumps tells an echoed 2.0 from 2
+        assert json.dumps(doc) == json.dumps(
+            {"system": {"kind": "delta_prime", "positions": echo_p,
+                        "strengths": echo_s}, "params": {}})
+        again = parse_config(doc)
+        assert again == run
+        assert again.to_dict() == doc
+
+    @pytest.mark.parametrize("family, block, message", [
+        ("positions", {"type": "power", "c": 1.0, "p": 2.0, "q": 1.0},
+         "unknown key(s) in system.positions: ['q']"),
+        ("positions", {"type": "exponential", "c": 1.0},
+         "missing key(s) in system.positions: ['q']"),
+        ("positions", {"type": "cubic"},
+         "system.positions.type must be one of "
+         "factorial|power|exponential|explicit, got 'cubic'"),
+        ("positions", {"type": ["x"]},
+         "system.positions.type must be one of "
+         "factorial|power|exponential|explicit, got ['x']"),
+        ("positions", {"type": "power", "c": 0, "p": 2.0},
+         "system.positions.c must be positive"),
+        ("positions", {"type": "exponential", "c": -1.0, "q": 1.0},
+         "system.positions.c must be positive"),
+        ("strengths", {"type": "constant", "c": 1.0, "p": 2.0},
+         "unknown key(s) in system.strengths: ['p']"),
+        ("strengths", {"type": "explicit"},
+         "missing key(s) in system.strengths: ['values']"),
+        ("strengths", {"type": "linear"},
+         "system.strengths.type must be one of power|constant|explicit, "
+         "got 'linear'"),
+        ("strengths", {"type": ["x"]},
+         "system.strengths.type must be one of power|constant|explicit, "
+         "got ['x']"),
+        ("strengths", {"type": "power", "c": "1", "p": 2.0},
+         "system.strengths.c must be a number"),
+    ])
+    def test_generator_messages(self, family, block, message):
+        doc = json.loads(json.dumps(FACTORIAL_QUARTER))
+        doc["system"][family] = block
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == message
+
+
+# a power lattice with constant strengths; each case below puts one JSON
+# constant that is not a number into the lattice's c or the params
+NONFINITE_BASE = ('{"system": {"kind": "delta", "positions": {"type": "power", '
+                  '"c": %s, "p": 1.5}, "strengths": {"type": "constant", "c": 1.0}}, '
+                  '"params": %s}')
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command, c, params, constant", [
+        ("propagate", "1.0", '{"lambda": Infinity, "n_max": 5}', "Infinity"),
+        ("propagate", "1.0", '{"lambda": 2.0, "n_max": 5, "xi0": [NaN, 1]}', "NaN"),
+        ("eigs", "1.0", '{"n_points": 3, "lambda_range": [0.5, 9.0], '
+                        '"tol": Infinity}', "Infinity"),
+        ("growth", "1.0", '{"lambda0": Infinity, "window": [0, 5]}', "Infinity"),
+        ("classify", "1.0", '{"window": [100, 1000], "margin": Infinity}', "Infinity"),
+        ("propagate", "Infinity", '{"lambda": 2.0, "n_max": 5}', "Infinity"),
+    ], ids=["lambda", "xi0", "tol", "lambda0", "margin", "lattice_c"])
+    def test_nonfinite_constant_rejected(self, tmp_path, capsys, command, c,
+                                         params, constant):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(NONFINITE_BASE % (c, params))
+        target = tmp_path / "out.json"
+        code, out, err = run_cli([command, "--config", str(cfg), "--format",
+                                  "json", "--out", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("config error: ") and constant in err
+        assert out == "" and not target.exists()
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("eigs", ("system", "strengths", "values"), [[1]],
+         "system.strengths.values must hold only numbers"),
+        ("propagate", ("system", "positions", "points"), [1.0, {"a": 1}],
+         "system.positions.points must hold only numbers"),
+        ("growth", ("system", "positions", "points"), [True, 2.0, 3.0],
+         "system.positions.points must hold only numbers"),
+        ("propagate", ("params", "xi0"), [True, 1],
+         "params.xi0 must be [psi, dpsi]"),
+        ("eigs", ("params", "lambda_range"), [True, 5],
+         "params.lambda_range must be [lo, hi] with 0 < lo < hi"),
+        ("classify", ("params", "lambda0_grid"), [True],
+         "params.lambda0_grid must be an array of positive numbers"),
+    ], ids=["values_list", "points_object", "points_bool", "xi0_bool",
+            "lambda_range_bool", "lambda0_grid_bool"])
+    def test_array_entries_must_be_numbers(self, tmp_path, capsys, command,
+                                           path, value, message):
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "explicit",
+                                        "points": [1.0, 2.0, 3.0]},
+                          "strengths": {"type": "explicit",
+                                        "values": [1.0, 1.0, 1.0]}},
+               "params": {"propagate": {"lambda": 1.0, "n_max": 3},
+                          "eigs": {"n_points": 3, "lambda_range": [0.5, 9.0]},
+                          "growth": {"lambda0": 1.0, "window": [0, 2]},
+                          "classify": {"window": [1, 2]}}[command]}
+        block = doc
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        code, out, err = run_cli([command, "--config",
+                                  write_config(tmp_path, doc)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: {message}\n"
 
 
 class TestClassifyCommand:

@@ -10,7 +10,7 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        essential_spectrum_probe, fd_oracle_eigenvalues,
                        neumann_eigenvalues, point_spectrum_exclusion,
                        truncated_eigenvalues)
-from pointspec.spectrum import _count_below
+from pointspec.spectrum import _count_below, _fd_tridiagonal
 
 from conftest import factorial_system
 
@@ -431,6 +431,33 @@ class TestCountBelow:
         assert np.all(coarse.bracket_widths <= 0.05)
 
 
+def fd_matrix_loop(system, n_max, h):
+    """Reference FD assembly, one mesh node at a time."""
+    m = int(round(system.lattice.position(n_max) / h))
+    nodes = [int(round(x / h)) for x in system.lattice.positions(n_max)[1:]]
+    interior = {j: a for j, a in zip(nodes, system.strengths.alphas(1, n_max))
+                if j < m}
+    delta_prime = system.kind == "delta_prime"
+    diag, off, mass = [], [], []
+    for node in range(1, m + 1):
+        if delta_prime and abs(interior.get(node, 0.0)) > 1e-12:
+            a = interior[node]
+            diag += [1.0 / h + 1.0 / a] * 2
+            mass += [h / 2.0] * 2
+            off += [-1.0 / h, -1.0 / a]
+            continue
+        if node == m and not delta_prime:
+            break
+        diag.append(1.0 / h if node == m else 2.0 / h)
+        mass.append(h / 2.0 if node == m else h)
+        off.append(-1.0 / h)
+        if not delta_prime and node in interior:
+            diag[-1] += interior[node]
+    scale = 1.0 / np.sqrt(np.asarray(mass))
+    return (np.asarray(diag) * scale * scale,
+            np.asarray(off[1:]) * scale[:-1] * scale[1:])
+
+
 class TestFdOracle:
     def test_free_laplacian_benchmark(self):
         lat = SparseSet.explicit([0.0, math.pi])
@@ -487,6 +514,21 @@ class TestFdOracle:
                          StrengthSequence.explicit([1.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="collide"):
             fd_oracle_eigenvalues(sys, 3, 0.01, 4)
+
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_matrix_matches_node_loop(self, kind):
+        # the assembly's array operations against a node-by-node loop, bit
+        # for bit, with zero and sub-1e-12 strengths among the couplings
+        rng = np.random.default_rng(11)
+        for h in (1 / 64, 1 / 128, 1 / 256, 1 / 1024):
+            for n in (1, 2, 5, 17, 32):
+                sys = random_truncation(rng, kind, n)
+                alphas = sys.strengths.values * rng.choice([0.0, 1e-13, 1.0], n)
+                sys = SystemSpec(kind, sys.lattice, StrengthSequence.explicit(alphas))
+                d, e = _fd_tridiagonal(sys, n, h)
+                ref_d, ref_e = fd_matrix_loop(sys, n, h)
+                assert d.tobytes() == ref_d.tobytes()
+                assert e.tobytes() == ref_e.tobytes()
 
     def test_mesh_size_limits(self):
         lat = SparseSet.explicit([0.0, 1.0])
