@@ -8,10 +8,10 @@ entries that are not numbers are configuration errors.  Every output echoes
 the system and the resolved parameters, so results are reproducible from the
 file alone; outputs are deterministic (no timestamps) and written atomically.
 
-Exit codes: 0 success, 2 configuration error (and any ``ValueError`` or
-``IndexError`` from the library), 3 numerical failure: under ``--strict`` a
-propagate overflow footer or eigs roots closer than ``tol`` reported once,
-and any other ``OverflowError`` with or without ``--strict``.
+Exit codes: 0 success, 2 configuration error (also an unwritable output and
+any ``ValueError`` or ``IndexError`` from the library), 3 numerical failure:
+under ``--strict`` a propagate overflow footer or eigs roots closer than
+``tol`` reported once, and any other ``OverflowError`` with or without it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -159,11 +160,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = {"system": _system_dict(self.system), "params": self.params}
-        output = {}
-        if self.output_format is not None:
-            output["format"] = self.output_format
-        if self.output_path is not None:
-            output["path"] = self.output_path
+        output = {k: v for k, v in (("format", self.output_format),
+                                    ("path", self.output_path)) if v is not None}
         if output:
             out["output"] = output
         return out
@@ -412,11 +410,30 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dic
 # output plumbing
 
 
+BLOCK_ROWS = 4096  # rows per rendered block: bounds the transient cell texts
+_NONFINITE = re.compile(r"-?inf|nan")
+
+
+def _row_blocks(rows, cell_sep: str, row_sep: str, quote: bool):
+    """``rows`` as text by blocks of ``BLOCK_ROWS``, ``row_sep`` also between.
+
+    A cell is a Python int or float, whose repr is its CSV and JSON spelling;
+    ``quote`` spells ``nan``, ``inf`` and ``-inf`` as ``_json_safe`` does.
+    """
+    for start in range(0, len(rows), BLOCK_ROWS):
+        if start:
+            yield row_sep
+        columns = zip(*rows[start:start + BLOCK_ROWS])
+        block = row_sep.join(map(cell_sep.join,
+                                 zip(*(map(repr, column) for column in columns))))
+        if quote and "n" in block:  # no finite int or float text holds an n
+            block = _NONFINITE.sub(r'"\g<0>"', block)
+        yield block
+
+
 def _render_csv(columns, rows, footers) -> str:
-    # cells are Python ints and floats: str gives a float's shortest repr
-    cells = zip(*(map(str, column) for column in zip(*rows)))
-    lines = [",".join(columns), *map(",".join, cells), *footers]
-    return "\n".join(lines) + "\n"
+    return "".join([",".join(columns), "\n", *_row_blocks(rows, ",", "\n", False),
+                    "\n" if rows else "", *(f + "\n" for f in footers)])
 
 
 def _render_json(doc: dict) -> str:
@@ -428,20 +445,25 @@ def _write_output(text: str, path: str | None):
         sys.stdout.write(text)
         return
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:  # leave no partial temp file behind
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
-def _table_json(command, run, columns, rows, footers, params) -> dict:
-    return {
-        "command": command,
-        "system": _system_dict(run.system),
-        "params": _json_safe(params),
-        "columns": columns,
-        "rows": [[_json_safe(v) for v in row] for row in rows],
-        "footers": [f.lstrip("# ") for f in footers],
-    }
+def _table_json(command, run, columns, rows, footers, params) -> str:
+    text = _render_json({"command": command, "system": _system_dict(run.system),
+                         "params": _json_safe(params), "columns": columns, "rows": [],
+                         "footers": [f.lstrip("# ") for f in footers]})
+    if not rows:
+        return text
+    head, _, tail = text.partition('"rows": []')  # JSON strings escape quotes
+    blocks = _row_blocks(rows, ",\n      ", "\n    ],\n    [\n      ", True)
+    return "".join([head, '"rows": [\n    [\n      ', *blocks, "\n    ]\n  ]", tail])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,8 +505,7 @@ def main(argv=None) -> int:
         if fmt in (None, "csv"):
             text = _render_csv(columns, rows, footers)
         else:
-            text = _render_json(_table_json(args.command, run, columns, rows,
-                                            footers, params))
+            text = _table_json(args.command, run, columns, rows, footers, params)
         _write_output(text, path)
         return EXIT_NUMERICAL if degraded and args.strict else EXIT_OK
     except (ConfigError, ValueError, IndexError) as exc:

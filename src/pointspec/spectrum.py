@@ -444,13 +444,14 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     """Independent finite-difference eigenvalues of the same truncation.
 
     Second-order scheme on a uniform mesh over [0, x_N] with the lattice
-    points snapped to mesh nodes.  A delta interaction adds alpha/h to the
-    diagonal at its node.  A delta-prime interaction splits the mesh at its
-    node into left/right unknowns tied by the jump condition (value jump
-    alpha times the shared derivative), which enters the assembled matrix as
-    a 1/alpha coupling between the two unknowns; the matrix stays symmetric
-    tridiagonal after mass scaling.  The right end is closed to match the
-    shooting solver: Dirichlet for delta, Neumann for delta-prime.
+    points, x_N included, snapped to their nearest mesh nodes: each moves by
+    up to h/2.  A delta interaction adds alpha/h to the diagonal at its node.
+    A delta-prime interaction splits the mesh at its node into left/right
+    unknowns tied by the jump condition (value jump alpha times the shared
+    derivative), which enters the assembled matrix as a 1/alpha coupling
+    between the two unknowns; the matrix stays symmetric tridiagonal after
+    mass scaling.  The right end is closed to match the shooting solver:
+    Dirichlet for delta, Neumann for delta-prime.
 
     Returns the lowest ``count`` eigenvalues.  Without ``count`` it returns
     every eigenvalue at or below ``upper`` plus the next one (capped at the
@@ -490,15 +491,9 @@ def _fd_tridiagonal(system: SystemSpec, n_max: int,
         raise ValueError("mesh too coarse for the truncation length")
     if m > 2 * 10**5:
         raise ValueError(f"mesh of {m} nodes exceeds the manageable limit")
-    if abs(m * h - length) > h / 2:
-        raise ValueError("mesh size does not divide the truncation length")
 
     xs = system.lattice.positions(n_max)[1:]
     nodes = np.rint(xs / h)
-    misaligned = np.abs(xs - nodes * h) > h / 2
-    if np.any(misaligned):
-        raise ValueError(f"lattice point {xs[np.argmax(misaligned)].item()} "
-                         f"misaligned with mesh by more than h/2")
     if len(np.unique(nodes)) != len(nodes) or np.any(nodes <= 0):
         raise ValueError("lattice points collide on the mesh; refine h")
 

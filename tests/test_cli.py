@@ -1,12 +1,14 @@
+import errno
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pointspec import fundamental_matrix
+from pointspec import cli, fundamental_matrix
 from pointspec.cli import ConfigError, main, parse_config
 from pointspec.schemas import AVALUE_SCHEMA, CLASSIFY_SCHEMA, TABLE_SCHEMA
 
@@ -632,6 +634,126 @@ class TestPropagateCommand:
         assert [r[2:4] for r in rows[::3]] == vecs.tolist()
         assert [r[1] for r in rows[::3]] == \
             [float(math.factorial(n)) if n else 0.0 for n in range(171)]
+
+
+def old_csv(columns, rows, footers):
+    """The one-pass CSV rendering the block renderer must reproduce."""
+    lines = [",".join(columns), *(",".join(map(str, row)) for row in rows), *footers]
+    return "\n".join(lines) + "\n"
+
+
+def old_json(command, run, columns, rows, footers, params):
+    """The whole-document JSON rendering the block renderer must reproduce."""
+    def safe(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return "nan" if v != v else "inf" if v > 0 else "-inf"
+        return v
+
+    doc = {"command": command, "system": run.to_dict()["system"],
+           "params": {k: safe(v) for k, v in params.items()}, "columns": columns,
+           "rows": [[safe(v) for v in row] for row in rows],
+           "footers": [f.lstrip("# ") for f in footers]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+class TestTableRendering:
+    RUN = parse_config({"system": FACTORIAL_SQRT["system"]})
+    COLUMNS = ["n", "x", "y"]
+    FOOTERS = ["#overflow at n=3", "# lambda=1.0"]
+
+    def assert_renders_as_before(self, rows, params=None):
+        params = {"lambda": 1.0} if params is None else params
+        assert (cli._render_csv(self.COLUMNS, rows, self.FOOTERS)
+                == old_csv(self.COLUMNS, rows, self.FOOTERS))
+        assert (cli._table_json("propagate", self.RUN, self.COLUMNS, rows,
+                                self.FOOTERS, params)
+                == old_json("propagate", self.RUN, self.COLUMNS, rows,
+                            self.FOOTERS, params))
+
+    def test_empty_rows(self):
+        self.assert_renders_as_before([])
+        assert '"rows": [],' in cli._table_json("growth", self.RUN, self.COLUMNS,
+                                                [], [], {})
+
+    def test_nonfinite_cells(self):
+        self.assert_renders_as_before(
+            [(0, math.nan, math.inf), (1, -math.inf, -0.0), (2, 1e300, 5e-324),
+             (3, -math.nan, 1e-05)], params={"lambda": math.inf})
+
+    def test_int_only_columns(self):
+        self.assert_renders_as_before([(i, -i, i * 10**20) for i in range(7)])
+
+    @pytest.mark.parametrize("blocks, offset", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_rows_around_block_size(self, blocks, offset):
+        rows = [(i, i / 7.0, math.nan if i % 1000 == 3 else -i * 1e-9)
+                for i in range(blocks * cli.BLOCK_ROWS + offset)]
+        self.assert_renders_as_before(rows)
+        # lists as rows, as eigs builds them
+        self.assert_renders_as_before([list(row) for row in rows])
+
+    def test_peak_memory_below_three_outputs(self):
+        run = parse_config({"system": FACTORIAL_SQRT["system"],
+                            "params": {"lambda0": 4.0, "window": [0, 20000]}})
+        columns, rows, footers, params, _ = cli.cmd_growth(run)
+        renderers = {
+            "csv": lambda: cli._render_csv(columns, rows, footers),
+            "json": lambda: cli._table_json("growth", run, columns, rows,
+                                            footers, params)}
+        for fmt, render in renderers.items():
+            tracemalloc.start()
+            try:
+                text = render()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * len(text), (fmt, peak / len(text))
+
+
+class TestOutputWrite:
+    def test_missing_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FREE_PI)
+        target = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code, out, err = run_cli(["eigs", "--config", cfg, "--out", str(target)],
+                                 capsys)
+        assert code == 2
+        assert f"cannot write output {target}:" in err
+        assert out == ""
+        assert not target.parent.exists()
+
+    def test_write_failing_midway_leaves_nothing(self, tmp_path, capsys,
+                                                 monkeypatch):
+        real_open = open
+
+        class HalfWritten:
+            """A file that takes half of a write, then reports a full disk."""
+
+            def __init__(self, path, mode, **kwargs):
+                self.fh = real_open(path, mode, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(path, mode="r", **kwargs):
+            if "w" in mode:
+                return HalfWritten(path, mode, **kwargs)
+            return real_open(path, mode, **kwargs)
+
+        cfg = write_config(tmp_path, FREE_PI)
+        target = tmp_path / "out.csv"
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code, out, err = run_cli(["eigs", "--config", cfg, "--out", str(target)],
+                                 capsys)
+        assert code == 2
+        assert "cannot write output" in err and "No space left" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestConsoleScript:

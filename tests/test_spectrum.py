@@ -516,6 +516,20 @@ class TestFdOracle:
             fd_oracle_eigenvalues(sys, 3, 0.01, 4)
 
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_points_snap_to_nearest_node(self, kind):
+        # at h = 0.3 the points 1, 2, 3.5 sit on the nodes 0.9, 2.1, 3.6 (an
+        # error of up to h/2 each, x_N included): the same matrix, no error
+        def matrix(points):
+            return _fd_tridiagonal(
+                SystemSpec(kind, SparseSet.explicit(points),
+                           StrengthSequence.explicit([2.0, -1.5, 0.0])), 3, 0.3)
+
+        d, e = matrix([0.0, 1.0, 2.0, 3.5])
+        on_d, on_e = matrix([0.0, 0.9, 2.1, 3.6])
+        assert d.tobytes() == on_d.tobytes()
+        assert e.tobytes() == on_e.tobytes()
+
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_matrix_matches_node_loop(self, kind):
         # the assembly's array operations against a node-by-node loop, bit
         # for bit, with zero and sub-1e-12 strengths among the couplings
