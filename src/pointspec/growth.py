@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DELTA, RatioWindow, SystemSpec, _check_window, ratio_window
+from .lattice import (SystemSpec, WindowScan, _check_window, _effective_lambda,
+                      window_scan)
 from .transfer import DIRICHLET_START, diagonalizer, operator_norm, propagate
-
-
-def _effective_lambda(system: SystemSpec, lam0: float) -> float:
-    if not lam0 > 0:
-        raise ValueError(f"energy must be positive, got {lam0}")
-    return lam0 if system.kind == DELTA else 1.0 / lam0
 
 
 def _log_factors(system: SystemSpec, lam_eff: float, n_lo: int, n_hi: int) -> np.ndarray:
@@ -82,21 +77,19 @@ def series_terms(system: SystemSpec, lam0: float, n_max: int) -> GrowthProfile:
                          terms=log_gaps - 2.0 * log_products)
 
 
-def _log_dalembert_tail(system: SystemSpec, lam0: float, w: RatioWindow,
-                        tail_len: int) -> np.ndarray:
-    """Log term ratios of the divergence series over the last tail_len indices."""
-    s = math.sqrt(_effective_lambda(system, lam0))
-    out = np.log1p(w.abs_alphas[-tail_len:] / s)
-    out *= -2.0
-    out += w.log_sparse[-tail_len:]
-    return out
-
-
 def log_dalembert_ratios(system: SystemSpec, lam0: float, n_lo: int,
                          n_hi: int) -> np.ndarray:
-    """Log consecutive-term ratios of the divergence series, n in [n_lo, n_hi]."""
-    return _log_dalembert_tail(system, lam0, ratio_window(system, n_lo, n_hi),
-                               n_hi - n_lo + 1)
+    """Log consecutive-term ratios of the divergence series, n in [n_lo, n_hi].
+
+    Entry n is ln(gap(n)/gap(n-1)) - 2 ln(1 + |alpha_n| / sqrt(lam_eff)), by
+    the same operations as ``window_scan``'s tail.
+    """
+    log_sparse = system.lattice.log_gap_ratios(n_lo, n_hi)
+    abs_alphas = np.abs(system.strengths.alphas(n_lo, n_hi))
+    out = np.log1p(abs_alphas / math.sqrt(_effective_lambda(system, lam0)))
+    out *= -2.0
+    out += log_sparse
+    return out
 
 
 def dalembert_ratio(system: SystemSpec, lam0: float, n: int) -> float:
@@ -131,25 +124,19 @@ def series_verdict(system: SystemSpec, lam0: float, window: tuple[int, int],
     above ``1 + margin`` and a nondecreasing tail.
     """
     _check_window(*window)
-    return _verdict_from_window(system, lam0, ratio_window(system, *window),
-                                margin, tail_fraction)
+    return _verdict_from_scan(window_scan(system, *window, (lam0,), tail_fraction),
+                              0, margin)
 
 
-def _verdict_from_window(system: SystemSpec, lam0: float, w: RatioWindow,
-                         margin: float = 0.05,
-                         tail_fraction: float = 0.5) -> DivergenceVerdict:
-    """``series_verdict`` over an already evaluated window."""
-    n_lo, n_hi = w.window
-    tail_len = max(2, int(math.ceil((n_hi - n_lo + 1) * tail_fraction)))
-    tail = _log_dalembert_tail(system, lam0, w, tail_len)
-    tail_min = np.min(tail)
+def _verdict_from_scan(w: WindowScan, k: int, margin: float) -> DivergenceVerdict:
+    """``series_verdict`` at the k-th probe energy of an already scanned window."""
+    tail_min = w.tail_min[k]
     with np.errstate(over="ignore"):
         est = float(np.exp(tail_min))
-    nondecreasing = bool(np.all(np.diff(tail) >= -1e-12))
-    diverges = nondecreasing and tail_min > math.log1p(margin)
+    diverges = w.tail_nondecreasing[k] and tail_min > math.log1p(margin)
     return DivergenceVerdict(verdict="diverges" if diverges else "inconclusive",
-                             liminf_ratio_estimate=est, window=(n_lo, n_hi),
-                             tail_start=n_hi - tail_len + 1, margin=margin)
+                             liminf_ratio_estimate=est, window=w.window,
+                             tail_start=w.tail_start, margin=margin)
 
 
 def _norms(vecs: np.ndarray) -> np.ndarray:

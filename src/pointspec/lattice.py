@@ -214,6 +214,13 @@ class SparseSet:
         pts = np.asarray(self.points)
         return np.log(pts[n_lo + 1:n_hi + 2] - pts[n_lo:n_hi + 1])
 
+    def _check_ratio_range(self, n_lo: int, n_hi: int):
+        if n_lo < 1:
+            raise IndexError("gap ratios need n >= 1")
+        self._check_gap_index(n_hi)
+        if n_hi < n_lo:
+            raise ValueError("empty index range")
+
     def log_gap_ratios(self, n_lo: int, n_hi: int) -> np.ndarray:
         """Vectorized ln(gap(n) / gap(n-1)) over inclusive range [n_lo, n_hi].
 
@@ -222,11 +229,7 @@ class SparseSet:
         difference their gaps.  The first ratio gap(1)/gap(0) involves
         x_0 = 0, which no generator formula covers, and comes from log_gaps.
         """
-        if n_lo < 1:
-            raise IndexError("gap ratios need n >= 1")
-        self._check_gap_index(n_hi)
-        if n_hi < n_lo:
-            raise ValueError("empty index range")
+        self._check_ratio_range(n_lo, n_hi)
         if self.kind == "explicit":
             return np.diff(self.log_gaps(n_lo - 1, n_hi))
         if n_lo == 1:
@@ -302,17 +305,19 @@ class StrengthSequence:
     def alpha(self, n: int) -> float:
         return float(self.alphas(n, n)[0])
 
-    def alphas(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """alpha_n over inclusive range [n_lo, n_hi], n_lo >= 1."""
+    def _check_range(self, n_lo: int, n_hi: int):
         if n_lo < 1 or n_hi < n_lo:
             raise IndexError("invalid strength index range")
-        ns = np.arange(n_lo, n_hi + 1, dtype=float)
-        if self.kind == "power":
-            return self.c * ns ** self.p
-        if self.kind == "constant":
-            return np.full(ns.shape, self.c)
-        if n_hi > len(self.values):
+        if self.kind == "explicit" and n_hi > len(self.values):
             raise IndexError(f"strength index {n_hi} beyond explicit list")
+
+    def alphas(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """alpha_n over inclusive range [n_lo, n_hi], n_lo >= 1."""
+        self._check_range(n_lo, n_hi)
+        if self.kind == "power":
+            return self.c * np.arange(n_lo, n_hi + 1, dtype=float) ** self.p
+        if self.kind == "constant":
+            return np.full(n_hi - n_lo + 1, self.c)
         return np.asarray(self.values[n_lo - 1:n_hi], dtype=float)
 
     def log_abs_alphas(self, n_lo: int, n_hi: int) -> np.ndarray:
@@ -355,35 +360,160 @@ class ThresholdEstimate:
     infinity_threshold: float
 
 
-@dataclass(frozen=True)
-class RatioWindow:
-    """Gap ratios and strengths over one index window, evaluated once.
+WINDOW_BLOCK = 2**16  # indices per block of a window scan
+_TREND_LEN = 25  # tail entries behind the trend diagnostics
+_TAIL_SLOP = 1e-12  # a ratio tail may step down this much and stay nondecreasing
 
-    Entry ``i`` belongs to index ``n = window[0] + i``: ``log_sparse`` holds
-    ln(gap(n)/gap(n-1)), ``abs_alphas`` holds |alpha_n| and ``log_threshold``
-    the log threshold ratio ln(gap(n) / (gap(n-1) alpha_n^2)).  The threshold
-    estimate, the precondition report and every per-energy ratio test read
-    these arrays instead of evaluating the lattice again.
+
+def _effective_lambda(system: SystemSpec, lam0: float) -> float:
+    """The energy a kind's coupling factors read: lam0 for delta, 1/lam0 else."""
+    if not lam0 > 0:
+        raise ValueError(f"energy must be positive, got {lam0}")
+    return lam0 if system.kind == DELTA else 1.0 / lam0
+
+
+@dataclass(frozen=True)
+class WindowScan:
+    """What the verdicts read of one index window, from a single pass.
+
+    Of the N indices n in ``window``, ``log_sparse``, ``abs_alphas`` and
+    ``log_threshold`` keep the last min(N, 25): ln(gap(n)/gap(n-1)),
+    |alpha_n| and the log threshold ratio ln(gap(n) / (gap(n-1) alpha_n^2)).
+    ``min_log_threshold`` is the least log threshold ratio of the window and
+    ``all_positive`` whether every alpha_n > 0.  Entry k of ``tail_min`` and
+    ``tail_nondecreasing`` describes the log d'Alembert ratios
+    ln(gap(n)/gap(n-1)) - 2 ln(1 + |alpha_n| / sqrt(lam)) at the k-th probe
+    energy (lam its effective energy) over n from ``tail_start`` (or the
+    window start, if later) to the window end.
     """
 
     window: tuple[int, int]
+    min_log_threshold: float
+    all_positive: bool
     log_sparse: np.ndarray
     abs_alphas: np.ndarray
     log_threshold: np.ndarray
-    all_positive: bool
+    tail_start: int
+    tail_min: tuple[float, ...]
+    tail_nondecreasing: tuple[bool, ...]
 
 
-def ratio_window(system: SystemSpec, n_lo: int, n_hi: int) -> RatioWindow:
-    """Evaluate the lattice and the strengths once over [n_lo, n_hi], n_lo >= 1."""
-    log_sparse = system.lattice.log_gap_ratios(n_lo, n_hi)
-    alphas = system.strengths.alphas(n_lo, n_hi)
-    all_positive = bool(np.all(alphas > 0))
-    log_threshold = system.strengths.log_abs_alphas(n_lo, n_hi)
+def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
+                tail_fraction: float = 0.5) -> WindowScan:
+    """Scan [n_lo, n_hi] (n_lo >= 1) once, a block of indices at a time.
+
+    The tail is the last max(2, ceil(N * tail_fraction)) of the N indices.
+    Blocks of ``WINDOW_BLOCK`` indices are laid out from n_hi down, so only
+    the block at n_lo is partial, and are dealt round-robin to one thread
+    per usable CPU; numpy releases the GIL in its loops.  Each index is
+    evaluated once, and the result does not depend on the thread count:
+    minima and flags combine exactly, and a tail is nondecreasing when each
+    block's part is and no step across a block boundary falls.
+    """
+    system.lattice._check_ratio_range(n_lo, n_hi)
+    system.strengths._check_range(n_lo, n_hi)
+    scales = [math.sqrt(_effective_lambda(system, lam)) for lam in lams]
+    tail_start = n_hi - max(2, int(math.ceil((n_hi - n_lo + 1) * tail_fraction))) + 1
+    tail_lo = max(tail_start, n_lo)
+    n_blocks = -(-(n_hi - n_lo + 1) // WINDOW_BLOCK)
+
+    def block(i: int):
+        hi = n_hi - (n_blocks - 1 - i) * WINDOW_BLOCK
+        return _scan_block(system, max(n_lo, hi - WINDOW_BLOCK + 1), hi,
+                           tail_lo, scales, i == n_blocks - 1)
+
+    if system.lattice.kind == "explicit":  # reads log_gaps: the caller's thread only
+        parts = [block(i) for i in range(n_blocks)]
+    else:
+        parts = _run_blocks(block, n_blocks)
+    mins, positive, block_tails, trailing = zip(*parts)
+    tail_min, nondecreasing = [], []
+    for k in range(len(scales)):
+        tails = [t[k] for t in block_tails if t]  # (min, rising, first, last)
+        tail_min.append(float(np.min([t[0] for t in tails])))
+        nondecreasing.append(all(t[1] for t in tails) and all(
+            b[2] - a[3] >= -_TAIL_SLOP for a, b in zip(tails, tails[1:])))
+    log_sparse, abs_alphas, log_threshold = trailing[-1]
+    return WindowScan(window=(n_lo, n_hi), min_log_threshold=float(np.min(mins)),
+                      all_positive=all(positive),
+                      log_sparse=log_sparse, abs_alphas=abs_alphas,
+                      log_threshold=log_threshold, tail_start=tail_start,
+                      tail_min=tuple(tail_min),
+                      tail_nondecreasing=tuple(nondecreasing))
+
+
+def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
+                last: bool):
+    """One block's share of ``window_scan``.
+
+    Returns the least log threshold ratio, whether every alpha_n > 0, per
+    energy (min, nondecreasing, first, last) of the block's part of the
+    tail, and for the last block its trailing entries.
+    """
+    log_sparse = system.lattice.log_gap_ratios(lo, hi)
+    alphas = system.strengths.alphas(lo, hi)
+    log_threshold = system.strengths.log_abs_alphas(lo, hi)
     log_threshold *= -2.0
     log_threshold += log_sparse
-    return RatioWindow(window=(n_lo, n_hi), log_sparse=log_sparse,
-                       abs_alphas=np.abs(alphas), log_threshold=log_threshold,
-                       all_positive=all_positive)
+    tails = []
+    if hi >= tail_lo:
+        i = max(tail_lo - lo, 0)
+        abs_tail, sparse_tail = np.abs(alphas[i:]), log_sparse[i:]
+        for s in scales:
+            t = np.log1p(abs_tail / s)
+            t *= -2.0
+            t += sparse_tail
+            tails.append((np.min(t), bool(np.all(np.diff(t) >= -_TAIL_SLOP)),
+                          t[0], t[-1]))
+    trailing = None
+    if last:
+        trailing = tuple(a[-_TREND_LEN:].copy() for a in
+                         (log_sparse, np.abs(alphas), log_threshold))
+    return np.min(log_threshold), bool(np.all(alphas > 0)), tails, trailing
+
+
+def _run_blocks(block, n_blocks: int) -> list:
+    """``[block(i) for i in range(n_blocks)]``, block i on worker i mod W.
+
+    W is the number of usable CPUs, at most n_blocks; the caller is worker 0
+    and so evaluates block 0.  Each worker runs in a copy of the caller's
+    context, so numpy error settings carry over, and the first error a
+    worker raised is raised again here.
+    """
+    import contextvars  # only the threaded scan needs these three
+    import os
+    import threading
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, n_blocks)
+    parts = [None] * n_blocks
+    errors = []
+
+    def work(first: int):
+        for i in range(first, n_blocks, workers):
+            parts[i] = block(i)
+
+    def guarded(first: int):
+        try:
+            work(first)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(guarded, k)) for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return parts
 
 
 def threshold_ratio(system: SystemSpec, n: int) -> float:
@@ -394,7 +524,7 @@ def threshold_ratio(system: SystemSpec, n: int) -> float:
     """
     if n < 1:
         raise IndexError("threshold ratio needs n >= 1")
-    d = float(ratio_window(system, n, n).log_threshold[0])
+    d = float(window_scan(system, n, n).log_threshold[-1])
     return math.inf if d > _LOG_MAX_DOUBLE else math.exp(d)
 
 
@@ -426,18 +556,18 @@ def estimate_threshold(system: SystemSpec, window_start: int, window_end: int,
     to overclaim a limit.
     """
     _check_window(window_start, window_end)
-    return _threshold_from_window(ratio_window(system, window_start, window_end),
-                                  infinity_threshold)
+    return _threshold_from_scan(window_scan(system, window_start, window_end),
+                                infinity_threshold)
 
 
-def _threshold_from_window(w: RatioWindow,
-                           infinity_threshold: float) -> ThresholdEstimate:
-    """``estimate_threshold`` over an already evaluated window."""
+def _threshold_from_scan(w: WindowScan,
+                         infinity_threshold: float) -> ThresholdEstimate:
+    """``estimate_threshold`` over an already scanned window."""
     logr = w.log_threshold
     with np.errstate(over="ignore"):
-        value = float(np.exp(np.min(logr)))
+        value = float(np.exp(w.min_log_threshold))
         last = float(np.exp(logr[-1]))
-    trend = _tail_trend(logr, max(2, min(len(logr), 25)))
+    trend = _tail_trend(logr, max(2, min(len(logr), _TREND_LEN)))
     diverging = trend == "increasing" and last > infinity_threshold
     return ThresholdEstimate(value=value, diverging=diverging, trend=trend,
                              window=w.window, last_ratio=last,

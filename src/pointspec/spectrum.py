@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .growth import DivergenceVerdict, _verdict_from_window, series_verdict
-from .lattice import (DELTA, DELTA_PRIME, RatioWindow, SystemSpec,
-                      ThresholdEstimate, _check_window, _tail_trend,
-                      _threshold_from_window, ratio_window)
+from .growth import DivergenceVerdict, _verdict_from_scan, series_verdict
+from .lattice import (_TREND_LEN, DELTA, DELTA_PRIME, SystemSpec,
+                      ThresholdEstimate, WindowScan, _check_window, _tail_trend,
+                      _threshold_from_scan, window_scan)
 from .transfer import DIRICHLET_START, propagate
 
 CASE_I_DELTA = "case_i_delta"
@@ -145,8 +145,8 @@ def _exclusion(system: SystemSpec, lam0: float,
                            excluded=excluded, series=sv)
 
 
-def _precondition_report(w: RatioWindow, config: ClassifyConfig) -> dict:
-    tail_len = max(2, min(len(w.log_sparse), 25))
+def _precondition_report(w: WindowScan, config: ClassifyConfig) -> dict:
+    tail_len = max(2, min(len(w.log_sparse), _TREND_LEN))
     sparse_trend = _tail_trend(w.log_sparse, tail_len)
     last_sparse = float(np.exp(min(w.log_sparse[-1], 700.0)))
     sparse_ok = (sparse_trend == "increasing"
@@ -179,8 +179,9 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
     cross-checks the point-spectrum window against the exclusion test.
     """
     _check_window(*window)
-    w = ratio_window(system, *window)
-    est = _threshold_from_window(w, config.divergence_threshold)
+    grid = None if lambda0_grid is None else [float(g) for g in lambda0_grid]
+    w = window_scan(system, *window, grid or ())
+    est = _threshold_from_scan(w, config.divergence_threshold)
     pre = _precondition_report(w, config)
     caveats = [
         f"liminf threshold estimated from finite window {list(window)}",
@@ -236,10 +237,9 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
         pp_window = sc_contains = sc_within = None
         ac = "unknown"
 
-    if lambda0_grid is not None:
-        grid = [float(g) for g in lambda0_grid]
-        verdicts = [_exclusion(system, g, _verdict_from_window(
-                        system, g, w, config.margin)) for g in grid]
+    if grid is not None:
+        verdicts = [_exclusion(system, g, _verdict_from_scan(w, k, config.margin))
+                    for k, g in enumerate(grid)]
         excluded_at = [r.lambda0 for r in verdicts if r.verdict == "excluded"]
         diagnostics["lambda0_grid"] = grid
         diagnostics["exclusion_verdicts"] = [r.verdict for r in verdicts]
@@ -456,26 +456,54 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     Returns the lowest ``count`` eigenvalues.  Without ``count`` it returns
     every eigenvalue at or below ``upper`` plus the next one (capped at the
     matrix size), so negative and below-range eigenvalues cannot push the
-    ones near ``upper`` out of the list.
+    ones near ``upper`` out of the list: the last one lies above ``upper``.
+    The values equal those of ``count = len(result)``.
     """
     if count is None and upper is None:
         raise ValueError("need count or upper")
     if count is not None and not count >= 1:
         raise ValueError("need count >= 1")
+    dt, et = _fd_tridiagonal(system, n_max, h)
     # the only scipy use in the package: importing it here keeps it off
     # every other command's start-up
     from scipy.linalg import eigh_tridiagonal
 
-    dt, et = _fd_tridiagonal(system, n_max, h)
-    if count is None:
-        lower = float(np.min(dt) - 2.0 * np.max(np.abs(et))) - 1.0  # Gershgorin
-        count = len(eigh_tridiagonal(dt, et, select="v",
-                                     select_range=(lower, upper),
-                                     eigvals_only=True)) + 1
-    count = min(count, len(dt))
-    vals = eigh_tridiagonal(dt, et, select="i",
-                            select_range=(0, count - 1), eigvals_only=True)
-    return EigenvalueList(values=np.asarray(vals))
+    def lowest(k: int) -> np.ndarray:
+        k = min(k, len(dt))
+        return eigh_tridiagonal(dt, et, select="i", select_range=(0, k - 1),
+                                eigvals_only=True)
+
+    if count is not None:
+        return EigenvalueList(values=lowest(count))
+    vals = lowest(_sturm_count(dt, et, upper) + 1)
+    # a bisected eigenvalue can land at or below upper while the exact count
+    # there leaves it out; then the next one is still owed
+    while vals[-1] <= upper and len(vals) < len(dt):
+        vals = lowest(len(vals) + 1)
+    return EigenvalueList(values=vals)
+
+
+def _sturm_count(d: np.ndarray, e: np.ndarray, x: float) -> int:
+    """Eigenvalues <= x of the symmetric tridiagonal (d, e), as LAPACK counts.
+
+    Counts the nonpositive pivots of the LDL^T factorization of T - x I, the
+    way dstebz does: an off-diagonal with e_j^2 < |d_j d_(j+1)| ulp^2 +
+    safmin splits the matrix, and a pivot smaller in magnitude than
+    pivmin = safmin * max(1, max kept e_j^2) counts as negative.
+    """
+    ulp2, safmin = np.finfo(float).eps ** 2, np.finfo(float).tiny
+    d = d.tolist()
+    e2 = [0.0 if abs(a * b) * ulp2 + safmin > c * c else c * c
+          for a, b, c in zip(d, d[1:], e.tolist())]
+    pivmin = safmin * max([1.0] + e2)
+    count, pivot = 0, 1.0
+    for dj, ej2 in zip(d, [0.0] + e2):
+        pivot = dj - ej2 / pivot - x
+        if abs(pivot) < pivmin:
+            pivot = -pivmin
+        if pivot <= 0.0:
+            count += 1
+    return count
 
 
 def _fd_tridiagonal(system: SystemSpec, n_max: int,

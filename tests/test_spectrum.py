@@ -1,5 +1,6 @@
 import math
-from collections import Counter
+from collections import defaultdict
+from sys import modules as loaded_modules
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        essential_spectrum_probe, fd_oracle_eigenvalues,
                        neumann_eigenvalues, point_spectrum_exclusion,
                        truncated_eigenvalues)
-from pointspec.spectrum import _count_below, _fd_tridiagonal
+from pointspec.spectrum import _count_below, _fd_tridiagonal, _sturm_count
 
 from conftest import factorial_system
 
@@ -158,23 +159,28 @@ class TestClassify:
         assert res.threshold.trend == "increasing"
 
     def test_window_evaluated_once(self, monkeypatch):
-        calls = Counter()
+        ranges = defaultdict(list)
 
-        def counting(cls, name):
+        def recording(cls, name):
             original = getattr(cls, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+            def wrapper(self, *args, **kwargs):
+                ranges[name].append(args)
+                return original(self, *args, **kwargs)
             monkeypatch.setattr(cls, name, wrapper)
 
         for name in ("log_gaps", "log_gap_ratios", "gap", "log_gap"):
-            counting(SparseSet, name)
-        counting(StrengthSequence, "alphas")
+            recording(SparseSet, name)
+        recording(StrengthSequence, "alphas")
         sys = factorial_system("delta", 0.25)
         res = classify(sys, window=(2, 10**5), lambda0_grid=[0.1, 1.0, 10.0])
         assert res.diagnostics["exclusion_verdicts"] == ["excluded"] * 3
-        assert calls == {"log_gap_ratios": 1, "alphas": 1}
+        # blocks may split the window, but no index is evaluated twice: not
+        # per probe energy, not per consumer
+        assert set(ranges) == {"log_gap_ratios", "alphas"}
+        for name in ("log_gap_ratios", "alphas"):
+            indices = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges[name]])
+            assert np.array_equal(np.sort(indices), np.arange(2, 10**5 + 1)), name
 
 
 class TestPointSpectrumExclusion:
@@ -507,6 +513,64 @@ class TestFdOracle:
                 fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
         with pytest.raises(ValueError):
             fd_oracle_eigenvalues(sys, 3, h)
+
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_upper_at_an_fd_eigenvalue(self, kind):
+        # the value LAPACK bisects can sit at or below the point where the
+        # exact count passes it; the list must still reach past upper
+        sys = SystemSpec(kind, SparseSet.explicit([0.0, 1.0, 2.5, 3.0]),
+                         StrengthSequence.explicit([-6.0, 2.0, 3.0]))
+        h = 3.0 / 600
+        full = fd_oracle_eigenvalues(sys, 3, h, 41).values
+        for k in range(40):
+            for upper in (full[k], fd_oracle_eigenvalues(sys, 3, h, k + 2).values[k]):
+                fd = fd_oracle_eigenvalues(sys, 3, h, upper=upper)
+                assert fd.values[-1] > upper
+                assert k + 1 <= len(fd) <= k + 2
+                assert np.array_equal(
+                    fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
+
+    def test_upper_below_the_spectrum(self):
+        # every node carries alpha = 100: the matrix's Gershgorin bound is
+        # far above upper = 20, and the list is the lowest eigenvalue alone
+        sys = SystemSpec("delta", SparseSet.explicit([0.0, 0.25, 0.5, 0.75, 1.0]),
+                         StrengthSequence.explicit([100.0] * 4))
+        fd = fd_oracle_eigenvalues(sys, 4, 0.25, upper=20.0)
+        assert len(fd) == 1 and fd.values[0] > 20.0
+        assert np.array_equal(fd.values, fd_oracle_eigenvalues(sys, 4, 0.25, 1).values)
+
+    def test_sturm_count_matches_lapack(self, rng):
+        from scipy.linalg import eigh_tridiagonal
+
+        matrices = []
+        for n in (2, 3, 7, 30):
+            for scale in (1e-3, 1.0, 1e3):
+                d, e = rng.normal(size=n) * scale, rng.normal(size=n - 1) * scale
+                matrices += [(d, e), (d, e * rng.choice([1e-20, 1.0], n - 1)),
+                             (np.full(n, d[0]), e)]
+        for kind in ("delta", "delta_prime"):
+            for n, h in ((3, 1 / 64), (8, 1 / 32)):
+                matrices.append(_fd_tridiagonal(random_truncation(rng, kind, n), n, h))
+        for d, e in matrices:
+            w = eigh_tridiagonal(d, e, eigvals_only=True)
+            lower = float(np.min(d) - 2.0 * np.max(np.abs(e))) - 1.0  # Gershgorin
+            for x in [*rng.uniform(w[0] - 1.0, w[-1] + 1.0, 4), *w[:3], *w[-2:],
+                      *np.nextafter(w[:3], np.inf), *np.nextafter(w[:3], -np.inf)]:
+                x = max(float(x), lower)
+                assert _sturm_count(d, e, x) == len(eigh_tridiagonal(
+                    d, e, select="v", select_range=(lower, x), eigvals_only=True))
+
+    def test_mesh_errors_need_no_scipy(self, monkeypatch):
+        monkeypatch.setitem(loaded_modules, "scipy", None)
+        monkeypatch.setitem(loaded_modules, "scipy.linalg", None)
+        lat = SparseSet.explicit([0.0, 1.0, 1.0 + 1e-5, 2.0])
+        system = SystemSpec("delta", lat, StrengthSequence.explicit([1.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="collide"):
+            fd_oracle_eigenvalues(system, 3, 0.01, 4)
+        with pytest.raises(ValueError, match="manageable"):
+            fd_oracle_eigenvalues(system, 3, 1e-7, upper=5.0)
+        with pytest.raises(ValueError, match="coarse"):
+            fd_oracle_eigenvalues(system, 3, 1.0, 2)
 
     def test_colliding_nodes_rejected(self):
         lat = SparseSet.explicit([0.0, 1.0, 1.0 + 1e-5, 2.0])
