@@ -28,10 +28,54 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
 
-def _log_expm1(y):
+def _log_expm1(y, out=None):
     """log(e^y - 1) for y > 0 without overflow: y + log(1 - e^-y)."""
     y = np.asarray(y, dtype=float)
-    return y + np.log(-np.expm1(-y))
+    out = np.negative(y, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    return np.add(y, out, out=out)
+
+
+class _Workspace:
+    """Named float64 (or bool) arrays of one length, each made at first use.
+
+    A kernel passed one as ``work`` takes its index table (``indices``) and
+    scratch (``a``, ``b``) from it and is done with them when it returns.
+    ``window_scan`` gives each worker one for the length of its blocks, so
+    only a worker's first block allocates.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._arrays = {}
+
+    def array(self, name: str, dtype=float) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None:
+            a = self._arrays[name] = np.empty(self.size, dtype)
+        return a
+
+    def indices(self, first: int, count: int, out: np.ndarray) -> np.ndarray:
+        """first, first + 1, ... as floats in out[:count]."""
+        index = self._arrays.get("index")
+        if index is None:
+            index = self._arrays["index"] = np.arange(self.size, dtype=float)
+        return np.add(index[:count], first, out=out[:count])
+
+
+def _log_expm1_steps(y, scratch, out):
+    """ln(e^y[k+1] - 1) - ln(e^y[k] - 1) + y[k] into out, via scratch."""
+    z = _log_expm1(y, out=scratch)
+    np.subtract(z[1:], z[:-1], out=out)
+    out += y[:-1]
+    return out
+
+
+def _result(out, size: int) -> np.ndarray:
+    """``out[:size]``, or a new float64 array when out is None."""
+    return np.empty(size) if out is None else out[:size]
 
 
 def _factorial_log_gaps(n_lo: int, n_hi: int) -> np.ndarray:
@@ -221,44 +265,61 @@ class SparseSet:
         if n_hi < n_lo:
             raise ValueError("empty index range")
 
-    def log_gap_ratios(self, n_lo: int, n_hi: int) -> np.ndarray:
+    def log_gap_ratios(self, n_lo: int, n_hi: int, *, out=None,
+                       work=None) -> np.ndarray:
         """Vectorized ln(gap(n) / gap(n-1)) over inclusive range [n_lo, n_hi].
 
         Each generator's ratio has a closed form in terms of m = n - 1, so no
         entry is the difference of two large logarithms; explicit lattices
         difference their gaps.  The first ratio gap(1)/gap(0) involves
         x_0 = 0, which no generator formula covers, and comes from log_gaps.
+
+        With ``out`` (float64, at least N = n_hi - n_lo + 1 entries) the
+        ratios are written to, and returned as, ``out[:N]``, by the same
+        operations; ``work`` (a ``_Workspace`` of at least N + 1 entries)
+        lends the index table and scratch, else the call makes its own.
         """
         self._check_ratio_range(n_lo, n_hi)
+        size = n_hi - n_lo + 1
+        out = _result(out, size)
         if self.kind == "explicit":
-            return np.diff(self.log_gaps(n_lo - 1, n_hi))
+            log_gaps = self.log_gaps(n_lo - 1, n_hi)
+            return np.subtract(log_gaps[1:], log_gaps[:-1], out=out)
         if n_lo == 1:
-            first = np.diff(self.log_gaps(0, 1))
-            if n_hi == 1:
-                return first
-            return np.concatenate([first, self.log_gap_ratios(2, n_hi)])
-        m = np.arange(n_lo - 1, n_hi + 1, dtype=float)
+            out[0] = np.diff(self.log_gaps(0, 1))[0]
+            if n_hi > 1:
+                self.log_gap_ratios(2, n_hi, out=out[1:], work=work)
+            return out
+        if self.kind == "exponential" and self.r == 1.0:
+            # gap(m) = c exp(q m) expm1(q): every ratio is e^q
+            out.fill(self.q)
+            return out
+        work = work or _Workspace(size + 1)
+        m = work.indices(n_lo - 1, size + 1, work.array("a"))
         if self.kind == "factorial":
             # gap(m) = m * m!, so gap(n) / gap(n-1) = n^2 / (n-1)
-            log_m = np.log(m)
-            out = 2.0 * log_m[1:]
+            log_m = np.log(m, out=m)
+            np.multiply(2.0, log_m[1:], out=out)
             out -= log_m[:-1]
             return out
+        scratch = work.array("b")[:size + 1]
         if self.kind == "power":
             # gap(m) = c m^p expm1(p log1p(1/m))
-            y = self.p * np.log1p(1.0 / m)
-            out = np.diff(_log_expm1(y))
-            out += y[:-1]
-            return out
-        # gap(m) = c exp(q m^r) expm1(q dr(m)) with dr(m) = (m+1)^r - m^r,
-        # which is 1 for r = 1 and otherwise m^r expm1(r log1p(1/m))
-        if self.r == 1.0:
-            return np.full(len(m) - 1, self.q)
+            y = np.divide(1.0, m, out=scratch)
+            np.log1p(y, out=y)
+            np.multiply(self.p, y, out=y)
+            return _log_expm1_steps(y, m, out)
+        # gap(m) = c exp(q m^r) expm1(q dr(m)), where for r != 1
+        # dr(m) = (m+1)^r - m^r = m^r expm1(r log1p(1/m))
         with np.errstate(over="ignore", invalid="ignore"):
-            y = self.q * m ** self.r * np.expm1(self.r * np.log1p(1.0 / m))
-            out = np.diff(_log_expm1(y))
-            out += y[:-1]
-        return out
+            z = np.divide(1.0, m, out=scratch)
+            np.log1p(z, out=z)
+            np.multiply(self.r, z, out=z)
+            np.expm1(z, out=z)
+            y = np.power(m, self.r, out=m)
+            np.multiply(self.q, y, out=y)
+            np.multiply(y, z, out=y)
+            return _log_expm1_steps(y, z, out)
 
     def sparseness_ratio(self, n: int) -> float:
         """Gap ratio gap(n)/gap(n-1), computed in log space; may be +inf."""
@@ -311,22 +372,43 @@ class StrengthSequence:
         if self.kind == "explicit" and n_hi > len(self.values):
             raise IndexError(f"strength index {n_hi} beyond explicit list")
 
-    def alphas(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """alpha_n over inclusive range [n_lo, n_hi], n_lo >= 1."""
-        self._check_range(n_lo, n_hi)
-        if self.kind == "power":
-            return self.c * np.arange(n_lo, n_hi + 1, dtype=float) ** self.p
-        if self.kind == "constant":
-            return np.full(n_hi - n_lo + 1, self.c)
-        return np.asarray(self.values[n_lo - 1:n_hi], dtype=float)
+    def alphas(self, n_lo: int, n_hi: int, *, out=None, work=None) -> np.ndarray:
+        """alpha_n over inclusive range [n_lo, n_hi], n_lo >= 1.
 
-    def log_abs_alphas(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """ln|alpha_n| over [n_lo, n_hi]; -inf where alpha_n = 0."""
+        ``out`` and ``work`` as for ``SparseSet.log_gap_ratios`` (here
+        ``work`` needs N entries).
+        """
+        self._check_range(n_lo, n_hi)
+        size = n_hi - n_lo + 1
+        out = _result(out, size)
+        if self.kind == "power":
+            ns = (work or _Workspace(size)).indices(n_lo, size, out)
+            np.power(ns, self.p, out=out)
+            return np.multiply(self.c, out, out=out)
+        if self.kind == "constant":
+            out.fill(self.c)
+            return out
+        out[:] = self.values[n_lo - 1:n_hi]
+        return out
+
+    def log_abs_alphas(self, n_lo: int, n_hi: int, *, out=None,
+                       work=None) -> np.ndarray:
+        """ln|alpha_n| over [n_lo, n_hi]; -inf where alpha_n = 0.
+
+        ``out`` and ``work`` as for ``alphas``.
+        """
+        self._check_range(n_lo, n_hi)
         if self.kind == "power" and self.c != 0:
-            ns = np.arange(n_lo, n_hi + 1, dtype=float)
-            return math.log(abs(self.c)) + self.p * np.log(ns)
+            size = n_hi - n_lo + 1
+            out = _result(out, size)
+            ns = (work or _Workspace(size)).indices(n_lo, size, out)
+            np.log(ns, out=out)
+            np.multiply(self.p, out, out=out)
+            return np.add(math.log(abs(self.c)), out, out=out)
+        out = self.alphas(n_lo, n_hi, out=out, work=work)
+        np.abs(out, out=out)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(self.alphas(n_lo, n_hi)))
+            return np.log(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -417,15 +499,14 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
     tail_lo = max(tail_start, n_lo)
     n_blocks = -(-(n_hi - n_lo + 1) // WINDOW_BLOCK)
 
-    def block(i: int):
+    def block(i: int, ws: _Workspace):
         hi = n_hi - (n_blocks - 1 - i) * WINDOW_BLOCK
         return _scan_block(system, max(n_lo, hi - WINDOW_BLOCK + 1), hi,
-                           tail_lo, scales, i == n_blocks - 1)
+                           tail_lo, scales, i == n_blocks - 1, ws)
 
-    if system.lattice.kind == "explicit":  # reads log_gaps: the caller's thread only
-        parts = [block(i) for i in range(n_blocks)]
-    else:
-        parts = _run_blocks(block, n_blocks)
+    # explicit lattices read log_gaps: the caller's thread only
+    parts = _run_blocks(block, n_blocks, min(n_hi - n_lo + 1, WINDOW_BLOCK) + 1,
+                        threaded=system.lattice.kind != "explicit")
     mins, positive, block_tails, trailing = zip(*parts)
     tail_min, nondecreasing = [], []
     for k in range(len(scales)):
@@ -443,40 +524,62 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
 
 
 def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
-                last: bool):
-    """One block's share of ``window_scan``.
+                last: bool, ws: _Workspace):
+    """One block's share of ``window_scan``, in the worker's workspace.
 
     Returns the least log threshold ratio, whether every alpha_n > 0, per
     energy (min, nondecreasing, first, last) of the block's part of the
-    tail, and for the last block its trailing entries.
+    tail, and for the last block its trailing entries.  |alpha_n| is
+    evaluated only where the tail or the trailing entries read it, unless
+    its sign must be read off every entry.
     """
-    log_sparse = system.lattice.log_gap_ratios(lo, hi)
-    alphas = system.strengths.alphas(lo, hi)
-    log_threshold = system.strengths.log_abs_alphas(lo, hi)
+    strengths = system.strengths
+    n = hi - lo + 1
+    log_sparse = system.lattice.log_gap_ratios(lo, hi, out=ws.array("sparse"), work=ws)
+    log_threshold = strengths.log_abs_alphas(lo, hi, out=ws.array("threshold"), work=ws)
     log_threshold *= -2.0
     log_threshold += log_sparse
+    tail = max(tail_lo - lo, 0) if hi >= tail_lo else n  # block offset of the tail
+    flags = ws.array("flags", dtype=bool)
+    # c n^p >= c for n >= 1 when p >= 0: the sign of c is every alpha_n's
+    sign_of_c = strengths.kind == "constant" or (
+        strengths.kind == "power" and strengths.p >= 0)
+    if sign_of_c:
+        positive = strengths.c > 0
+        first = max(min(tail, n - _TREND_LEN), 0) if last else tail
+    else:
+        first = 0
+    if first < n:  # the block offset of the first |alpha_n| read
+        abs_alphas = strengths.alphas(lo + first, hi, out=ws.array("alphas"), work=ws)
+        if not sign_of_c:
+            positive = bool(np.greater(abs_alphas, 0.0, out=flags[:n]).all())
+        np.abs(abs_alphas, out=abs_alphas)
     tails = []
-    if hi >= tail_lo:
-        i = max(tail_lo - lo, 0)
-        abs_tail, sparse_tail = np.abs(alphas[i:]), log_sparse[i:]
+    if tail < n:
+        abs_tail, sparse_tail = abs_alphas[tail - first:], log_sparse[tail:]
+        t, steps = ws.array("a")[:n - tail], ws.array("b")[:n - tail - 1]
         for s in scales:
-            t = np.log1p(abs_tail / s)
+            np.divide(abs_tail, s, out=t)
+            np.log1p(t, out=t)
             t *= -2.0
             t += sparse_tail
-            tails.append((np.min(t), bool(np.all(np.diff(t) >= -_TAIL_SLOP)),
-                          t[0], t[-1]))
+            np.subtract(t[1:], t[:-1], out=steps)
+            rising = np.greater_equal(steps, -_TAIL_SLOP, out=flags[:len(steps)]).all()
+            tails.append((np.min(t), bool(rising), t[0], t[-1]))
     trailing = None
     if last:
         trailing = tuple(a[-_TREND_LEN:].copy() for a in
-                         (log_sparse, np.abs(alphas), log_threshold))
-    return np.min(log_threshold), bool(np.all(alphas > 0)), tails, trailing
+                         (log_sparse, abs_alphas, log_threshold))
+    return np.min(log_threshold), positive, tails, trailing
 
 
-def _run_blocks(block, n_blocks: int) -> list:
-    """``[block(i) for i in range(n_blocks)]``, block i on worker i mod W.
+def _run_blocks(block, n_blocks: int, size: int, threaded: bool = True) -> list:
+    """``[block(i, ws) for i in range(n_blocks)]``, block i on worker i mod W.
 
-    W is the number of usable CPUs, at most n_blocks; the caller is worker 0
-    and so evaluates block 0.  Each worker runs in a copy of the caller's
+    W is the number of usable CPUs, at most n_blocks, or 1 unless
+    ``threaded``; the caller is worker 0 and so evaluates block 0.  Each
+    worker makes one ``_Workspace(size)`` for all of its blocks, dropped
+    when the call returns.  Each worker runs in a copy of the caller's
     context, so numpy error settings carry over, and the first error a
     worker raised is raised again here.
     """
@@ -484,17 +587,21 @@ def _run_blocks(block, n_blocks: int) -> list:
     import os
     import threading
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, n_blocks)
+    if not threaded:
+        workers = 1
+    else:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            cpus = os.cpu_count() or 1
+        workers = min(cpus, n_blocks)
     parts = [None] * n_blocks
     errors = []
 
     def work(first: int):
+        ws = _Workspace(size)
         for i in range(first, n_blocks, workers):
-            parts[i] = block(i)
+            parts[i] = block(i, ws)
 
     def guarded(first: int):
         try:

@@ -6,8 +6,13 @@ import pytest
 
 from pointspec import (SparseSet, StrengthSequence, SystemSpec,
                        estimate_threshold, threshold_ratio)
+from pointspec.lattice import WINDOW_BLOCK, _Workspace
 
 from conftest import factorial_system
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
 
 
 class TestSparseSet:
@@ -178,6 +183,11 @@ class TestSparseSet:
         with pytest.raises(IndexError):
             lat.log_gap_ratios(0, 5)
 
+    def test_integer_q_gives_float_ratios(self):
+        ratios = SparseSet.exponential(1.0, 1).log_gap_ratios(2, 5)
+        assert ratios.dtype == np.float64
+        assert bits(ratios) == bits(SparseSet.exponential(1.0, 1.0).log_gap_ratios(2, 5))
+
     def test_sparseness_ratio_factorial(self):
         lat = SparseSet.factorial()
         assert lat.sparseness_ratio(4) == pytest.approx(16.0 / 3.0, rel=1e-12)
@@ -221,6 +231,19 @@ class TestStrengthSequence:
         with pytest.raises(ValueError):
             StrengthSequence.explicit([1.0, math.inf])
 
+    def test_integer_constant_gives_float_strengths(self):
+        alphas = StrengthSequence.constant(2).alphas(1, 3)
+        assert alphas.dtype == np.float64
+        assert bits(alphas) == bits(StrengthSequence.constant(2.0).alphas(1, 3))
+
+    def test_log_abs_alphas_rejects_index_zero(self):
+        with pytest.raises(IndexError):
+            StrengthSequence.power(1.5, 0.5).log_abs_alphas(0, 3)
+
+    def test_log_abs_alphas_rejects_empty_range(self):
+        with pytest.raises(IndexError):
+            StrengthSequence.power(1.5, 0.5).log_abs_alphas(5, 3)
+
     @pytest.mark.parametrize("seq", [
         StrengthSequence.power(1.5, 0.5), StrengthSequence.power(-2.0, 0.25),
         StrengthSequence.constant(-3.0),
@@ -231,6 +254,61 @@ class TestStrengthSequence:
         assert [seq.alpha(n) for n in range(1, 5)] == arr.tolist()
         with pytest.raises(IndexError):
             seq.alpha(0)
+
+
+B = WINDOW_BLOCK
+
+
+def out_points(p):
+    """An explicit lattice long enough for every range below."""
+    return np.concatenate([[0.0], np.cumsum(1.0 + np.arange(1000 + B + 2) ** p)])
+
+
+OUT_LATTICES = {
+    "factorial": lambda p: SparseSet.factorial(),
+    "power": lambda p: SparseSet.power(1.3, p),
+    "exponential": lambda p: SparseSet.exponential(0.9, 1e-4, r=p),
+    "exponential_r1": lambda p: SparseSet.exponential(0.9, p),
+    "explicit": lambda p: SparseSet.explicit(out_points(p)),
+}
+OUT_STRENGTHS = {
+    "power": lambda p: StrengthSequence.power(1.7, p),
+    "power_negative": lambda p: StrengthSequence.power(-0.6, -p),
+    "power_zero": lambda p: StrengthSequence.power(0.0, p),
+    "constant": lambda p: StrengthSequence.constant(-p),
+    "explicit": lambda p: StrengthSequence.explicit(np.sin(np.arange(1000 + B + 2) * p)),
+}
+
+
+def assert_out_contract(kernel):
+    """kernel(lo, hi, out=buf) is a view of buf, bit-equal to kernel(lo, hi).
+
+    Also with a workspace shared by every call, as the window scan passes.
+    """
+    work = _Workspace(B + 2)
+    for n_lo in (1, 2, 3, 1000):
+        for length in (1, 2, B, B + 1):
+            n_hi = n_lo + length - 1
+            with np.errstate(all="ignore"):
+                expected = kernel(n_lo, n_hi)
+                for kwargs in ({}, {"work": work}):
+                    buf = np.full(B + 2, np.nan)
+                    got = kernel(n_lo, n_hi, out=buf, **kwargs)
+                    assert np.shares_memory(got, buf)
+                    assert got.dtype == expected.dtype == np.float64
+                    assert bits(got) == bits(expected), (n_lo, length, kwargs)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1, 2, 3])
+class TestOutBuffers:
+    @pytest.mark.parametrize("family", sorted(OUT_LATTICES))
+    def test_log_gap_ratios(self, family, p):
+        assert_out_contract(OUT_LATTICES[family](p).log_gap_ratios)
+
+    @pytest.mark.parametrize("family", sorted(OUT_STRENGTHS))
+    @pytest.mark.parametrize("kernel", ["alphas", "log_abs_alphas"])
+    def test_strengths(self, family, kernel, p):
+        assert_out_contract(getattr(OUT_STRENGTHS[family](p), kernel))
 
 
 class TestSystemSpec:

@@ -17,7 +17,8 @@ import pytest
 from pointspec import (ClassifyConfig, SparseSet, StrengthSequence, SystemSpec,
                        classify, estimate_threshold, series_verdict)
 from pointspec.growth import DivergenceVerdict
-from pointspec.lattice import WINDOW_BLOCK, ThresholdEstimate, _tail_trend
+from pointspec.lattice import (WINDOW_BLOCK, ThresholdEstimate, _scan_block,
+                               _tail_trend, _Workspace, window_scan)
 
 B = WINDOW_BLOCK
 CAP = 10**7 - 1
@@ -186,9 +187,11 @@ def test_results_do_not_depend_on_the_thread_count(monkeypatch):
     threads = set()
     log_gap_ratios = SparseSet.log_gap_ratios
 
-    def recording(self, n_lo, n_hi):
-        threads.add(threading.get_ident())
-        return log_gap_ratios(self, n_lo, n_hi)
+    def recording(self, n_lo, n_hi, **kwargs):
+        # the Thread object, not its ident: a finished worker's ident may be
+        # handed to a worker started after it
+        threads.add(threading.current_thread())
+        return log_gap_ratios(self, n_lo, n_hi, **kwargs)
 
     def scan_threads(cpus):
         """Threads that evaluated the window for one classify call."""
@@ -220,10 +223,10 @@ def test_workers_keep_the_callers_numpy_errors(monkeypatch):
     system = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.power(1.5, 0.25))
     alphas = StrengthSequence.alphas
 
-    def overflowing(self, n_lo, n_hi):
+    def overflowing(self, n_lo, n_hi, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             _ = np.float64(1e308) * 10.0
-        return alphas(self, n_lo, n_hi)
+        return alphas(self, n_lo, n_hi, **kwargs)
 
     monkeypatch.setattr(StrengthSequence, "alphas", overflowing)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -231,7 +234,7 @@ def test_workers_keep_the_callers_numpy_errors(monkeypatch):
 
 
 def test_cap_window_memory_is_bounded_by_blocks(monkeypatch):
-    # each worker holds one block's arrays, ~3.5 MiB here: pin two workers
+    # each worker holds one workspace, ~3 MiB here: pin two workers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     system = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.power(1.5, 0.25))
     tracemalloc.start()
@@ -243,3 +246,68 @@ def test_cap_window_memory_is_bounded_by_blocks(monkeypatch):
     assert res.diagnostics["exclusion_verdicts"] == ["excluded"] * 3
     # the full-array window held about 77 MB here
     assert peak < 16 * 2**20
+
+
+def test_concurrent_scans_keep_their_own_workspaces(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    jobs = [(SystemSpec("delta", SparseSet.factorial(), StrengthSequence.power(1.5, 0.25)),
+             (40, 40 + 3 * B)),
+            (SystemSpec("delta_prime", SparseSet.power(1.2, 2.0), StrengthSequence.power(1.5, 0.5)),
+             (7, 7 + 3 * B + 100))]
+    errors = []
+
+    def check(system, window):
+        try:
+            assert_matches_oracle(system, window)
+        except BaseException as exc:  # reported on the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=check, args=job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the two scans interleave block by block
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+
+
+SCAN_SYSTEMS = {
+    "factorial": SystemSpec("delta", SparseSet.factorial(), StrengthSequence.power(1.5, 0.25)),
+    "power": SystemSpec("delta", SparseSet.power(1.2, 2.0), StrengthSequence.power(-1.5, -0.5)),
+    "exponential": SystemSpec("delta_prime", SparseSet.exponential(1.0, 0.5, r=1.5),
+                              StrengthSequence.power(1.5, 0.5)),
+    "exponential_r1": SystemSpec("delta", SparseSet.exponential(1.1, 0.7),
+                                 StrengthSequence.constant(2.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SCAN_SYSTEMS))
+def test_blocks_after_the_first_allocate_no_arrays(family):
+    system = SCAN_SYSTEMS[family]
+    ws = _Workspace(B + 1)
+    hi = CAP - 2 * B
+    scales = [0.3, 1.0, 3.0]
+    _scan_block(system, hi - B + 1, hi, hi - B // 2, scales, False, ws)
+    tracemalloc.start()
+    try:
+        _scan_block(system, hi + 1, hi + B, hi - B // 2, scales, True, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B  # one block-sized array is 8 B bytes
+
+
+def test_integer_parameters_give_float_trailing_entries():
+    def scan(q, c):
+        system = SystemSpec("delta", SparseSet.exponential(1.0, q), StrengthSequence.constant(c))
+        return window_scan(system, 2, 40, [1.0])
+
+    got, expected = scan(1, 2), scan(1.0, 2.0)
+    for field in ("log_sparse", "abs_alphas", "log_threshold"):
+        assert getattr(got, field).dtype == np.float64, field
+    assert repr(got) == repr(expected)

@@ -171,16 +171,19 @@ class TestClassify:
 
         for name in ("log_gaps", "log_gap_ratios", "gap", "log_gap"):
             recording(SparseSet, name)
-        recording(StrengthSequence, "alphas")
+        for name in ("alphas", "log_abs_alphas"):
+            recording(StrengthSequence, name)
         sys = factorial_system("delta", 0.25)
         res = classify(sys, window=(2, 10**5), lambda0_grid=[0.1, 1.0, 10.0])
         assert res.diagnostics["exclusion_verdicts"] == ["excluded"] * 3
         # blocks may split the window, but no index is evaluated twice: not
-        # per probe energy, not per consumer
-        assert set(ranges) == {"log_gap_ratios", "alphas"}
-        for name in ("log_gap_ratios", "alphas"):
+        # per probe energy, not per consumer; alpha_n itself only where the
+        # ratio test's tail (the last 50000 indices) reads it
+        assert set(ranges) == {"log_gap_ratios", "log_abs_alphas", "alphas"}
+        for name, first in (("log_gap_ratios", 2), ("log_abs_alphas", 2),
+                            ("alphas", 10**5 - 50000 + 1)):
             indices = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges[name]])
-            assert np.array_equal(np.sort(indices), np.arange(2, 10**5 + 1)), name
+            assert np.array_equal(np.sort(indices), np.arange(first, 10**5 + 1)), name
 
 
 class TestPointSpectrumExclusion:
