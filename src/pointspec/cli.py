@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -290,11 +289,21 @@ def cmd_avalue(run: RunConfig) -> dict:
     }
 
 
+def _table(columns: list[str], arrays) -> np.ndarray:
+    """The named columns as one structured array, a record per table row."""
+    arrays = [np.asarray(a) for a in arrays]
+    table = np.empty(len(arrays[0]),
+                     dtype=[(c, a.dtype) for c, a in zip(columns, arrays)])
+    for column, array in zip(columns, arrays):
+        table[column] = array
+    return table
+
+
 GROWTH_COLUMNS = ["n", "log_gap", "log_coupling_product", "dalembert_ratio",
                   "series_term"]
 
 
-def cmd_growth(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bool]:
+def cmd_growth(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bool]:
     p = run.params
     _require_keys(p, {"lambda0", "window"}, {"lambda0", "window"}, "params")
     lam0 = _number(p, "lambda0", "params", positive=True)
@@ -305,11 +314,11 @@ def cmd_growth(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, 
     prof = growth_mod.series_terms(run.system, lam0, n_hi)
     first = max(n_lo, 1)  # the ratio needs n >= 1
     log_ratios = growth_mod.log_dalembert_ratios(run.system, lam0, first, n_hi)
-    ratios = ([math.nan] * (first - n_lo)
-              + np.exp(np.minimum(log_ratios, 700.0)).tolist())
-    rows = list(zip(range(n_lo, n_hi + 1), prof.log_gaps[n_lo:].tolist(),
-                    prof.log_products[n_lo:].tolist(), ratios,
-                    prof.terms[n_lo:].tolist()))
+    ratios = np.concatenate([np.full(first - n_lo, math.nan),
+                             np.exp(np.minimum(log_ratios, 700.0))])
+    rows = _table(GROWTH_COLUMNS, [np.arange(n_lo, n_hi + 1, dtype=np.int64),
+                                   prof.log_gaps[n_lo:], prof.log_products[n_lo:],
+                                   ratios, prof.terms[n_lo:]])
     footers = [f"# lambda0={lam0!r} window=[{n_lo},{n_hi}] kind={run.system.kind}"]
     params = {"lambda0": lam0, "window": list(window)}
     return GROWTH_COLUMNS, rows, footers, params, False
@@ -318,7 +327,7 @@ def cmd_growth(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, 
 EIGS_COLUMNS = ["index", "lambda", "residual", "bracket_width"]
 
 
-def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bool]:
+def cmd_eigs(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bool]:
     p = run.params
     _require_keys(p, {"n_points", "lambda_range", "grid_resolution", "tol",
                       "oracle", "fd_h", "fd_count"},
@@ -336,9 +345,10 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
         raise ConfigError("params.oracle must be null or 'fd'")
     eigs = truncated_eigenvalues(run.system, n_max, (float(rng[0]), float(rng[1])),
                                  grid_resolution=resolution, tol=tol)
+    lam = eigs.values
     columns = list(EIGS_COLUMNS)
-    rows = [[i, float(v), float(r), float(w)] for i, (v, r, w) in
-            enumerate(zip(eigs.values, eigs.residuals, eigs.bracket_widths))]
+    arrays = [np.arange(len(lam), dtype=np.int64), lam, eigs.residuals,
+              eigs.bracket_widths]
     params = {"n_points": n_max, "lambda_range": [float(rng[0]), float(rng[1])],
               "grid_resolution": resolution, "tol": tol, "oracle": oracle}
     if oracle == "fd":
@@ -347,14 +357,15 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
                     if "fd_count" in p else None)
         fd = fd_oracle_eigenvalues(run.system, n_max, fd_h, fd_count,
                                    upper=float(rng[1]))
+        # each root's nearest FD eigenvalue, the first of equals
+        nearest = (np.argmin(np.abs(fd.values - lam[:, None]), axis=1) if len(lam)
+                   else np.zeros(0, np.int64))
+        fd_lam = fd.values[nearest]
         columns += ["fd_lambda", "rel_deviation"]
-        for row in rows:
-            lam = row[1]
-            j = int(np.argmin(np.abs(fd.values - lam)))
-            row.append(float(fd.values[j]))
-            row.append(float(abs(fd.values[j] - lam) / max(abs(lam), 1e-300)))
+        arrays += [fd_lam, np.abs(fd_lam - lam) / np.maximum(np.abs(lam), 1e-300)]
         params["fd_h"] = fd_h
         params["fd_count"] = len(fd) if fd_count is None else fd_count
+    rows = _table(columns, arrays)
     footers = []
     if eigs.warning:
         footers.append(f"# warning: suspected unresolved roots: "
@@ -367,7 +378,7 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bo
 PROPAGATE_COLUMNS = ["n", "x", "re_psi", "re_dpsi", "log_norm_xi"]
 
 
-def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dict, bool]:
+def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bool]:
     p = run.params
     _require_keys(p, {"lambda", "n_max", "xi0", "dense_per_interval"},
                   {"lambda", "n_max"}, "params")
@@ -394,8 +405,7 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dic
     n = np.arange(len(x)) // (dense + 1)
     psi, dpsi = free_flow(lam, x - xs[n], vecs[n])
     psi[::dense + 1], dpsi[::dense + 1] = vecs.T
-    rows = list(zip(n.tolist(), x.tolist(), psi.tolist(), dpsi.tolist(),
-                    np.log(np.hypot(psi, dpsi)).tolist()))
+    rows = _table(PROPAGATE_COLUMNS, [n, x, psi, dpsi, np.log(np.hypot(psi, dpsi))])
     footers = []
     if overflow_at is not None:
         footers.append(f"#overflow at n={overflow_at}")
@@ -411,29 +421,47 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], list[list], list[str], dic
 
 
 BLOCK_ROWS = 4096  # rows per rendered block: bounds the transient cell texts
-_NONFINITE = re.compile(r"-?inf|nan")
+# Tables of this many cells or more render their int64 and float64 columns
+# with the numpy kernel of ``_shortest``.  Per-cell repr costs ~1 us a cell,
+# the kernel ~0.3 us plus ~15 ms at its first use in a process (import and
+# tables): in a fresh process the two broke even near 30 000 cells (6000
+# rows of 5 columns) on a 2-vCPU VM, a warm one near 5000.
+KERNEL_MIN_CELLS = 30_000
+_QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
-def _row_blocks(rows, cell_sep: str, row_sep: str, quote: bool):
-    """``rows`` as text by blocks of ``BLOCK_ROWS``, ``row_sep`` also between.
+def _cell_texts(column: np.ndarray, quote: bool):
+    """repr of each cell, the CSV and JSON spelling of a Python int or float;
+    ``quote`` spells ``nan``, ``inf`` and ``-inf`` as ``_json_safe`` does."""
+    texts = map(repr, column.tolist())
+    if quote and (column.dtype.kind == "O"
+                  or column.dtype.kind == "f" and not np.isfinite(column).all()):
+        texts = [_QUOTED.get(t, t) for t in texts]
+    return texts
 
-    A cell is a Python int or float, whose repr is its CSV and JSON spelling;
-    ``quote`` spells ``nan``, ``inf`` and ``-inf`` as ``_json_safe`` does.
-    """
-    for start in range(0, len(rows), BLOCK_ROWS):
+
+def _row_blocks(table: np.ndarray, cell_sep: str, row_sep: str, quote: bool):
+    """``table``'s rows as text by blocks of ``BLOCK_ROWS``, ``row_sep`` also
+    between; every cell as ``_cell_texts`` spells it."""
+    names = table.dtype.names
+    kernel = len(table) * len(names) >= KERNEL_MIN_CELLS
+    if kernel:
+        from . import _shortest
+    for start in range(0, len(table), BLOCK_ROWS):
         if start:
             yield row_sep
-        columns = zip(*rows[start:start + BLOCK_ROWS])
-        block = row_sep.join(map(cell_sep.join,
-                                 zip(*(map(repr, column) for column in columns))))
-        if quote and "n" in block:  # no finite int or float text holds an n
-            block = _NONFINITE.sub(r'"\g<0>"', block)
-        yield block
+        block = table[start:start + BLOCK_ROWS]
+        columns = [block[name] for name in names]
+        if kernel:
+            yield _shortest.rows_text(columns, cell_sep, row_sep, quote, _cell_texts)
+        else:
+            texts = (_cell_texts(c, quote) for c in columns)
+            yield row_sep.join(map(cell_sep.join, zip(*texts)))
 
 
 def _render_csv(columns, rows, footers) -> str:
     return "".join([",".join(columns), "\n", *_row_blocks(rows, ",", "\n", False),
-                    "\n" if rows else "", *(f + "\n" for f in footers)])
+                    "\n" if len(rows) else "", *(f + "\n" for f in footers)])
 
 
 def _render_json(doc: dict) -> str:
@@ -459,7 +487,7 @@ def _table_json(command, run, columns, rows, footers, params) -> str:
     text = _render_json({"command": command, "system": _system_dict(run.system),
                          "params": _json_safe(params), "columns": columns, "rows": [],
                          "footers": [f.lstrip("# ") for f in footers]})
-    if not rows:
+    if not len(rows):
         return text
     head, _, tail = text.partition('"rows": []')  # JSON strings escape quotes
     blocks = _row_blocks(rows, ",\n      ", "\n    ],\n    [\n      ", True)

@@ -255,8 +255,8 @@ class SparseSet:
                             + _log_expm1(self.q * dr))
             out[~pos] = math.log(self.c) + self.q
             return out
-        pts = np.asarray(self.points)
-        return np.log(pts[n_lo + 1:n_hi + 2] - pts[n_lo:n_hi + 1])
+        pts = np.asarray(self.points[n_lo:n_hi + 2])
+        return np.log(pts[1:] - pts[:-1])
 
     def _check_ratio_range(self, n_lo: int, n_hi: int):
         if n_lo < 1:

@@ -656,16 +656,37 @@ def old_json(command, run, columns, rows, footers, params):
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+def columnar(columns, rows):
+    """``rows`` as the table commands return them: one structured array.
+
+    A column of ints within int64 becomes int64, one of floats float64, and
+    any other (ints past int64, ints mixed with floats) keeps its objects.
+    """
+    arrays = []
+    for column in zip(*rows) if rows else [()] * len(columns):
+        kinds = {type(v) for v in column}
+        if kinds == {int} and all(-2**63 <= v < 2**63 for v in column):
+            arrays.append(np.array(column, dtype=np.int64))
+        elif kinds == {float}:
+            arrays.append(np.array(column, dtype=np.float64))
+        else:
+            arrays.append(np.array(column, dtype=object))
+    return cli._table(columns, arrays)
+
+
 class TestTableRendering:
     RUN = parse_config({"system": FACTORIAL_SQRT["system"]})
     COLUMNS = ["n", "x", "y"]
     FOOTERS = ["#overflow at n=3", "# lambda=1.0"]
+    CROSSOVER = cli.KERNEL_MIN_CELLS
 
     def assert_renders_as_before(self, rows, params=None):
         params = {"lambda": 1.0} if params is None else params
-        assert (cli._render_csv(self.COLUMNS, rows, self.FOOTERS)
+        table = columnar(self.COLUMNS, rows)
+        assert len(table) == len(rows)
+        assert (cli._render_csv(self.COLUMNS, table, self.FOOTERS)
                 == old_csv(self.COLUMNS, rows, self.FOOTERS))
-        assert (cli._table_json("propagate", self.RUN, self.COLUMNS, rows,
+        assert (cli._table_json("propagate", self.RUN, self.COLUMNS, table,
                                 self.FOOTERS, params)
                 == old_json("propagate", self.RUN, self.COLUMNS, rows,
                             self.FOOTERS, params))
@@ -673,7 +694,7 @@ class TestTableRendering:
     def test_empty_rows(self):
         self.assert_renders_as_before([])
         assert '"rows": [],' in cli._table_json("growth", self.RUN, self.COLUMNS,
-                                                [], [], {})
+                                                columnar(self.COLUMNS, []), [], {})
 
     def test_nonfinite_cells(self):
         self.assert_renders_as_before(
@@ -683,13 +704,21 @@ class TestTableRendering:
     def test_int_only_columns(self):
         self.assert_renders_as_before([(i, -i, i * 10**20) for i in range(7)])
 
+    def test_mixed_int_and_float_column(self):
+        self.assert_renders_as_before([(i, i % 2 or 0.5, -2**63 + i) for i in range(5)])
+
     @pytest.mark.parametrize("blocks, offset", [(1, -1), (1, 0), (1, 1), (2, 1)])
     def test_rows_around_block_size(self, blocks, offset):
         rows = [(i, i / 7.0, math.nan if i % 1000 == 3 else -i * 1e-9)
                 for i in range(blocks * cli.BLOCK_ROWS + offset)]
         self.assert_renders_as_before(rows)
-        # lists as rows, as eigs builds them
-        self.assert_renders_as_before([list(row) for row in rows])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_around_kernel_crossover(self, offset):
+        n_rows = -(-self.CROSSOVER // len(self.COLUMNS)) + offset
+        rows = [(i - 50, i / 7.0, math.nan if i % 1000 == 3 else -i * 1e-9)
+                for i in range(n_rows)]
+        self.assert_renders_as_before(rows)
 
     def test_peak_memory_below_three_outputs(self):
         run = parse_config({"system": FACTORIAL_SQRT["system"],
@@ -707,6 +736,14 @@ class TestTableRendering:
             finally:
                 tracemalloc.stop()
             assert peak < 3 * len(text), (fmt, peak / len(text))
+
+
+class TestKernelRendering(TestTableRendering):
+    """The same tables through the numpy kernel, whatever their size."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_everywhere(self, monkeypatch):
+        monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
 
 
 class TestOutputWrite:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -140,6 +141,19 @@ class TestSparseSet:
         arr = lat.log_gaps(0, 30)
         for n in range(31):
             assert arr[n] == pytest.approx(lat.log_gap(n), abs=1e-13)
+
+    def test_explicit_log_gaps_convert_only_their_slice(self):
+        n = 2 * 10**5
+        lat = SparseSet.explicit(np.arange(1.0, n + 1.0))
+        lat.log_gaps(n - 2, n - 1)
+        tracemalloc.start()
+        try:
+            out = lat.log_gaps(n - 2, n - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits(out) == bits(np.log(np.diff(lat.points[n - 2:])))
+        assert peak < 4096  # the whole point tuple as an array is 1.6 MB
 
     @pytest.mark.parametrize("lat", [
         SparseSet.factorial(max_index=10**8 + 1),
