@@ -2,22 +2,19 @@
 interactions (delta and delta-prime) on sparse lattices."""
 
 from .growth import (BoundCheck, DivergenceVerdict, GrowthProfile,
-                     dalembert_ratio, log_coupling_product, lower_bound_check,
-                     propagation_profile, series_terms, series_verdict,
-                     weighted_norm_sum)
+                     lower_bound_check, propagation_profile, series_terms,
+                     series_verdict, weighted_norm_sum)
 from .lattice import (DELTA, DELTA_PRIME, SparseSet, StrengthSequence,
                       SystemSpec, ThresholdEstimate, estimate_threshold,
                       threshold_ratio)
-from .spectrum import (ClassifyConfig, EigenvalueList, ExclusionResult,
-                       Interval, ProbeReport, SpectralClassification,
-                       box_eigenvalue_above, classify, dirichlet_eigenvalues,
-                       essential_spectrum_probe, fd_oracle_eigenvalues,
-                       neumann_eigenvalues, point_spectrum_exclusion,
-                       truncated_eigenvalues)
+from .spectrum import (ClassifyConfig, EigenvalueList, Interval, ProbeReport,
+                       SpectralClassification, box_eigenvalue_above, classify,
+                       dirichlet_eigenvalues, essential_spectrum_probe,
+                       fd_oracle_eigenvalues, truncated_eigenvalues)
 from .transfer import (DIRICHLET_START, SolutionSample, diagonalizer,
-                       fundamental_matrix, fundamental_norm_bound,
-                       inverse_step_diagonalized, jump_matrix, operator_norm,
-                       propagate, sample_solution, step_matrix)
+                       fundamental_matrix, inverse_step_diagonalized,
+                       jump_matrix, operator_norm, propagate, sample_solution,
+                       step_matrix)
 
 __version__ = "0.1.0"
 
@@ -27,14 +24,13 @@ __all__ = [
     "estimate_threshold", "threshold_ratio",
     "fundamental_matrix", "jump_matrix", "step_matrix", "propagate",
     "diagonalizer", "inverse_step_diagonalized", "operator_norm",
-    "fundamental_norm_bound", "sample_solution", "SolutionSample",
+    "sample_solution", "SolutionSample",
     "GrowthProfile", "DivergenceVerdict", "BoundCheck",
-    "log_coupling_product", "series_terms", "dalembert_ratio",
-    "series_verdict", "lower_bound_check", "weighted_norm_sum",
+    "series_terms", "series_verdict", "lower_bound_check", "weighted_norm_sum",
     "propagation_profile",
     "Interval", "SpectralClassification", "ClassifyConfig", "EigenvalueList",
-    "ExclusionResult", "ProbeReport", "classify", "point_spectrum_exclusion",
-    "dirichlet_eigenvalues", "neumann_eigenvalues", "box_eigenvalue_above",
+    "ProbeReport", "classify",
+    "dirichlet_eigenvalues", "box_eigenvalue_above",
     "truncated_eigenvalues", "fd_oracle_eigenvalues",
     "essential_spectrum_probe",
 ]

@@ -7,8 +7,7 @@ factorial gaps and growing strengths overflow doubles almost immediately.
 Kind convention: for a delta system the coupling factor at energy ``lam`` is
 ``1 + |alpha_i| / sqrt(lam)``; a delta-prime system is analyzed through the
 same product evaluated at ``1/lam``, i.e. factors ``1 + |alpha_i| sqrt(lam)``.
-Operations taking a system apply this substitution themselves;
-``log_coupling_product`` takes the energy argument at face value.
+Operations taking a system apply this substitution themselves.
 """
 
 from __future__ import annotations
@@ -27,21 +26,6 @@ def _log_factors(system: SystemSpec, lam_eff: float, n_lo: int, n_hi: int) -> np
     """log(1 + |alpha_i| / sqrt(lam_eff)) for i in [n_lo, n_hi]."""
     alphas = system.strengths.alphas(n_lo, n_hi)
     return np.log1p(np.abs(alphas) / math.sqrt(lam_eff))
-
-
-def log_coupling_product(system: SystemSpec, lam: float, n: int) -> float:
-    """log of the running product of (1 + |alpha_i|/sqrt(lam)), i = 1..n.
-
-    The empty product (n = 0) is 1.  Callers analyzing a delta-prime system
-    pass 1/lam to get the matching product.
-    """
-    if not lam > 0:
-        raise ValueError(f"energy must be positive, got {lam}")
-    if n < 0:
-        raise IndexError("product length must be >= 0")
-    if n == 0:
-        return 0.0
-    return float(np.sum(_log_factors(system, lam, 1, n)))
 
 
 @dataclass(frozen=True)
@@ -85,17 +69,10 @@ def log_dalembert_ratios(system: SystemSpec, lam0: float, n_lo: int,
     the same operations as ``window_scan``'s tail.
     """
     log_sparse = system.lattice.log_gap_ratios(n_lo, n_hi)
-    abs_alphas = np.abs(system.strengths.alphas(n_lo, n_hi))
-    out = np.log1p(abs_alphas / math.sqrt(_effective_lambda(system, lam0)))
+    out = _log_factors(system, _effective_lambda(system, lam0), n_lo, n_hi)
     out *= -2.0
     out += log_sparse
     return out
-
-
-def dalembert_ratio(system: SystemSpec, lam0: float, n: int) -> float:
-    """Exact consecutive-term ratio of the divergence series at index n."""
-    lr = float(log_dalembert_ratios(system, lam0, n, n)[0])
-    return math.exp(lr) if lr < 700.0 else math.inf
 
 
 @dataclass(frozen=True)

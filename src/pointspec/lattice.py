@@ -222,10 +222,6 @@ class SparseSet:
         with np.errstate(over="ignore"):
             return np.exp(self.log_gaps(n_lo, n_hi))
 
-    def log_gap(self, n: int) -> float:
-        """ln(x_{n+1} - x_n), evaluated analytically per generator."""
-        return float(self.log_gaps(n, n)[0])
-
     def log_gaps(self, n_lo: int, n_hi: int) -> np.ndarray:
         """Vectorized ln(gap) over inclusive index range [n_lo, n_hi]."""
         self._check_gap_index(n_lo)
@@ -283,7 +279,8 @@ class SparseSet:
         size = n_hi - n_lo + 1
         out = _result(out, size)
         if self.kind == "explicit":
-            log_gaps = self.log_gaps(n_lo - 1, n_hi)
+            pts = np.asarray(self.points[n_lo - 1:n_hi + 2])
+            log_gaps = np.log(pts[1:] - pts[:-1])
             return np.subtract(log_gaps[1:], log_gaps[:-1], out=out)
         if n_lo == 1:
             out[0] = np.diff(self.log_gaps(0, 1))[0]
@@ -321,13 +318,6 @@ class SparseSet:
             np.multiply(y, z, out=y)
             return _log_expm1_steps(y, z, out)
 
-    def sparseness_ratio(self, n: int) -> float:
-        """Gap ratio gap(n)/gap(n-1), computed in log space; may be +inf."""
-        if n < 1:
-            raise IndexError("sparseness ratio needs n >= 1")
-        d = float(self.log_gap_ratios(n, n)[0])
-        return math.inf if d > _LOG_MAX_DOUBLE else math.exp(d)
-
 
 @dataclass(frozen=True)
 class StrengthSequence:
@@ -362,9 +352,6 @@ class StrengthSequence:
     @classmethod
     def explicit(cls, values) -> "StrengthSequence":
         return cls(kind="explicit", values=tuple(values))
-
-    def alpha(self, n: int) -> float:
-        return float(self.alphas(n, n)[0])
 
     def _check_range(self, n_lo: int, n_hi: int):
         if n_lo < 1 or n_hi < n_lo:
@@ -504,9 +491,7 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
         return _scan_block(system, max(n_lo, hi - WINDOW_BLOCK + 1), hi,
                            tail_lo, scales, i == n_blocks - 1, ws)
 
-    # explicit lattices read log_gaps: the caller's thread only
-    parts = _run_blocks(block, n_blocks, min(n_hi - n_lo + 1, WINDOW_BLOCK) + 1,
-                        threaded=system.lattice.kind != "explicit")
+    parts = _run_blocks(block, n_blocks, min(n_hi - n_lo + 1, WINDOW_BLOCK) + 1)
     mins, positive, block_tails, trailing = zip(*parts)
     tail_min, nondecreasing = [], []
     for k in range(len(scales)):
@@ -573,28 +558,24 @@ def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
     return np.min(log_threshold), positive, tails, trailing
 
 
-def _run_blocks(block, n_blocks: int, size: int, threaded: bool = True) -> list:
+def _run_blocks(block, n_blocks: int, size: int) -> list:
     """``[block(i, ws) for i in range(n_blocks)]``, block i on worker i mod W.
 
-    W is the number of usable CPUs, at most n_blocks, or 1 unless
-    ``threaded``; the caller is worker 0 and so evaluates block 0.  Each
-    worker makes one ``_Workspace(size)`` for all of its blocks, dropped
-    when the call returns.  Each worker runs in a copy of the caller's
-    context, so numpy error settings carry over, and the first error a
-    worker raised is raised again here.
+    W is the number of usable CPUs, at most n_blocks; the caller is worker 0
+    and so evaluates block 0.  Each worker makes one ``_Workspace(size)``
+    for all of its blocks, dropped when the call returns.  Each worker runs
+    in a copy of the caller's context, so numpy error settings carry over,
+    and the first error a worker raised is raised again here.
     """
-    import contextvars  # only the threaded scan needs these three
+    import contextvars  # only the window scan needs these three
     import os
     import threading
 
-    if not threaded:
-        workers = 1
-    else:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # platforms without CPU affinity
-            cpus = os.cpu_count() or 1
-        workers = min(cpus, n_blocks)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, n_blocks)
     parts = [None] * n_blocks
     errors = []
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .growth import DivergenceVerdict, _verdict_from_scan, series_verdict
+from .growth import _verdict_from_scan
 from .lattice import (_TREND_LEN, DELTA, DELTA_PRIME, SystemSpec,
                       ThresholdEstimate, WindowScan, _check_window, _tail_trend,
                       _threshold_from_scan, window_scan)
@@ -45,10 +45,6 @@ class Interval:
     @classmethod
     def closed_ray(cls, lo: float) -> "Interval":
         return cls(lo, math.inf, True, False)
-
-    @classmethod
-    def left_open(cls, lo: float, hi: float) -> "Interval":
-        return cls(lo, hi, False, True)
 
     @classmethod
     def right_open(cls, lo: float, hi: float) -> "Interval":
@@ -107,42 +103,6 @@ class ClassifyConfig:
     sparseness_threshold: float = 100.0
     strength_threshold: float = 10.0
     margin: float = 0.05
-
-
-@dataclass(frozen=True)
-class ExclusionResult:
-    """Point-spectrum exclusion from the ratio test at one probe energy."""
-
-    lambda0: float
-    verdict: str
-    excluded: Interval | None
-    series: DivergenceVerdict
-
-
-def point_spectrum_exclusion(system: SystemSpec, lam0: float,
-                             window: tuple[int, int],
-                             margin: float = 0.05) -> ExclusionResult:
-    """Certify an interval free of positive point spectrum, if possible.
-
-    A divergent growth series at probe energy lam0 excludes positive
-    eigenvalues at and above lam0 for delta systems and at and below lam0
-    for delta-prime systems; otherwise the result is inconclusive.
-    """
-    return _exclusion(system, lam0,
-                      series_verdict(system, lam0, window, margin=margin))
-
-
-def _exclusion(system: SystemSpec, lam0: float,
-               sv: DivergenceVerdict) -> ExclusionResult:
-    if sv.verdict != "diverges":
-        return ExclusionResult(lambda0=lam0, verdict="inconclusive",
-                               excluded=None, series=sv)
-    if system.kind == DELTA:
-        excluded = Interval.closed_ray(lam0)
-    else:
-        excluded = Interval.left_open(0.0, lam0)
-    return ExclusionResult(lambda0=lam0, verdict="excluded",
-                           excluded=excluded, series=sv)
 
 
 def _precondition_report(w: WindowScan, config: ClassifyConfig) -> dict:
@@ -238,11 +198,12 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
         ac = "unknown"
 
     if grid is not None:
-        verdicts = [_exclusion(system, g, _verdict_from_scan(w, k, config.margin))
-                    for k, g in enumerate(grid)]
-        excluded_at = [r.lambda0 for r in verdicts if r.verdict == "excluded"]
+        # a divergent series at g excludes eigenvalues >= g for delta, <= g for delta'
+        verdicts = ["excluded" if _verdict_from_scan(w, k, config.margin).verdict == "diverges"
+                    else "inconclusive" for k in range(len(grid))]
+        excluded_at = [g for g, v in zip(grid, verdicts) if v == "excluded"]
         diagnostics["lambda0_grid"] = grid
-        diagnostics["exclusion_verdicts"] = [r.verdict for r in verdicts]
+        diagnostics["exclusion_verdicts"] = verdicts
         if system.kind == DELTA:
             diagnostics["pp_upper_from_exclusions"] = (
                 min(excluded_at) if excluded_at else None)
@@ -296,14 +257,6 @@ def dirichlet_eigenvalues(length: float, k_max: int) -> EigenvalueList:
     if not length > 0:
         raise ValueError("interval length must be positive")
     ks = np.arange(1, k_max + 1, dtype=float)
-    return EigenvalueList(values=(math.pi * ks / length) ** 2)
-
-
-def neumann_eigenvalues(length: float, k_max: int) -> EigenvalueList:
-    """(pi k / length)^2 for k = 0..k_max, including 0."""
-    if not length > 0:
-        raise ValueError("interval length must be positive")
-    ks = np.arange(0, k_max + 1, dtype=float)
     return EigenvalueList(values=(math.pi * ks / length) ** 2)
 
 

@@ -53,7 +53,7 @@ def step_matrix(system: SystemSpec, lam: float, n: int) -> np.ndarray:
         raise OverflowError(
             f"gap {n - 1} is not representable in double precision; "
             "use the log-domain growth routines instead")
-    alpha = system.strengths.alpha(n)
+    alpha = float(system.strengths.alphas(n, n)[0])
     return jump_matrix(system.kind, alpha) @ fundamental_matrix(lam, g)
 
 
@@ -157,18 +157,6 @@ def operator_norm(m: np.ndarray) -> float:
     plus = math.sqrt(abs(a + np.conj(d)) ** 2 + abs(b - np.conj(c)) ** 2)
     minus = math.sqrt(abs(a - np.conj(d)) ** 2 + abs(b + np.conj(c)) ** 2)
     return (plus + minus) / 2.0
-
-
-def fundamental_norm_bound(lam: float) -> float:
-    """sup over d of the free-propagator spectral norm, max(sqrt(lam), 1/sqrt(lam)).
-
-    fundamental_matrix(lam, d) = D R D^-1 with D = diag(1, sqrt(lam)) and R
-    the rotation by d sqrt(lam), so its norm is at most the condition number
-    of D, and a quarter period attains it.
-    """
-    _check_lambda(lam)
-    rt = math.sqrt(lam)
-    return max(rt, 1.0 / rt)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pointspec import (SparseSet, StrengthSequence, SystemSpec, dalembert_ratio,
-                       diagonalizer, log_coupling_product, lower_bound_check,
-                       propagate, propagation_profile, series_terms,
-                       series_verdict, step_matrix, weighted_norm_sum)
+from pointspec import (SparseSet, StrengthSequence, SystemSpec, diagonalizer,
+                       lower_bound_check, propagate, propagation_profile,
+                       series_terms, series_verdict, step_matrix,
+                       weighted_norm_sum)
+from pointspec.growth import log_dalembert_ratios
 
 from conftest import factorial_system, random_small_system
 
@@ -14,30 +15,34 @@ from conftest import factorial_system, random_small_system
 class TestLogCouplingProduct:
     def test_empty_product(self):
         sys = factorial_system("delta", 0.5)
-        assert log_coupling_product(sys, 1.0, 0) == 0.0
+        assert series_terms(sys, 1.0, 0).log_products[0] == 0.0
 
     def test_matched_strengths_give_powers_of_two(self):
         lam = 2.0
         st = StrengthSequence.explicit([math.sqrt(lam)] * 10)
-        sys = SystemSpec("delta", SparseSet.explicit(np.arange(11.0)), st)
-        assert log_coupling_product(sys, lam, 10) == \
+        # series_terms also reads gap 10: the lattice needs point 11
+        sys = SystemSpec("delta", SparseSet.explicit(np.arange(12.0)), st)
+        assert series_terms(sys, lam, 10).log_products[10] == \
             pytest.approx(10 * math.log(2.0), rel=1e-14)
 
     def test_monotone_in_energy(self):
-        # the delta-direction product shrinks as the energy grows; evaluated
-        # at the reciprocal it grows instead
-        sys = factorial_system("delta", 0.5)
+        # the delta product shrinks as the energy grows; the delta-prime
+        # product, evaluated at the reciprocal energy, grows instead
         lams = np.geomspace(0.01, 100, 40)
+        delta = [series_terms(factorial_system("delta", 0.5), lam, 200).log_products
+                 for lam in lams]
+        prime = [series_terms(factorial_system("delta_prime", 0.5), lam, 200).log_products
+                 for lam in lams]
         for n in (1, 7, 50, 200):
-            vals = [log_coupling_product(sys, lam, n) for lam in lams]
+            vals = [p[n] for p in delta]
             assert all(b < a for a, b in zip(vals, vals[1:]))
-            recip = [log_coupling_product(sys, 1.0 / lam, n) for lam in lams]
+            recip = [p[n] for p in prime]
             assert all(b > a for a, b in zip(recip, recip[1:]))
 
     def test_rejects_bad_energy(self):
         sys = factorial_system("delta", 0.5)
         with pytest.raises(ValueError):
-            log_coupling_product(sys, 0.0, 3)
+            series_terms(sys, 0.0, 3)
 
 
 class TestSeriesTerms:
@@ -74,13 +79,18 @@ class TestSeriesTerms:
                         dalembert_ratio(sys, lam0, n), rel=1e-10)
 
 
+def dalembert_ratio(sys, lam0, n):
+    """The consecutive-term ratio of the divergence series at index n."""
+    return math.exp(log_dalembert_ratios(sys, lam0, n, n)[0])
+
+
 class TestDalembertRatio:
     def test_free_ratio_is_sparseness(self):
         lat = SparseSet.factorial()
         sys = SystemSpec("delta", lat, StrengthSequence.constant(0.0))
         for n in (1, 5, 20):
             assert dalembert_ratio(sys, 1.0, n) == \
-                pytest.approx(lat.sparseness_ratio(n), rel=1e-12)
+                pytest.approx(math.exp(lat.log_gap_ratios(n, n)[0]), rel=1e-12)
 
     def test_sqrt_power_delta_limit(self):
         # exact ratio tends to lam0 * 1 from below
@@ -175,7 +185,7 @@ class TestWeightedNormSum:
         n = 6
         total = weighted_norm_sum(sys, 1.0, n)
         vecs = propagate(sys, 1.0, (0.0, 1.0), n)
-        last = (sys.lattice.log_gap(n)
+        last = (sys.lattice.log_gaps(n, n)[0]
                 + 2 * math.log(np.linalg.norm(vecs[n])))
         assert last <= total < last + math.log(2.0)
 

@@ -59,10 +59,10 @@ class TestSparseSet:
 
     def test_log_gap_factorial(self):
         lat = SparseSet.factorial()
-        assert lat.log_gap(3) == pytest.approx(math.log(18.0), abs=1e-12)
+        assert lat.log_gaps(3, 3)[0] == pytest.approx(math.log(18.0), abs=1e-12)
         # n = 300 is far beyond double range; exact big-int log as oracle
         exact = math.log(300 * math.factorial(300))
-        assert lat.log_gap(300) == pytest.approx(exact, rel=1e-13)
+        assert lat.log_gaps(300, 300)[0] == pytest.approx(exact, rel=1e-13)
 
     def test_factorial_log_gaps_against_mpmath(self):
         # crosses the seam between the exact table (n <= 169) and the
@@ -71,7 +71,7 @@ class TestSparseSet:
         lat = SparseSet.factorial(max_index=10**9)
         ns = list(range(401)) + [10**k + d for k in range(3, 9) for d in (0, 1, 7)]
         got = np.concatenate([lat.log_gaps(0, 400),
-                              [lat.log_gap(n) for n in ns[401:]]])
+                              [lat.log_gaps(n, n)[0] for n in ns[401:]]])
         with mp.workdps(60):
             for n, g in zip(ns, got):
                 exact = mp.log(n) + mp.loggamma(n + 1) if n else mp.mpf(0)
@@ -81,7 +81,7 @@ class TestSparseSet:
 
     def test_log_gap_explicit(self):
         lat = SparseSet.explicit([0.0, 1.0, 3.0])
-        assert lat.log_gap(1) == pytest.approx(math.log(2.0), abs=1e-14)
+        assert lat.log_gaps(1, 1)[0] == pytest.approx(math.log(2.0), abs=1e-14)
 
     @pytest.mark.parametrize("lat,ns", [
         (SparseSet.factorial(), range(0, 21)),
@@ -94,7 +94,7 @@ class TestSparseSet:
         for n in ns:
             g = lat.gap(n)
             if math.isfinite(g):
-                assert abs(math.log(g) - lat.log_gap(n)) < 1e-10
+                assert abs(math.log(g) - lat.log_gaps(n, n)[0]) < 1e-10
 
     @pytest.mark.parametrize("lat", [
         SparseSet.factorial(),
@@ -140,7 +140,7 @@ class TestSparseSet:
         lat = SparseSet.factorial()
         arr = lat.log_gaps(0, 30)
         for n in range(31):
-            assert arr[n] == pytest.approx(lat.log_gap(n), abs=1e-13)
+            assert arr[n] == pytest.approx(lat.log_gaps(n, n)[0], abs=1e-13)
 
     def test_explicit_log_gaps_convert_only_their_slice(self):
         n = 2 * 10**5
@@ -204,42 +204,43 @@ class TestSparseSet:
 
     def test_sparseness_ratio_factorial(self):
         lat = SparseSet.factorial()
-        assert lat.sparseness_ratio(4) == pytest.approx(16.0 / 3.0, rel=1e-12)
+        ratio = math.exp(lat.log_gap_ratios(4, 4)[0])
+        assert ratio == pytest.approx(16.0 / 3.0, rel=1e-12)
         # matches the defining log expression
-        expected = math.exp(lat.log_gap(4) - lat.log_gap(3))
-        assert lat.sparseness_ratio(4) == pytest.approx(expected, rel=1e-12)
+        expected = math.exp(lat.log_gaps(4, 4)[0] - lat.log_gaps(3, 3)[0])
+        assert ratio == pytest.approx(expected, rel=1e-12)
 
     def test_sparseness_ratio_constant_gaps(self):
         lat = SparseSet.explicit(np.arange(8.0))
         for n in range(1, 7):
-            assert lat.sparseness_ratio(n) == pytest.approx(1.0, rel=1e-12)
+            assert math.exp(lat.log_gap_ratios(n, n)[0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_sparseness_ratio_grows_past_1000(self):
         lat = SparseSet.factorial()
         # equals n^2/(n-1) for the factorial generator
-        assert lat.sparseness_ratio(1000) > 1000.0
-        ratios = [lat.sparseness_ratio(n) for n in (10, 100, 1000, 10**4)]
+        assert math.exp(lat.log_gap_ratios(1000, 1000)[0]) > 1000.0
+        ratios = [math.exp(lat.log_gap_ratios(n, n)[0]) for n in (10, 100, 1000, 10**4)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
 class TestStrengthSequence:
     def test_power_values(self):
         st = StrengthSequence.power(2.0, 0.5)
-        assert st.alpha(4) == pytest.approx(4.0)
+        assert st.alphas(4, 4)[0] == pytest.approx(4.0)
         assert np.allclose(st.alphas(1, 4), 2.0 * np.sqrt([1, 2, 3, 4]))
 
     def test_constant(self):
         st = StrengthSequence.constant(-3.0)
-        assert st.alpha(17) == -3.0
+        assert st.alphas(17, 17)[0] == -3.0
 
     def test_explicit_indexing(self):
         st = StrengthSequence.explicit([5.0, -1.0])
-        assert st.alpha(1) == 5.0
-        assert st.alpha(2) == -1.0
+        assert st.alphas(1, 1)[0] == 5.0
+        assert st.alphas(2, 2)[0] == -1.0
         with pytest.raises(IndexError):
-            st.alpha(3)
+            st.alphas(3, 3)
         with pytest.raises(IndexError):
-            st.alpha(0)
+            st.alphas(0, 0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -257,17 +258,6 @@ class TestStrengthSequence:
     def test_log_abs_alphas_rejects_empty_range(self):
         with pytest.raises(IndexError):
             StrengthSequence.power(1.5, 0.5).log_abs_alphas(5, 3)
-
-    @pytest.mark.parametrize("seq", [
-        StrengthSequence.power(1.5, 0.5), StrengthSequence.power(-2.0, 0.25),
-        StrengthSequence.constant(-3.0),
-        StrengthSequence.explicit([1.0, -2.5, 0.0, 7.0]),
-    ])
-    def test_alpha_is_a_view_of_alphas(self, seq):
-        arr = seq.alphas(1, 4)
-        assert [seq.alpha(n) for n in range(1, 5)] == arr.tolist()
-        with pytest.raises(IndexError):
-            seq.alpha(0)
 
 
 B = WINDOW_BLOCK

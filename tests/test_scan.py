@@ -180,10 +180,8 @@ def test_tail_fall_across_a_block_boundary(dip):
     assert_matches_oracle(system, window, grid=[1e6])
 
 
-def test_results_do_not_depend_on_the_thread_count(monkeypatch):
-    system = SystemSpec("delta_prime", SparseSet.power(1.2, 2.0),
-                        StrengthSequence.power(1.5, 0.5))
-    window = (11, 11 + 9 * B)
+def assert_thread_count_free(monkeypatch, system, window):
+    """The scan runs on one thread per usable CPU, with the same result."""
     threads = set()
     log_gap_ratios = SparseSet.log_gap_ratios
 
@@ -216,6 +214,18 @@ def test_results_do_not_depend_on_the_thread_count(monkeypatch):
         sys.setswitchinterval(interval)
     assert results[1] == results[4] == results[3]
     assert threading.active_count() == running  # every worker joined
+
+
+def test_results_do_not_depend_on_the_thread_count(monkeypatch):
+    system = SystemSpec("delta_prime", SparseSet.power(1.2, 2.0),
+                        StrengthSequence.power(1.5, 0.5))
+    assert_thread_count_free(monkeypatch, system, (11, 11 + 9 * B))
+
+
+def test_explicit_lattices_scan_on_every_worker(monkeypatch):
+    # five blocks: an explicit block reads only its own slice of the points
+    system = explicit_system("delta", 4 * B + 20)
+    assert_thread_count_free(monkeypatch, system, (11, 11 + 4 * B))
 
 
 def test_workers_keep_the_callers_numpy_errors(monkeypatch):

@@ -9,7 +9,6 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        StrengthSequence, SystemSpec, box_eigenvalue_above,
                        classify, dirichlet_eigenvalues,
                        essential_spectrum_probe, fd_oracle_eigenvalues,
-                       neumann_eigenvalues, point_spectrum_exclusion,
                        truncated_eigenvalues)
 from pointspec.spectrum import _count_below, _fd_tridiagonal, _sturm_count
 
@@ -35,7 +34,7 @@ class TestInterval:
     def test_rendering(self):
         assert str(Interval.closed(0.0, 1.5)) == "[0,1.5]"
         assert str(Interval.closed_ray(1.0)) == "[1,inf)"
-        assert str(Interval.left_open(0.0, 0.5)) == "(0,0.5]"
+        assert str(Interval(0.0, 0.5, False, True)) == "(0,0.5]"
         assert str(Interval.right_open(0.0, math.inf)) == "[0,inf)"
         assert str(Interval.empty()) == "empty"
 
@@ -169,7 +168,7 @@ class TestClassify:
                 return original(self, *args, **kwargs)
             monkeypatch.setattr(cls, name, wrapper)
 
-        for name in ("log_gaps", "log_gap_ratios", "gap", "log_gap"):
+        for name in ("log_gaps", "log_gap_ratios", "gap"):
             recording(SparseSet, name)
         for name in ("alphas", "log_abs_alphas"):
             recording(StrengthSequence, name)
@@ -186,30 +185,32 @@ class TestClassify:
             assert np.array_equal(np.sort(indices), np.arange(first, 10**5 + 1)), name
 
 
+def exclusion(kind, p, lam0, window):
+    """classify's exclusion diagnostics at the single probe energy lam0."""
+    res = classify(factorial_system(kind, p), window=window, lambda0_grid=[lam0])
+    return res.diagnostics
+
+
 class TestPointSpectrumExclusion:
     def test_quarter_power_small_probe(self):
-        sys = factorial_system("delta", 0.25)
-        res = point_spectrum_exclusion(sys, 0.01, (100, 10**6))
-        assert res.verdict == "excluded"
-        assert str(res.excluded) == "[0.01,inf)"
+        diag = exclusion("delta", 0.25, 0.01, (100, 10**6))
+        assert diag["exclusion_verdicts"] == ["excluded"]
+        assert diag["pp_upper_from_exclusions"] == 0.01  # excludes [0.01, inf)
 
     def test_sqrt_power_delta(self):
-        sys = factorial_system("delta", 0.5)
-        res = point_spectrum_exclusion(sys, 2.0, (100, 10**4))
-        assert res.verdict == "excluded"
-        assert str(res.excluded) == "[2,inf)"
+        diag = exclusion("delta", 0.5, 2.0, (100, 10**4))
+        assert diag["exclusion_verdicts"] == ["excluded"]
+        assert diag["pp_upper_from_exclusions"] == 2.0  # excludes [2, inf)
 
     def test_sqrt_power_delta_prime(self):
-        sys = factorial_system("delta_prime", 0.5)
-        res = point_spectrum_exclusion(sys, 0.5, (100, 10**4))
-        assert res.verdict == "excluded"
-        assert str(res.excluded) == "(0,0.5]"
+        diag = exclusion("delta_prime", 0.5, 0.5, (100, 10**4))
+        assert diag["exclusion_verdicts"] == ["excluded"]
+        assert diag["pp_lower_from_exclusions"] == 0.5  # excludes (0, 0.5]
 
     def test_inconclusive_probe(self):
-        sys = factorial_system("delta", 0.5)
-        res = point_spectrum_exclusion(sys, 0.5, (100, 10**4))
-        assert res.verdict == "inconclusive"
-        assert res.excluded is None
+        diag = exclusion("delta", 0.5, 0.5, (100, 10**4))
+        assert diag["exclusion_verdicts"] == ["inconclusive"]
+        assert diag["pp_upper_from_exclusions"] is None
 
 
 class TestComparisonEigenvalues:
@@ -218,13 +219,6 @@ class TestComparisonEigenvalues:
         vals = dirichlet_eigenvalues(2.0, 2).values
         assert np.allclose(vals, [(math.pi / 2) ** 2, math.pi ** 2])
         assert dirichlet_eigenvalues(1.0, 1).values[0] == \
-            pytest.approx(math.pi ** 2)
-
-    def test_neumann_includes_zero(self):
-        vals = neumann_eigenvalues(math.pi, 2).values
-        assert np.allclose(vals, [0, 1, 4])
-        assert neumann_eigenvalues(1.0, 0).values[0] == 0.0
-        assert neumann_eigenvalues(2.0, 2).values[2] == \
             pytest.approx(math.pi ** 2)
 
     def test_box_eigenvalue_above(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pointspec import (SparseSet, StrengthSequence, SystemSpec, diagonalizer,
-                       fundamental_matrix, fundamental_norm_bound,
-                       inverse_step_diagonalized, jump_matrix, operator_norm,
-                       propagate, sample_solution, step_matrix)
+                       fundamental_matrix, inverse_step_diagonalized,
+                       jump_matrix, operator_norm, propagate, sample_solution,
+                       step_matrix)
 from pointspec.transfer import PropagationOverflow, free_flow
 
 from conftest import random_small_system
@@ -160,7 +160,7 @@ class TestPropagate:
             lam = rng.uniform(0.2, 30)
             vecs = propagate(sys, lam, (0.0, 1.0), 1)
             before = fundamental_matrix(lam, sys.lattice.gap(0)) @ vecs[0]
-            a1 = sys.strengths.alpha(1)
+            a1 = sys.strengths.alphas(1, 1)[0]
             assert vecs[1][0] == pytest.approx(before[0], rel=1e-12, abs=1e-12)
             assert vecs[1][1] - before[1] == pytest.approx(a1 * before[0],
                                                            rel=1e-10, abs=1e-12)
@@ -171,7 +171,7 @@ class TestPropagate:
             lam = rng.uniform(0.2, 30)
             vecs = propagate(sys, lam, (0.0, 1.0), 1)
             before = fundamental_matrix(lam, sys.lattice.gap(0)) @ vecs[0]
-            a1 = sys.strengths.alpha(1)
+            a1 = sys.strengths.alphas(1, 1)[0]
             assert vecs[1][1] == pytest.approx(before[1], rel=1e-12, abs=1e-12)
             assert vecs[1][0] - before[0] == pytest.approx(a1 * before[1],
                                                            rel=1e-10, abs=1e-12)
@@ -276,49 +276,17 @@ class TestOperatorNorm:
             assert abs(operator_norm(fundamental_matrix(1.0, d)) - 1.0) < 1e-14
 
 
-class TestFundamentalNormBound:
-    def test_unit_energy(self):
-        assert fundamental_norm_bound(1.0) == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("lam,expected", [(4.0, 2.0), (0.25, 2.0)])
-    def test_known_bounds(self, lam, expected):
-        assert fundamental_norm_bound(lam) == pytest.approx(expected, abs=1e-9)
-
-    def test_closed_form_matches_numeric_maximum(self, rng):
-        # grid scan over one period plus bounded refinement of the best cell
-        from scipy.optimize import minimize_scalar
-
-        for lam in [1.0, 0.25, 4.0, *rng.uniform(0.05, 50, 8)]:
-            period = 2.0 * math.pi / math.sqrt(lam)
-            ds = np.linspace(0.0, period, 2049)
-            norms = [operator_norm(fundamental_matrix(lam, d)) for d in ds]
-            k = int(np.argmax(norms))
-            res = minimize_scalar(
-                lambda d: -operator_norm(fundamental_matrix(lam, d)),
-                bounds=(ds[max(k - 1, 0)], ds[min(k + 1, len(ds) - 1)]),
-                method="bounded", options={"xatol": 1e-13})
-            numeric = max(float(-res.fun), float(norms[k]))
-            assert fundamental_norm_bound(lam) == pytest.approx(numeric, rel=1e-12)
-
-    def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # no scipy module at all: only the FD oracle imports scipy.linalg,
-        # when it runs
-        import subprocess
-        import sys as system
-        code = ("import sys, pointspec.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
-        proc = subprocess.run([system.executable, "-c", code], check=True,
-                              capture_output=True, text=True)
-        assert proc.stdout.strip() == "[]"
-
-    def test_is_supremum_and_matches_conjecture(self, rng):
-        for lam in rng.uniform(0.05, 50, 10):
-            c = fundamental_norm_bound(lam)
-            for d in rng.uniform(-30, 30, 50):
-                assert operator_norm(fundamental_matrix(lam, d)) <= c + 1e-9
-            conjecture = max(math.sqrt(lam), 1 / math.sqrt(lam))
-            assert c == pytest.approx(conjecture, rel=1e-6)
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # no scipy module at all: only the FD oracle imports scipy.linalg,
+    # when it runs
+    import subprocess
+    import sys as system
+    code = ("import sys, pointspec.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([system.executable, "-c", code], check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestFreeFlow:
@@ -368,7 +336,7 @@ class TestSampleSolution:
         for n in range(1, 6):
             gap = sys.lattice.gap(n - 1)
             left = fundamental_matrix(lam, gap) @ vecs[n - 1]
-            a = sys.strengths.alpha(n)
+            a = sys.strengths.alphas(n, n)[0]
             scale = max(np.abs(left).max(), 1.0)
             if kind == "delta":
                 assert abs(vecs[n][0] - left[0]) < 1e-10 * scale
@@ -382,8 +350,6 @@ class TestSampleSolution:
             diagonalizer(-1.0)
         with pytest.raises(ValueError):
             inverse_step_diagonalized("delta", -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            fundamental_norm_bound(0.0)
 
     def test_free_equation_residual_inside_cells(self, rng):
         sys = random_small_system(rng, "delta", 3, alpha_range=(-4, 4))
