@@ -27,6 +27,12 @@ CASE_I_DELTA_PRIME = "case_i_delta_prime"
 CASE_II = "case_ii"
 NO_CONCLUSION = "no_conclusion"
 
+# each _count_below call costs ~10 ufunc dispatches per lattice step,
+# whatever its length: strides of 8-64 measure alike, and trees deeper
+# than 5 levels cost more in sin/cos/arctan2 per energy than they save
+_GRID_STRIDE = 16  # grid points per coarse cell
+_TREE_LEVELS = 4  # bisection steps per count call: 15 midpoints per bracket
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -341,6 +347,35 @@ def _count_below(system: SystemSpec, n_max: int, lams) -> np.ndarray:
     return count
 
 
+def _bisect_tree(system: SystemSpec, n_max: int, js: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``_TREE_LEVELS`` bisection steps of every bracket, one count.
+
+    Halves every sub-bracket of each bracket ``_TREE_LEVELS`` times, each
+    midpoint formed as 0.5 * (a + b) from its own sub-bracket, and counts
+    all the midpoints in one call.  Each root then walks down its tree
+    under the same stopping test as before every step: the brackets are
+    those of one-at-a-time bisection, bit for bit.
+    """
+    edges = np.stack([lo, hi], axis=1)
+    for _ in range(_TREE_LEVELS):
+        finer = np.empty((len(js), 2 * edges.shape[1] - 1))
+        finer[:, ::2] = edges
+        finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        edges = finer
+    mids = edges[:, 1:-1]  # ascending; the tree's root sits in the middle
+    left_of = _count_below(system, n_max, mids.ravel()).reshape(mids.shape) >= js[:, None]
+    rows, at = np.arange(len(js)), np.full(len(js), -1)  # mids[at]: left edge (-1: lo)
+    for level in range(_TREE_LEVELS - 1, -1, -1):
+        live = hi - lo > np.maximum(tol, np.spacing(hi))
+        at += 2**level  # each sub-bracket's midpoint
+        mid, left = mids[rows, at], left_of[rows, at]
+        hi = np.where(live & left, mid, hi)
+        lo = np.where(live & ~left, mid, lo)
+        at -= 2**level * left  # roots left of it keep their left edge
+    return lo, hi
+
+
 def truncated_eigenvalues(system: SystemSpec, n_max: int,
                           lam_range: tuple[float, float],
                           grid_resolution: int = 2000,
@@ -350,11 +385,19 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     The closure is Dirichlet at x_N for delta systems and Neumann for
     delta-prime systems.  An exact eigenvalue count (``_count_below``) on a
     uniform grid of ``grid_resolution`` cells puts each root in the cell
-    where the count passes it; all roots are then bisected together on the
-    count until their brackets are no wider than ``tol`` (or than the gap
-    between adjacent doubles).  Roots closer than that share a bracket and
-    are reported once; ``suspected_missed`` is the exact number of roots in
-    the range that the list lacks.  More roots than grid cells raise.
+    where the count passes it.  The count is taken at every
+    ``_GRID_STRIDE``-th grid point first, then at the inner points of the
+    coarse cells where it rises.  All roots are then bisected together on
+    the count until their brackets are no wider than ``tol`` (or than the
+    gap between adjacent doubles); each count call serves ``_TREE_LEVELS``
+    bisection steps through a tree of midpoints.  Roots and brackets equal
+    those of a full-grid count and one-midpoint-per-step bisection, as long
+    as the count does not decrease along the grid, which oscillation theory
+    gives while the cell phases ``sqrt(lam) * gap`` keep their digits (not
+    so for factorial truncations past n ~ 18).  Roots closer than ``tol``
+    share a bracket and are reported once; ``suspected_missed`` is the exact
+    number of roots in the range that the list lacks.  More roots than grid
+    cells raise.
     """
     lam_lo, lam_hi = lam_range
     if not (0 < lam_lo < lam_hi):
@@ -369,19 +412,26 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     if math.sqrt(lam_hi) * x_end / math.pi + n_max > 2.0**53:  # bounds the count
         raise ValueError("eigenvalue count passes 2^53, beyond exact doubles")
     grid = np.linspace(lam_lo, lam_hi, grid_resolution + 1)
-    counts = _count_below(system, n_max, grid)
-    if (n_roots := counts[-1] - counts[0]) > grid_resolution:
+    coarse = np.r_[0:grid_resolution:_GRID_STRIDE, grid_resolution]
+    coarse_counts = _count_below(system, n_max, grid[coarse])
+    if (n_roots := coarse_counts[-1] - coarse_counts[0]) > grid_resolution:
         raise ValueError(f"{n_roots} eigenvalues in range, more than "
                          f"grid_resolution ({grid_resolution}); narrow the range")
+    # the count is flat across a coarse cell whose ends agree: only the
+    # interior points of the rising cells need counting
+    widths = np.diff(coarse)
+    counts = np.append(np.repeat(coarse_counts[:-1], widths), coarse_counts[-1])
+    rising = np.repeat(coarse_counts[1:] > coarse_counts[:-1], widths)
+    rising[coarse[:-1]] = False
+    if len(fine := np.flatnonzero(rising)):
+        counts[fine] = _count_below(system, n_max, grid[fine])
     js = np.arange(counts[0] + 1, counts[-1] + 1)  # counts of the roots in range
     cell = np.searchsorted(counts, js) - 1
     lo, hi = grid[cell], grid[cell + 1]
     # adjacent doubles cannot be split, whatever tol asks
     while np.any(live := hi - lo > np.maximum(tol, np.spacing(hi))):
-        mid = 0.5 * (lo[live] + hi[live])
-        left = _count_below(system, n_max, mid) >= js[live]
-        hi[live] = np.where(left, mid, hi[live])
-        lo[live] = np.where(left, lo[live], mid)
+        lo[live], hi[live] = _bisect_tree(system, n_max, js[live], lo[live],
+                                          hi[live], tol)
     roots, first = np.unique(0.5 * (lo + hi), return_index=True)
     col = 0 if system.kind == DELTA else 1  # psi(x_N) for delta, psi'(x_N) else
     residuals = [abs(propagate(system, r, DIRICHLET_START, n_max)[-1][col])
@@ -445,12 +495,11 @@ def _sturm_count(d: np.ndarray, e: np.ndarray, x: float) -> int:
     pivmin = safmin * max(1, max kept e_j^2) counts as negative.
     """
     ulp2, safmin = np.finfo(float).eps ** 2, np.finfo(float).tiny
-    d = d.tolist()
-    e2 = [0.0 if abs(a * b) * ulp2 + safmin > c * c else c * c
-          for a, b, c in zip(d, d[1:], e.tolist())]
-    pivmin = safmin * max([1.0] + e2)
+    e2 = e * e
+    e2[np.abs(d[:-1] * d[1:]) * ulp2 + safmin > e2] = 0.0
+    pivmin = safmin * float(np.max(e2, initial=1.0))
     count, pivot = 0, 1.0
-    for dj, ej2 in zip(d, [0.0] + e2):
+    for dj, ej2 in zip(d.tolist(), [0.0, *e2.tolist()]):
         pivot = dj - ej2 / pivot - x
         if abs(pivot) < pivmin:
             pivot = -pivmin

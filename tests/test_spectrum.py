@@ -10,7 +10,9 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        classify, dirichlet_eigenvalues,
                        essential_spectrum_probe, fd_oracle_eigenvalues,
                        truncated_eigenvalues)
+from pointspec import spectrum
 from pointspec.spectrum import _count_below, _fd_tridiagonal, _sturm_count
+from pointspec.transfer import DIRICHLET_START, propagate
 
 from conftest import factorial_system
 
@@ -432,6 +434,121 @@ class TestCountBelow:
         assert len(fine) == 4 and fine.suspected_missed == 0
         assert len(coarse) == 3 and coarse.suspected_missed == 1
         assert np.all(coarse.bracket_widths <= 0.05)
+
+
+def eigenvalues_one_at_a_time(system, n_max, lam_range, grid_resolution=2000,
+                              tol=1e-10):
+    """Reference solver: the count on every grid point, one midpoint per round."""
+    lam_lo, lam_hi = lam_range
+    if not (0 < lam_lo < lam_hi):
+        raise ValueError("energy range must satisfy 0 < lo < hi")
+    if grid_resolution < 2:
+        raise ValueError("grid resolution must be at least 2")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    x_end = system.lattice.position(n_max)
+    if not math.isfinite(x_end):
+        raise OverflowError("truncation endpoint beyond double range")
+    if math.sqrt(lam_hi) * x_end / math.pi + n_max > 2.0**53:
+        raise ValueError("eigenvalue count passes 2^53, beyond exact doubles")
+    grid = np.linspace(lam_lo, lam_hi, grid_resolution + 1)
+    counts = _count_below(system, n_max, grid)
+    if (n_roots := counts[-1] - counts[0]) > grid_resolution:
+        raise ValueError(f"{n_roots} eigenvalues in range, more than "
+                         f"grid_resolution ({grid_resolution}); narrow the range")
+    js = np.arange(counts[0] + 1, counts[-1] + 1)
+    cell = np.searchsorted(counts, js) - 1
+    lo, hi = grid[cell], grid[cell + 1]
+    while np.any(live := hi - lo > np.maximum(tol, np.spacing(hi))):
+        mid = 0.5 * (lo[live] + hi[live])
+        left = _count_below(system, n_max, mid) >= js[live]
+        hi[live] = np.where(left, mid, hi[live])
+        lo[live] = np.where(left, lo[live], mid)
+    roots, first = np.unique(0.5 * (lo + hi), return_index=True)
+    col = 0 if system.kind == "delta" else 1
+    residuals = [abs(propagate(system, r, DIRICHLET_START, n_max)[-1][col])
+                 for r in roots.tolist()]
+    return EigenvalueList(values=roots, residuals=np.array(residuals),
+                          bracket_widths=(hi - lo)[first],
+                          suspected_missed=len(js) - len(roots))
+
+
+def solve_or_error(solver, *args):
+    try:
+        res = solver(*args)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+    return (res.values, res.residuals, res.bracket_widths, res.suspected_missed)
+
+
+def assert_same_outcome(args):
+    got = solve_or_error(truncated_eigenvalues, *args)
+    want = solve_or_error(eigenvalues_one_at_a_time, *args)
+    if isinstance(want[0], type):
+        assert got == want
+        return False
+    assert all(np.array_equal(g, w) for g, w in zip(got, want)), args[2:]
+    return True
+
+
+class TestCoarseGridAndMidpointTree:
+    def test_roots_equal_one_at_a_time_bisection(self):
+        rng = np.random.default_rng(13)
+        resolutions = (2, 3, 10, 17, 100, 1999, 2000, 4097)
+        tols = (1e-16, 1e-10, 1e-6, 0.05)
+        solved = errors = 0
+        for i in range(200):
+            n = int(rng.integers(1, 13))
+            system = random_truncation(rng, ("delta", "delta_prime")[i % 2], n)
+            lo = float(rng.uniform(0.01, 5.0))
+            lam_range = (lo, lo + float(rng.uniform(0.5, 25.0)))
+            args = (system, n, lam_range, resolutions[i % 8], tols[i // 8 % 4])
+            if assert_same_outcome(args):
+                solved += 1
+            else:
+                errors += 1
+        assert solved >= 100 and errors >= 10
+
+    def test_close_roots_empty_ranges_and_end_cells(self):
+        close = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 3.0]),
+                           StrengthSequence.explicit([5000.0, 0.0]))
+        for grid_resolution, tol in ((2000, 1e-10), (10, 0.05), (17, 1e-16), (3, 1e-6)):
+            assert_same_outcome((close, 2, (0.5, 30.0), grid_resolution, tol))
+        free = SystemSpec("delta", SparseSet.explicit([0.0, math.pi]),
+                          StrengthSequence.explicit([0.0]))
+        assert_same_outcome((free, 1, (1.5, 3.5), 2000, 1e-10))  # no roots
+        # the roots 1 and 4 lie in the first and the last of 2000 cells
+        for lam_range in ((0.9999, 3.0), (2.0, 4.0005)):
+            assert_same_outcome((free, 1, lam_range, 2000, 1e-12))
+            grid = np.linspace(*lam_range, 2001)
+            (root,) = truncated_eigenvalues(free, 1, lam_range, tol=1e-12).values
+            assert grid[0] < root < grid[1] or grid[-2] < root < grid[-1]
+
+    def test_errors_match_one_at_a_time_bisection(self):
+        free = SystemSpec("delta", SparseSet.explicit([0.0, math.pi]),
+                          StrengthSequence.explicit([0.0]))
+        for args in ((free, 1, (2.0, 2.0)), (free, 1, (-1.0, 2.0)),
+                     (free, 1, (0.5, 3.0), 1), (free, 0, (0.5, 3.0)),
+                     (free, 1, (0.5, 100.0), 3),
+                     (factorial_system("delta", 0.5), 20, (0.5, 10.0))):
+            assert not assert_same_outcome(args)
+
+    def test_count_calls_within_budget(self, monkeypatch):
+        # the 27-root delta-prime truncation: one-at-a-time bisection counts
+        # 28 times, the coarse grid and the midpoint tree at most 10
+        rng = np.random.default_rng(1)
+        system = random_truncation(rng, "delta_prime", 32)
+        want = eigenvalues_one_at_a_time(system, 32, (0.5, 20.0))
+        calls = []
+
+        def counted(system, n_max, lams):
+            calls.append(len(lams))
+            return _count_below(system, n_max, lams)
+
+        monkeypatch.setattr(spectrum, "_count_below", counted)
+        res = truncated_eigenvalues(system, 32, (0.5, 20.0))
+        assert len(calls) <= 10
+        assert len(res) == 27 and np.array_equal(res.values, want.values)
 
 
 def fd_matrix_loop(system, n_max, h):
