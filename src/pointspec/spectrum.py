@@ -27,11 +27,12 @@ CASE_I_DELTA_PRIME = "case_i_delta_prime"
 CASE_II = "case_ii"
 NO_CONCLUSION = "no_conclusion"
 
-# each _count_below call costs ~10 ufunc dispatches per lattice step,
-# whatever its length: strides of 8-64 measure alike, and trees deeper
-# than 5 levels cost more in sin/cos/arctan2 per energy than they save
+# a _count_below call pays ~10 ufunc dispatches per lattice step, as much
+# as its arithmetic on ~100-200 energies costs; strides of 8-64 measure
+# alike, and so do deeper trees for a few brackets
 _GRID_STRIDE = 16  # grid points per coarse cell
-_TREE_LEVELS = 4  # bisection steps per count call: 15 midpoints per bracket
+_TREE_LEVELS = 4  # most bisection steps per count call: 15 midpoints per bracket
+_CALL_ENERGIES = 512  # most midpoints a count call of more than one level takes
 
 
 @dataclass(frozen=True)
@@ -349,16 +350,24 @@ def _count_below(system: SystemSpec, n_max: int, lams) -> np.ndarray:
 
 def _bisect_tree(system: SystemSpec, n_max: int, js: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``_TREE_LEVELS`` bisection steps of every bracket, one count.
+    """Several bisection steps of every bracket from one count call.
 
-    Halves every sub-bracket of each bracket ``_TREE_LEVELS`` times, each
-    midpoint formed as 0.5 * (a + b) from its own sub-bracket, and counts
-    all the midpoints in one call.  Each root then walks down its tree
-    under the same stopping test as before every step: the brackets are
-    those of one-at-a-time bisection, bit for bit.
+    Halves every sub-bracket of each bracket ``levels`` times, each midpoint
+    formed as 0.5 * (a + b) from its own sub-bracket, and counts all the
+    midpoints in one call.  ``levels`` is ``_TREE_LEVELS`` while the trees
+    fit in ``_CALL_ENERGIES`` midpoints and shrinks as the brackets grow
+    in number, down to one step per call: there a deeper tree would
+    multiply the energies that one-at-a-time bisection counts.  Each root
+    then walks down its tree under the same stopping test as before every
+    step: the brackets are those of one-at-a-time bisection, bit for bit.
     """
+    levels = max(1, min(_TREE_LEVELS, int(np.log2(_CALL_ENERGIES / len(js) + 1))))
+    if levels == 1:  # a tree of one midpoint: skip the walk's bookkeeping
+        mid = 0.5 * (lo + hi)
+        left = _count_below(system, n_max, mid) >= js
+        return np.where(left, lo, mid), np.where(left, mid, hi)
     edges = np.stack([lo, hi], axis=1)
-    for _ in range(_TREE_LEVELS):
+    for _ in range(levels):
         finer = np.empty((len(js), 2 * edges.shape[1] - 1))
         finer[:, ::2] = edges
         finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
@@ -366,13 +375,15 @@ def _bisect_tree(system: SystemSpec, n_max: int, js: np.ndarray, lo: np.ndarray,
     mids = edges[:, 1:-1]  # ascending; the tree's root sits in the middle
     left_of = _count_below(system, n_max, mids.ravel()).reshape(mids.shape) >= js[:, None]
     rows, at = np.arange(len(js)), np.full(len(js), -1)  # mids[at]: left edge (-1: lo)
-    for level in range(_TREE_LEVELS - 1, -1, -1):
-        live = hi - lo > np.maximum(tol, np.spacing(hi))
+    live = True  # every bracket passed in is live
+    for level in range(levels - 1, -1, -1):
         at += 2**level  # each sub-bracket's midpoint
         mid, left = mids[rows, at], left_of[rows, at]
         hi = np.where(live & left, mid, hi)
         lo = np.where(live & ~left, mid, lo)
         at -= 2**level * left  # roots left of it keep their left edge
+        if level:
+            live = hi - lo > np.maximum(tol, np.spacing(hi))
     return lo, hi
 
 
@@ -389,15 +400,15 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     ``_GRID_STRIDE``-th grid point first, then at the inner points of the
     coarse cells where it rises.  All roots are then bisected together on
     the count until their brackets are no wider than ``tol`` (or than the
-    gap between adjacent doubles); each count call serves ``_TREE_LEVELS``
-    bisection steps through a tree of midpoints.  Roots and brackets equal
-    those of a full-grid count and one-midpoint-per-step bisection, as long
-    as the count does not decrease along the grid, which oscillation theory
-    gives while the cell phases ``sqrt(lam) * gap`` keep their digits (not
-    so for factorial truncations past n ~ 18).  Roots closer than ``tol``
-    share a bracket and are reported once; ``suspected_missed`` is the exact
-    number of roots in the range that the list lacks.  More roots than grid
-    cells raise.
+    gap between adjacent doubles); each count call serves several bisection
+    steps through a tree of midpoints, the more the fewer brackets are
+    live.  Roots and brackets equal those of a full-grid count and
+    one-midpoint-per-step bisection, as long as the count does not decrease
+    along the grid, which oscillation theory gives while the cell phases
+    ``sqrt(lam) * gap`` keep their digits (not so for factorial truncations
+    past n ~ 18).  Roots closer than ``tol`` share a bracket and are
+    reported once; ``suspected_missed`` is the exact number of roots in the
+    range that the list lacks.  More roots than grid cells raise.
     """
     lam_lo, lam_hi = lam_range
     if not (0 < lam_lo < lam_hi):

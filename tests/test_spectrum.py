@@ -452,7 +452,7 @@ def eigenvalues_one_at_a_time(system, n_max, lam_range, grid_resolution=2000,
     if math.sqrt(lam_hi) * x_end / math.pi + n_max > 2.0**53:
         raise ValueError("eigenvalue count passes 2^53, beyond exact doubles")
     grid = np.linspace(lam_lo, lam_hi, grid_resolution + 1)
-    counts = _count_below(system, n_max, grid)
+    counts = spectrum._count_below(system, n_max, grid)
     if (n_roots := counts[-1] - counts[0]) > grid_resolution:
         raise ValueError(f"{n_roots} eigenvalues in range, more than "
                          f"grid_resolution ({grid_resolution}); narrow the range")
@@ -461,7 +461,7 @@ def eigenvalues_one_at_a_time(system, n_max, lam_range, grid_resolution=2000,
     lo, hi = grid[cell], grid[cell + 1]
     while np.any(live := hi - lo > np.maximum(tol, np.spacing(hi))):
         mid = 0.5 * (lo[live] + hi[live])
-        left = _count_below(system, n_max, mid) >= js[live]
+        left = spectrum._count_below(system, n_max, mid) >= js[live]
         hi[live] = np.where(left, mid, hi[live])
         lo[live] = np.where(left, lo[live], mid)
     roots, first = np.unique(0.5 * (lo + hi), return_index=True)
@@ -549,6 +549,31 @@ class TestCoarseGridAndMidpointTree:
         res = truncated_eigenvalues(system, 32, (0.5, 20.0))
         assert len(calls) <= 10
         assert len(res) == 27 and np.array_equal(res.values, want.values)
+
+    def test_many_roots_count_no_more_energies(self, monkeypatch):
+        # hundreds of brackets get one bisection step per call, as
+        # one-at-a-time bisection does, and tens get shallow trees
+        energies = []
+
+        def counted(system, n_max, lams):
+            energies.append(len(lams))
+            return _count_below(system, n_max, lams)
+
+        monkeypatch.setattr(spectrum, "_count_below", counted)
+        for kind in ("delta", "delta_prime"):
+            system = random_truncation(np.random.default_rng(2032), kind, 32)
+            for hi in (60.0, 200.0, 2000.0):
+                assert assert_same_outcome((system, 32, (0.5, hi)))
+                # rounding leaves some bracket widths just above this tol
+                # and some just below: they stop a step apart
+                tol = (hi - 0.5) / 2000 / 8
+                assert assert_same_outcome((system, 32, (0.5, hi), 2000, tol))
+            energies.clear()
+            res = truncated_eigenvalues(system, 32, (0.5, 2000.0))
+            ours = sum(energies)
+            energies.clear()
+            eigenvalues_one_at_a_time(system, 32, (0.5, 2000.0))
+            assert len(res) > 250 and ours <= sum(energies)
 
 
 def fd_matrix_loop(system, n_max, h):
