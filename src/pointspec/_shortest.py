@@ -12,10 +12,17 @@ character can take (sign, leading zeros, each digit, a point after each
 digit, the exponent), with NUL in every slot the cell leaves empty.  Joining
 the rows squeezes the NULs out, so no cell is ever shifted into place.
 
+The float64 columns of a block go through Ryū in one call, stacked end to
+end, so each numpy operation runs over every float cell of the block.
 Ryū's 128-bit products run on 32-bit limbs held in uint64 arrays.  Every
 array in that arithmetic is uint64 and every constant meeting one a
 ``np.uint64``: numpy promotes uint64 mixed with int64 to float64.  The
-per-exponent table of Ryū's constants is built on first use.
+per-exponent table of Ryū's constants is built on first use, and each of
+its rows is gathered only where it is read (``np.take`` with
+``mode="clip"`` writes straight into ``out``; every column is in range).
+Every uint64 array of the kernel, the stacked values and the returned slots
+are rows of one array of a ``lattice._Workspace``, so a caller that keeps
+the workspace, as each ``_run_blocks`` worker does, allocates them once.
 """
 
 from __future__ import annotations
@@ -24,16 +31,19 @@ import functools
 
 import numpy as np
 
+from .lattice import _Workspace
+
 _U = np.uint64
 _LOW32 = _U(0xFFFFFFFF)
 _MANTISSA = _U((1 << 52) - 1)
-_MAGNITUDE = _U((1 << 63) - 1)
-_INF_BITS = _U(0x7FF0000000000000)
-_ONE_BITS = _U(0x3FF0000000000000)
 
-# 10^0 .. 10^19, the powers of ten below 2^64
+# 10^0 .. 10^19, the powers of ten below 2^64, and 10^17 .. 10^0
 _P10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+_P10_DOWN = _P10[17::-1].copy()
 _B = {c: np.uint8(ord(c)) for c in "0.-+e"}
+
+# uint64 rows of the kernel's workspace array: _ryu's nine, then the values
+_SLOTS = 10
 
 # rows of the two exponent tables: what ``_scaled`` reads, and the rest
 _T0, _T1, _T2, _T3, _SHIFT, _REM_MASK, _HIDDEN_BIT = range(7)
@@ -58,7 +68,7 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     pow5 = [5**k for k in range(326)]
     columns = []
     low64 = (1 << 64) - 1
-    for e in range(2047):
+    for e in range(2048):
         e2 = max(e, 1) - 1077
         if e2 >= 0:
             q = ((e2 * 78913) >> 18) - (e2 > 3)
@@ -90,149 +100,165 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _below(a_hi, a_lo, b_hi, b_lo):
-    """(a_hi, a_lo) < (b_hi, b_lo) as 128-bit numbers."""
-    return (a_hi < b_hi) | ((a_hi == b_hi) & (a_lo < b_lo))
+def _below(hi, lo, b_hi, b_lo, column, t):
+    """(hi, lo) < (b_hi, b_lo) at ``column`` as 128-bit numbers; t is
+    scratch."""
+    np.take(b_hi, column, out=t, mode="clip")
+    below = hi < t
+    equal = hi == t
+    np.take(b_lo, column, out=t, mode="clip")
+    equal &= lo < t
+    below |= equal
+    return below
 
 
-def _scaled(mv, tab):
-    """(vr, remainder): floor(mv T / 2^J) and mv T mod 2^J, the remainder
-    as (high, low) words, for mv < 2^55 and T, J from ``tab``.
+def _scaled(mv, column, scaling, *, out, work):
+    """(vr, remainder) into ``out``: floor(mv T / 2^J) and mv T mod 2^J, the
+    remainder as (high, low) words, for mv < 2^55 and T, J from the columns
+    ``column`` of ``scaling``; ``work`` is three more arrays like mv.
 
     mv = m1 2^32 + m0.  Column k of the product sums the low half of
     m0 t_k, the high half of m0 t_(k-1), all of m1 t_(k-1) (m1 < 2^23) and
-    the carry from column k-1, which stays below 2^57; x0 .. x5 are the
-    product's 32-bit limbs.
+    the carry c from column k-1, which stays below 2^57; x0 .. x5 are the
+    product's 32-bit limbs, and c ends as x5 x4.
     """
-    t0, t1, t2, t3 = tab[_T0:_T3 + 1]
-    m0 = mv & _LOW32
-    m1 = mv >> _U(32)
-    p = m0 * t0
-    x0 = p & _LOW32
-    c = p >> _U(32)
-    c += m1 * t0
-    p = m0 * t1
-    c += p & _LOW32
-    x1 = c & _LOW32
-    c >>= _U(32)
-    c += p >> _U(32)
-    c += m1 * t1
-    p = m0 * t2
-    c += p & _LOW32
-    x2 = c & _LOW32
-    c >>= _U(32)
-    c += p >> _U(32)
-    c += m1 * t2
-    p = m0 * t3
-    c += p & _LOW32
-    x3 = c & _LOW32
-    c >>= _U(32)
-    c += p >> _U(32)
-    c += m1 * t3
-    x4 = c & _LOW32
-    x5 = c >> _U(32)
-    shift = tab[_SHIFT]
-    vr = x3 >> shift
-    vr |= x4 << (_U(32) - shift)
-    vr |= x5 << (_U(64) - shift)
-    rem_hi = x3 << _U(32)
-    rem_hi |= x2
-    rem_hi &= tab[_REM_MASK]
-    x1 <<= _U(32)
-    x1 |= x0
-    return vr, rem_hi, x1
+    c, x3, lo = out
+    t, p, x = work
+    np.take(scaling[_T0], column, out=t, mode="clip")
+    np.multiply(np.bitwise_and(mv, _LOW32, out=p), t, out=p)  # m0 t0
+    np.bitwise_and(p, _LOW32, out=lo)  # x0
+    np.right_shift(p, _U(32), out=c)
+    c += np.multiply(np.right_shift(mv, _U(32), out=p), t, out=p)
+    for row, limb in ((_T1, x), (_T2, x), (_T3, x3)):
+        np.take(scaling[row], column, out=t, mode="clip")
+        np.multiply(np.bitwise_and(mv, _LOW32, out=p), t, out=p)
+        c += np.bitwise_and(p, _LOW32, out=limb)
+        np.bitwise_and(c, _LOW32, out=limb)  # x_k
+        c >>= _U(32)
+        c += np.right_shift(p, _U(32), out=p)
+        c += np.multiply(np.right_shift(mv, _U(32), out=p), t, out=p)
+        if row == _T1:  # x1 x0, the remainder's low word; x takes x2 next
+            lo |= np.left_shift(x, _U(32), out=x)
+    # vr = x5 x4 x3 >> shift: x4 << (32 - shift) and x5 << (64 - shift) fill
+    # disjoint bits, so together they are c << (32 - shift)
+    np.take(scaling[_SHIFT], column, out=t, mode="clip")
+    c <<= np.subtract(_U(32), t, out=p)
+    c |= np.right_shift(x3, t, out=p)
+    x3 <<= _U(32)
+    x3 |= x
+    x3 &= np.take(scaling[_REM_MASK], column, out=t, mode="clip")
 
 
-def _ryu(bits):
+def _ryu(bits, *, work):
     """Ryū: (digits, exponent) with digits * 10^exponent the shortest decimal
-    that reads back as each positive finite double in ``bits`` (uint64).
+    that reads back as each nonzero finite double in ``bits`` (uint64, the
+    sign ignored).  Zeros, nan and inf get meaningless digits: their columns
+    set no trailing-zero flag, so every loop below ends for them too.
 
     Among shortest decimals the one nearest the double wins, ties to even.
+    The results, the exponent as an int64 view, are rows 0 and 1 of the
+    kernel's array in ``work`` (a ``_Workspace`` of at least len(bits)
+    entries), and rows 2 .. 8 its scratch; ``bits`` may be row 9.
     """
-    ieee_exp = (bits >> _U(52)).astype(np.intp)
-    mantissa = bits & _MANTISSA
+    n = len(bits)
+    scaling, table = _exponent_tables()
+    vr, rem_hi, rem_lo, column, mv, t, vp, vm, x = \
+        work.array("kernel", np.uint64, rows=_SLOTS)[:9, :n]
+    np.right_shift(bits, _U(52), out=mv)
+    # the biased exponent e, then the column 2 e + wide
+    column = np.bitwise_and(mv, _U(0x7FF), out=column).view(np.int64)
+    np.bitwise_and(bits, _MANTISSA, out=mv)
     # vm's end of the interval is half an ulp below, a quarter at the powers
     # of two whose lower neighbour is closer
-    wide = (mantissa != 0) | (ieee_exp <= 1)
-    column = 2 * ieee_exp + wide
-    scaling_table, table = _exponent_tables()
-    scaling = np.take(scaling_table, column, axis=1)
-    m2 = mantissa | scaling[_HIDDEN_BIT]
-    accept = (m2 & _U(1)) == 0  # an even mantissa owns its interval's ends
-    mv = m2 << _U(2)
-    vr, rem_hi, rem_lo = _scaled(mv, scaling)
-    del scaling
+    wide = (mv != 0) | (column <= 1)
+    column <<= 1
+    column += wide
+    mv |= np.take(scaling[_HIDDEN_BIT], column, out=t, mode="clip")
+    # an even mantissa owns its interval's ends
+    accept = np.bitwise_and(mv, _U(1), out=t) == 0
+    mv <<= _U(2)
+    _scaled(mv, column, scaling, out=(vr, rem_hi, rem_lo), work=(t, vp, x))
 
     # vp and vm: mv + 2 and mv - 1 - wide scaled alike, from vr and the
     # remainder
-    tab = np.take(table, column, axis=1)
-    vp = vr + tab[_QP]
-    vp += ~_below(rem_hi, rem_lo, tab[_NP_HI], tab[_NP_LO])
-    vm = vr - tab[_QM]
-    vm -= _below(rem_hi, rem_lo, tab[_RM_HI], tab[_RM_LO])
+    np.take(table[_QP], column, out=vp, mode="clip")
+    vp += vr
+    vp += ~_below(rem_hi, rem_lo, table[_NP_HI], table[_NP_LO], column, t)
+    np.subtract(vr, np.take(table[_QM], column, out=vm, mode="clip"), out=vm)
+    vm -= _below(rem_hi, rem_lo, table[_RM_HI], table[_RM_LO], column, t)
 
     # whether the digits dropped below vr and vm are all zero
-    vr_tz = np.zeros(len(bits), bool)
-    vm_tz = np.zeros(len(bits), bool)
-    small = np.flatnonzero(tab[_POW5])
+    vr_tz = np.zeros(n, bool)
+    vm_tz = np.zeros(n, bool)
+    small = np.flatnonzero(np.take(table[_POW5], column, out=t, mode="clip"))
     if small.size:
-        p5 = tab[_POW5, small]
-        mvs, acc = mv[small], accept[small]
-        by5 = mvs % _U(5) == 0
-        vr_tz[small] = by5 & (mvs % p5 == 0)
-        vm_tz[small] = ~by5 & acc & ((mvs - _U(1) - wide[small]) % p5 == 0)
-        vp[small] -= ~by5 & ~acc & ((mvs + _U(2)) % p5 == 0)
-    tiny = tab[_TINY] == 1
+        k = small.size
+        p5 = np.take(t, small, out=x[:k], mode="clip")
+        mvs = np.take(mv, small, out=rem_lo[:k], mode="clip")
+        r = rem_hi[:k]
+        acc = accept[small]
+        by5 = np.remainder(mvs, _U(5), out=r) == 0
+        vr_tz[small] = by5 & (np.remainder(mvs, p5, out=r) == 0)
+        np.subtract(mvs, _U(1), out=r)
+        r -= wide[small]
+        vm_tz[small] = ~by5 & acc & (np.remainder(r, p5, out=r) == 0)
+        np.add(mvs, _U(2), out=r)
+        vp[small] -= ~by5 & ~acc & (np.remainder(r, p5, out=r) == 0)
+    tiny = np.take(table[_TINY], column, out=t, mode="clip") == 1
     vr_tz |= tiny
     vm_tz |= tiny & accept & wide
     vp -= tiny & ~accept
-    tz_mask = tab[_TZ_MASK]
-    vr_tz |= (tz_mask != 0) & ((mv & tz_mask) == 0)
+    tz_mask = np.take(table[_TZ_MASK], column, out=t, mode="clip")
+    vr_tz |= (tz_mask != 0) & (np.bitwise_and(mv, tz_mask, out=x) == 0)
 
     # drop digits while vp and vm still differ above them
-    removed = np.zeros(len(bits), np.int64)
-    a, b = vp, vm
-    while True:
-        a = a // _U(10)
-        b = b // _U(10)
-        more = a > b
-        if not more.any():
-            break
+    removed = rem_hi.view(np.int64)
+    removed[:] = 0
+    a, b = mv, rem_lo
+    np.floor_divide(vp, _U(10), out=a)
+    np.floor_divide(vm, _U(10), out=b)
+    while (more := a > b).any():
         removed += more
-    scale = _P10[removed]
-    vm_f = vm // scale
-    vm_tz &= vm_f * scale == vm
-    below = _P10[np.maximum(removed - 1, 0)]
-    vr_b = vr // below
-    vr_tz &= vr_b * below == vr
-    dropped = removed > 0
-    vr_f = np.where(dropped, vr_b // _U(10), vr_b)
-    last = np.where(dropped, vr_b - vr_f * _U(10), _U(0))
+        a //= _U(10)
+        b //= _U(10)
+    vm_f = np.floor_divide(vm, np.take(_P10, removed, out=t, mode="clip"), out=a)
+    vm_tz &= np.multiply(vm_f, t, out=b) == vm
+    e10 = np.take(table[_E10], column, out=x, mode="clip").view(np.int64)
+    below = np.maximum(np.subtract(removed, 1, out=column), 0, out=column)
+    vr_b = np.floor_divide(vr, np.take(_P10, below, out=t, mode="clip"), out=vm)
+    vr_tz &= np.multiply(vr_b, t, out=b) == vr
+    vr_f = np.floor_divide(vr_b, _U(10), out=vr)
+    last = np.subtract(vr_b, np.multiply(vr_f, _U(10), out=vp), out=vp)
+    kept = removed == 0  # no digit dropped
+    np.copyto(vr_f, vr_b, where=kept)
+    np.copyto(last, _U(0), where=kept)
 
     # where vm's dropped digits are all zero, so are its trailing zeros (vm
     # is then a positive integer, so this ends)
-    strip = vm_tz & (vm_f % _U(10) == 0)
+    strip = vm_tz & (np.remainder(vm_f, _U(10), out=b) == 0)
     while strip.any():
         vr_tz &= ~strip | (last == 0)
-        last = np.where(strip, vr_f % _U(10), last)
-        vr_f = np.where(strip, vr_f // _U(10), vr_f)
-        vm_f = np.where(strip, vm_f // _U(10), vm_f)
+        np.copyto(last, np.remainder(vr_f, _U(10), out=b), where=strip)
+        np.floor_divide(vr_f, _U(10), out=vr_f, where=strip)
+        np.floor_divide(vm_f, _U(10), out=vm_f, where=strip)
         removed += strip
-        strip &= vm_f % _U(10) == 0
+        strip &= np.remainder(vm_f, _U(10), out=b) == 0
 
-    last[vr_tz & (last == 5) & (vr_f % _U(2) == 0)] = 4  # exact tie: to even
-    up = ((vr_f == vm_f) & ~(accept & vm_tz)) | (last >= 5)
-    return vr_f + up, tab[_E10].view(np.int64) + removed
+    # exact tie: to even
+    np.copyto(last, _U(4), where=vr_tz & (last == 5)
+              & (np.bitwise_and(vr_f, _U(1), out=b) == 0))
+    vr_f += ((vr_f == vm_f) & ~(accept & vm_tz)) | (last >= 5)
+    removed += e10
+    return vr_f, removed
 
 
-def _digits(v, width: int) -> np.ndarray:
-    """(width, len(v)) ASCII digits of each v < 10^width, most significant
-    first, zero-padded."""
-    out = np.empty((width, len(v)), np.uint8)
+def _digits(v, out) -> np.ndarray:
+    """ASCII digits of each v < 10^width into the rows of ``out`` (width,
+    len(v)), most significant first, zero-padded; v is divided down to 0."""
     ten = np.uint32(10)
-    for top in range(width, 0, -9):  # 9-digit chunks from the right in uint32
+    for top in range(len(out), 0, -9):  # 9-digit chunks from the right in uint32
         chunk = (v % _P10[9]).astype(np.uint32)
-        v = v // _P10[9]
+        v //= _P10[9]
         for k in range(top - 1, max(top - 9, 0) - 1, -1):
             rest = chunk // ten
             np.subtract(chunk, rest * ten, out=out[k], casting="unsafe")
@@ -251,45 +277,65 @@ _FLOAT_SLOTS = _EXP + 5
 _SPECIAL = ("0.0", "-0.0", "nan", "inf", "-inf")
 
 
-def _float_cells(x, quote: bool) -> np.ndarray:
-    """repr of each float64 in ``x`` as NUL-padded slots, one row per slot;
-    ``quote`` spells non-finite values as JSON strings."""
-    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-    magnitude = bits & _MAGNITUDE
-    regular = (magnitude != 0) & (magnitude < _INF_BITS)
-    digits, exponent = _ryu(np.where(regular, magnitude, _ONE_BITS))
+def _float_cells(columns, quote: bool, work=None) -> np.ndarray:
+    """repr of each float64 of ``columns``, taken end to end, as NUL-padded
+    slots, one row per slot; ``quote`` spells non-finite values as JSON
+    strings.
 
-    n_d = 1 + (digits >= _P10[1:17, None]).sum(axis=0)
-    decpt = n_d + exponent  # the double is 0.ddd * 10^decpt
+    ``work`` (a ``_Workspace`` of at least as many entries as the columns
+    hold) lends the values' row and ``_ryu``'s rows of the kernel's array.
+    The slots returned take the place of rows 4 .. 9 once Ryū is done, so
+    they hold until the next call with ``work``.
+    """
+    n = sum(map(len, columns))
+    work = work or _Workspace(n)
+    kernel = work.array("kernel", np.uint64, rows=_SLOTS)
+    x = kernel[_SLOTS - 1, :n].view(np.float64)
+    np.concatenate(columns, out=x, casting="same_kind")
+    # what the cells of zeros, nan and inf need, read before the slots
+    # overwrite x
+    negative = np.signbit(x)
+    odd = np.flatnonzero(~np.isfinite(x) | (x == 0))
+    y = x[odd]
+    digits, decpt = _ryu(x.view(np.uint64), work=work)
+    n_d, scratch = (row.view(np.int64) for row in kernel[2:4, :n])
+    frame = kernel[4:].view(np.uint8).reshape(-1)[:_FLOAT_SLOTS * n]
+    frame = frame.reshape(_FLOAT_SLOTS, n)
+
+    np.add(np.searchsorted(_P10[1:17], digits, side="right"), 1, out=n_d)
+    decpt += n_d  # the double is 0.ddd * 10^decpt
     sci = (decpt < -3) | (decpt > 16)
-    frame = np.zeros((_FLOAT_SLOTS, len(bits)), np.uint8)
-    frame[0] = (bits >> _U(63)).astype(np.uint8) * _B["-"]
+    frame.fill(0)
+    np.multiply(negative, _B["-"], out=frame[0])
     lead = ~sci & (decpt <= 0)
     if lead.any():  # "0." and the zeros of 0.000ddd
-        frame[_LEAD] = lead * _B["0"]
-        frame[_LEAD + 1] = lead * _B["."]
+        np.multiply(lead, _B["0"], out=frame[_LEAD])
+        np.multiply(lead, _B["."], out=frame[_LEAD + 1])
         for z in range(1, 4):
-            frame[_LEAD + 1 + z] = (lead & (decpt <= -z)) * _B["0"]
+            np.multiply(lead & (decpt <= -z), _B["0"], out=frame[_LEAD + 1 + z])
     # the digits, then zeros up to the point of ddd00.0
-    shown = np.where(sci, n_d, np.maximum(n_d, decpt + 1))
-    left = _digits(digits * _P10[17 - n_d], 17)
-    frame[_DIGIT0:_EXP:2] = left * (np.arange(17)[:, None] < shown)
-    point = np.where(sci, np.where(n_d > 1, 1, 0), decpt)  # digits before "."
-    frame[_DIGIT0 + 1:_EXP:2] = (np.arange(1, 17)[:, None] == point) * _B["."]
+    digits *= np.take(_P10_DOWN, n_d, out=scratch.view(np.uint64), mode="clip")
+    left = _digits(digits, frame[_DIGIT0:_EXP:2])
+    shown = np.maximum(np.add(decpt, 1, out=scratch), n_d, out=scratch)
+    np.copyto(shown, n_d, where=sci)
+    left *= np.arange(17)[:, None] < shown
+    point = np.minimum(np.subtract(n_d, 1, out=scratch), 1, out=scratch)
+    np.copyto(point, decpt, where=~sci)  # digits before "."
+    np.multiply(np.arange(1, 17)[:, None] == point, _B["."],
+                out=frame[_DIGIT0 + 1:_EXP:2])
     if sci.any():  # e, the exponent's sign, and two or three digits
-        e10 = decpt - 1
-        e_abs = np.abs(e10).astype(np.uint64)
-        frame[_EXP] = sci * _B["e"]
+        e10 = np.subtract(decpt, 1, out=scratch)
+        np.multiply(sci, _B["e"], out=frame[_EXP])
         frame[_EXP + 1] = sci * np.where(e10 < 0, _B["-"], _B["+"])
-        e_digits = _digits(e_abs, 3)
-        e_digits[0] *= e_abs >= _U(100)
-        frame[_EXP + 2:] = e_digits * sci
+        e_abs = np.abs(e10, out=e10).view(np.uint64)
+        hundreds = e_abs >= _U(100)
+        e_digits = _digits(e_abs, frame[_EXP + 2:])
+        e_digits[0] *= hundreds
+        e_digits *= sci
 
-    odd = np.flatnonzero(~regular)
     if odd.size:
-        negative = bits[odd] >> _U(63) == 1
-        kind = np.where(magnitude[odd] == 0, negative,
-                        np.where(magnitude[odd] > _INF_BITS, 2, 3 + negative))
+        sign = negative[odd]
+        kind = np.where(y == 0, sign, np.where(np.isnan(y), 2, 3 + sign))
         spell = [f'"{t}"' if quote and t[-1] in "nf" else t for t in _SPECIAL]
         templates = np.zeros((len(spell), _FLOAT_SLOTS), np.uint8)
         for row, text in zip(templates, spell):
@@ -305,48 +351,58 @@ def _int_cells(x) -> np.ndarray:
     magnitude = np.where(negative == 1, np.negative(bits), bits)  # 2^63 too
     frame = np.empty((20, len(bits)), np.uint8)
     frame[0] = negative.astype(np.uint8) * _B["-"]
-    frame[1:] = _digits(magnitude, 19)
-    frame[1:-1] *= magnitude >= _P10[18:0:-1, None]  # no leading zeros
+    significant = magnitude >= _P10[18:0:-1, None]  # no leading zeros
+    _digits(magnitude, frame[1:])
+    frame[1:-1] *= significant
     return frame
 
 
-def rows_text(columns, cell_sep: str, row_sep: str, quote: bool, texts) -> str:
+def rows_text(columns, cell_sep: str, row_sep: str, quote: bool, texts, *,
+              work=None) -> str:
     """The rows of ``columns``, 1-D arrays of one length, as text: cells
     joined by ``cell_sep`` and rows by ``row_sep``.
 
     float64 and int64 columns come out as their values' ``repr``; ``quote``
     spells non-finite floats as JSON strings.  Any other column takes its
-    cells' texts from ``texts(column, quote)``.
+    cells' texts from ``texts(column, quote)``.  The float64 columns go
+    through one ``_float_cells`` call with ``work``.
     """
-    frames = []
-    for column in columns:
-        if column.dtype == np.float64:
-            frames.append(_float_cells(column, quote))
-        elif column.dtype == np.int64:
-            frames.append(_int_cells(column))
-        else:
+    n = len(columns[0])
+    floats = [k for k, c in enumerate(columns) if c.dtype == np.float64]
+    frames = [None] * len(columns)
+    if floats:
+        frame = _float_cells([columns[k] for k in floats], quote, work)
+        for j, k in enumerate(floats):
+            frames[k] = frame[:, j * n:(j + 1) * n]
+    for k, column in enumerate(columns):
+        if column.dtype == np.int64:
+            frames[k] = _int_cells(column)
+        elif frames[k] is None:
             cells = np.array(list(texts(column, quote)), dtype=bytes)
-            frames.append(cells.view(np.uint8).reshape(len(cells), -1).T)
+            frames[k] = cells.view(np.uint8).reshape(len(cells), -1).T
     return _join(frames, cell_sep, row_sep)
 
 
 def _join(frames, cell_sep: str, row_sep: str) -> str:
     """Rows of cells (one frame of slots by rows per column) as text, the
     NULs dropped."""
-    frames = [f[f.any(axis=1)] for f in frames]  # slots some cell uses
+    used = [f.any(axis=1) for f in frames]  # slots some cell uses
     cell_sep = np.frombuffer(cell_sep.encode("ascii"), np.uint8)
     row_sep = np.frombuffer(row_sep.encode("ascii"), np.uint8)
-    width = (sum(map(len, frames)) + len(cell_sep) * (len(frames) - 1)
+    width = (sum(u.sum() for u in used) + len(cell_sep) * (len(frames) - 1)
              + len(row_sep))
-    rows = np.empty((frames[0].shape[1], width), np.uint8)
+    n = frames[0].shape[1]
+    text = bytearray(n * width)
+    rows = np.frombuffer(text, np.uint8).reshape(n, width)
     at = 0
-    for k, frame in enumerate(frames):
+    for k, (frame, slots) in enumerate(zip(frames, used)):
         if k:
             rows[:, at:at + len(cell_sep)] = cell_sep
             at += len(cell_sep)
+        frame = frame[slots]
         rows[:, at:at + len(frame)] = frame.T
         at += len(frame)
-    rows[:, at:] = row_sep
-    text = rows[rows != 0]
+    rows[:-1, at:] = row_sep  # the last row ends without one
     del rows
-    return str(text[:len(text) - len(row_sep)], "ascii")
+    text = text.translate(None, b"\0")  # each copy freed before the next
+    return text.decode("ascii")

@@ -27,7 +27,8 @@ import sys
 import numpy as np
 
 from . import growth as growth_mod
-from .lattice import SparseSet, StrengthSequence, SystemSpec, estimate_threshold
+from .lattice import (SparseSet, StrengthSequence, SystemSpec, _run_blocks,
+                      estimate_threshold)
 from .spectrum import (ClassifyConfig, classify, fd_oracle_eigenvalues,
                        truncated_eigenvalues)
 from .transfer import PropagationOverflow, free_flow, propagate
@@ -420,13 +421,21 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dic
 # output plumbing
 
 
-BLOCK_ROWS = 4096  # rows per rendered block: bounds the transient cell texts
+# Rows per rendered block: bounds the transient cell texts, and a block of a
+# kernel table is one kernel call over its float64 columns stacked.
+BLOCK_ROWS = 4096
 # Tables of this many cells or more render their int64 and float64 columns
-# with the numpy kernel of ``_shortest``.  Per-cell repr costs ~1 us a cell,
-# the kernel ~0.3 us plus ~15 ms at its first use in a process (import and
-# tables): in a fresh process the two broke even near 30 000 cells (6000
-# rows of 5 columns) on a 2-vCPU VM, a warm one near 5000.
+# with the numpy kernel of ``_shortest``, on ``_run_blocks`` workers, at
+# least BLOCKS_PER_WORKER blocks a worker.  Per-cell repr costs 0.7-1 us a
+# cell, the kernel ~0.2 us a cell of a growth table plus ~30 ms at its first
+# use in a process (import and tables): on a 2-vCPU VM the two break even
+# near 30 000 cells (6000 rows of 5 columns) in a fresh process, and near
+# 1500 in a warm one.
 KERNEL_MIN_CELLS = 30_000
+# A block in flight holds ~0.5 kB of kernel workspace, slots and text per
+# growth row, about six times its ~80 bytes of CSV: one worker per 4 blocks
+# keeps the blocks in flight to a quarter of the table's rows.
+BLOCKS_PER_WORKER = 4
 _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
@@ -442,21 +451,34 @@ def _cell_texts(column: np.ndarray, quote: bool):
 
 def _row_blocks(table: np.ndarray, cell_sep: str, row_sep: str, quote: bool):
     """``table``'s rows as text by blocks of ``BLOCK_ROWS``, ``row_sep`` also
-    between; every cell as ``_cell_texts`` spells it."""
+    between; every cell as ``_cell_texts`` spells it.
+
+    Tables of ``KERNEL_MIN_CELLS`` cells or more render their blocks on
+    ``_run_blocks`` workers; the text does not depend on their number.
+    """
     names = table.dtype.names
-    kernel = len(table) * len(names) >= KERNEL_MIN_CELLS
-    if kernel:
+    n_blocks = -(-len(table) // BLOCK_ROWS)
+
+    def columns(i: int) -> list:
+        return [table[name][i * BLOCK_ROWS:(i + 1) * BLOCK_ROWS] for name in names]
+
+    if len(table) * len(names) >= KERNEL_MIN_CELLS:
         from . import _shortest
-    for start in range(0, len(table), BLOCK_ROWS):
-        if start:
+
+        def block(i: int, ws):
+            return _shortest.rows_text(columns(i), cell_sep, row_sep, quote,
+                                       _cell_texts, work=ws)
+
+        floats = sum(table.dtype[name] == np.float64 for name in names)
+        blocks = _run_blocks(block, n_blocks, BLOCK_ROWS * floats,
+                             per_worker=BLOCKS_PER_WORKER)
+    else:
+        blocks = (row_sep.join(map(cell_sep.join, zip(*(
+            _cell_texts(c, quote) for c in columns(i))))) for i in range(n_blocks))
+    for i, text in enumerate(blocks):
+        if i:
             yield row_sep
-        block = table[start:start + BLOCK_ROWS]
-        columns = [block[name] for name in names]
-        if kernel:
-            yield _shortest.rows_text(columns, cell_sep, row_sep, quote, _cell_texts)
-        else:
-            texts = (_cell_texts(c, quote) for c in columns)
-            yield row_sep.join(map(cell_sep.join, zip(*texts)))
+        yield text
 
 
 def _render_csv(columns, rows, footers) -> str:

@@ -39,22 +39,25 @@ def _log_expm1(y, out=None):
 
 
 class _Workspace:
-    """Named float64 (or bool) arrays of one length, each made at first use.
+    """Named arrays of one length, float64 unless another dtype is asked
+    for, each made at first use.
 
     A kernel passed one as ``work`` takes its index table (``indices``) and
-    scratch (``a``, ``b``) from it and is done with them when it returns.
-    ``window_scan`` gives each worker one for the length of its blocks, so
-    only a worker's first block allocates.
+    scratch (``a``, ``b``; the table kernel's rows of ``kernel``) from it and
+    is done with them when it returns.  ``_run_blocks`` gives each worker one for the
+    length of its blocks, so only a worker's first block allocates them.
     """
 
     def __init__(self, size: int):
         self.size = size
         self._arrays = {}
 
-    def array(self, name: str, dtype=float) -> np.ndarray:
+    def array(self, name: str, dtype=float, rows: int | None = None) -> np.ndarray:
+        """The array ``name``: ``size`` entries, or ``rows`` rows of them."""
         a = self._arrays.get(name)
         if a is None:
-            a = self._arrays[name] = np.empty(self.size, dtype)
+            shape = self.size if rows is None else (rows, self.size)
+            a = self._arrays[name] = np.empty(shape, dtype)
         return a
 
     def indices(self, first: int, count: int, out: np.ndarray) -> np.ndarray:
@@ -558,16 +561,19 @@ def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
     return np.min(log_threshold), positive, tails, trailing
 
 
-def _run_blocks(block, n_blocks: int, size: int) -> list:
+def _run_blocks(block, n_blocks: int, size: int, *, per_worker: int = 1) -> list:
     """``[block(i, ws) for i in range(n_blocks)]``, block i on worker i mod W.
 
-    W is the number of usable CPUs, at most n_blocks; the caller is worker 0
-    and so evaluates block 0.  Each worker makes one ``_Workspace(size)``
-    for all of its blocks, dropped when the call returns.  Each worker runs
-    in a copy of the caller's context, so numpy error settings carry over,
-    and the first error a worker raised is raised again here.
+    W is the number of usable CPUs, at most n_blocks // per_worker and at
+    least 1; the caller is worker 0 and so evaluates block 0.  Each worker
+    makes one ``_Workspace(size)`` for all of its blocks, dropped when the
+    call returns.  Each worker runs in a copy of the caller's context, so
+    numpy error settings carry over, and the first error a worker raised is
+    raised again here.  ``window_scan`` runs its index blocks here, and the
+    CLI its row blocks of large tables, at least ``per_worker`` blocks a
+    worker, so the blocks in flight hold at most 1/per_worker of the rows.
     """
-    import contextvars  # only the window scan needs these three
+    import contextvars  # only the block runs need these three
     import os
     import threading
 
@@ -575,7 +581,7 @@ def _run_blocks(block, n_blocks: int, size: int) -> list:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    workers = min(cpus, n_blocks)
+    workers = max(1, min(cpus, n_blocks // per_worker))
     parts = [None] * n_blocks
     errors = []
 

@@ -1,8 +1,10 @@
 import errno
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -680,15 +682,16 @@ class TestTableRendering:
     FOOTERS = ["#overflow at n=3", "# lambda=1.0"]
     CROSSOVER = cli.KERNEL_MIN_CELLS
 
-    def assert_renders_as_before(self, rows, params=None):
+    def assert_renders_as_before(self, rows, params=None, columns=None):
         params = {"lambda": 1.0} if params is None else params
-        table = columnar(self.COLUMNS, rows)
+        columns = self.COLUMNS if columns is None else columns
+        table = columnar(columns, rows)
         assert len(table) == len(rows)
-        assert (cli._render_csv(self.COLUMNS, table, self.FOOTERS)
-                == old_csv(self.COLUMNS, rows, self.FOOTERS))
-        assert (cli._table_json("propagate", self.RUN, self.COLUMNS, table,
+        assert (cli._render_csv(columns, table, self.FOOTERS)
+                == old_csv(columns, rows, self.FOOTERS))
+        assert (cli._table_json("propagate", self.RUN, columns, table,
                                 self.FOOTERS, params)
-                == old_json("propagate", self.RUN, self.COLUMNS, rows,
+                == old_json("propagate", self.RUN, columns, rows,
                             self.FOOTERS, params))
 
     def test_empty_rows(self):
@@ -712,6 +715,17 @@ class TestTableRendering:
         rows = [(i, i / 7.0, math.nan if i % 1000 == 3 else -i * 1e-9)
                 for i in range(blocks * cli.BLOCK_ROWS + offset)]
         self.assert_renders_as_before(rows)
+
+    def test_float_columns_with_disjoint_slots(self):
+        # stacked for the kernel, each float column keeps its own slots: all
+        # scientific, all fixed, only specials; beside int64 and object
+        # columns, over a full block and a one-row last block
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+        rows = [(i - 7, (i + 1) * 1.2345e20, 1.0 + i / 7.0,
+                 specials[i % len(specials)], i * 10**20)
+                for i in range(cli.BLOCK_ROWS + 1)]
+        self.assert_renders_as_before(
+            rows, columns=["n", "sci", "fixed", "special", "big"])
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_rows_around_kernel_crossover(self, offset):
@@ -744,6 +758,59 @@ class TestKernelRendering(TestTableRendering):
     @pytest.fixture(autouse=True)
     def kernel_everywhere(self, monkeypatch):
         monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
+
+
+class TestRenderWorkers:
+    """Kernel tables render on one worker per ``BLOCKS_PER_WORKER`` blocks, up
+    to one per usable CPU, with the same bytes."""
+
+    @pytest.mark.parametrize("n_blocks", [3, 8, 9, 25])
+    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, n_blocks):
+        from pointspec import _shortest
+        run = parse_config({"system": FACTORIAL_SQRT["system"],
+                            "params": {"lambda0": 4.0,
+                                       "window": [0, n_blocks * cli.BLOCK_ROWS - 1]}})
+        columns, rows, footers, params, _ = cli.cmd_growth(run)
+        renderers = {
+            "csv": lambda: cli._render_csv(columns, rows, footers),
+            "json": lambda: cli._table_json("growth", run, columns, rows,
+                                            footers, params)}
+        threads = set()
+        rows_text = _shortest.rows_text
+
+        def recording(*args, **kwargs):
+            # the Thread object, not its ident: a finished worker's ident may
+            # be handed to a worker started after it
+            threads.add(threading.current_thread())
+            return rows_text(*args, **kwargs)
+
+        monkeypatch.setattr(_shortest, "rows_text", recording)
+        for render in renderers.values():
+            render()  # the kernel's tables are built once per process
+        running = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches than cores: workers interleave
+        try:
+            for fmt, render in renderers.items():
+                texts = set()
+                for cpus in (1, 2, 4, 8):
+                    monkeypatch.setattr(os, "sched_getaffinity",
+                                        lambda pid, c=cpus: set(range(c)))
+                    threads.clear()
+                    tracemalloc.start()
+                    try:
+                        text = render()
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    texts.add(text)
+                    workers = max(1, min(cpus, n_blocks // 4))  # one per four blocks
+                    assert len(threads) == workers, (fmt, cpus)
+                    assert peak < 3 * len(text), (fmt, cpus, peak / len(text))
+                assert len(texts) == 1, fmt
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == running  # every worker joined
 
 
 class TestOutputWrite:

@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,36 @@ def test_several_columns_and_other_dtypes():
                                lambda column, quote: map(repr, column.tolist()))
     assert text == ";\n".join(f"{i!r}, {f!r}, {o!r}" for i, f, o in
                               zip(ints.tolist(), floats.tolist(), objects.tolist()))
+
+
+def test_stacked_columns_give_each_columns_cells():
+    # one kernel call over columns end to end gives the slots of one call per
+    # column, whatever the other columns hold
+    rng = np.random.default_rng(13)
+    bits = rng.integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False)
+    columns = [bits.view(np.float64), rng.standard_normal(4096) * 1e-7,
+               np.arange(1.0, 301.0), np.array([math.nan, -0.0, math.inf, 5e-324]),
+               np.array([-1e300])]
+    for quote in (False, True):
+        alone = np.hstack([_shortest._float_cells([c], quote) for c in columns])
+        assert np.array_equal(
+            _shortest._float_cells([np.concatenate(columns)], quote), alone)
+        assert np.array_equal(_shortest._float_cells(columns, quote), alone)
+
+
+def test_kernel_scratch_per_value():
+    # 16 384 values, a growth block's four float columns: the kernel's
+    # workspace, its slots and every temporary stay within 160 bytes a value
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(4 * 4096) * 10.0 ** rng.integers(-30, 30, 4 * 4096)
+    _shortest._float_cells([x[:8]], False)  # the tables, built once per process
+    tracemalloc.start()
+    try:
+        _shortest._float_cells([x], False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * len(x), peak / len(x)
 
 
 GUARD = """
