@@ -21,8 +21,7 @@ per-exponent table of Ryū's constants is built on first use, and each of
 its rows is gathered only where it is read (``np.take`` with
 ``mode="clip"`` writes straight into ``out``; every column is in range).
 Every uint64 array of the kernel, the stacked values and the returned slots
-are rows of one array of a ``lattice._Workspace``, so a caller that keeps
-the workspace, as each ``_run_blocks`` worker does, allocates them once.
+are rows of one array that each call makes for itself.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .lattice import _Workspace
 
 _U = np.uint64
 _LOW32 = _U(0xFFFFFFFF)
@@ -42,7 +39,7 @@ _P10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _P10_DOWN = _P10[17::-1].copy()
 _B = {c: np.uint8(ord(c)) for c in "0.-+e"}
 
-# uint64 rows of the kernel's workspace array: _ryu's nine, then the values
+# uint64 rows of the kernel's array: _ryu's nine, then the values
 _SLOTS = 10
 
 # rows of the two exponent tables: what ``_scaled`` reads, and the rest
@@ -149,21 +146,20 @@ def _scaled(mv, column, scaling, *, out, work):
     x3 &= np.take(scaling[_REM_MASK], column, out=t, mode="clip")
 
 
-def _ryu(bits, *, work):
+def _ryu(bits, kernel):
     """Ryū: (digits, exponent) with digits * 10^exponent the shortest decimal
     that reads back as each nonzero finite double in ``bits`` (uint64, the
     sign ignored).  Zeros, nan and inf get meaningless digits: their columns
     set no trailing-zero flag, so every loop below ends for them too.
 
     Among shortest decimals the one nearest the double wins, ties to even.
-    The results, the exponent as an int64 view, are rows 0 and 1 of the
-    kernel's array in ``work`` (a ``_Workspace`` of at least len(bits)
-    entries), and rows 2 .. 8 its scratch; ``bits`` may be row 9.
+    The results, the exponent as an int64 view, are rows 0 and 1 of
+    ``kernel`` (uint64, ``_SLOTS`` rows of len(bits)), and rows 2 .. 8 its
+    scratch; ``bits`` may be row 9.
     """
     n = len(bits)
     scaling, table = _exponent_tables()
-    vr, rem_hi, rem_lo, column, mv, t, vp, vm, x = \
-        work.array("kernel", np.uint64, rows=_SLOTS)[:9, :n]
+    vr, rem_hi, rem_lo, column, mv, t, vp, vm, x = kernel[:9]
     np.right_shift(bits, _U(52), out=mv)
     # the biased exponent e, then the column 2 e + wide
     column = np.bitwise_and(mv, _U(0x7FF), out=column).view(np.int64)
@@ -277,28 +273,25 @@ _FLOAT_SLOTS = _EXP + 5
 _SPECIAL = ("0.0", "-0.0", "nan", "inf", "-inf")
 
 
-def _float_cells(columns, quote: bool, work=None) -> np.ndarray:
+def _float_cells(columns, quote: bool) -> np.ndarray:
     """repr of each float64 of ``columns``, taken end to end, as NUL-padded
     slots, one row per slot; ``quote`` spells non-finite values as JSON
     strings.
 
-    ``work`` (a ``_Workspace`` of at least as many entries as the columns
-    hold) lends the values' row and ``_ryu``'s rows of the kernel's array.
-    The slots returned take the place of rows 4 .. 9 once Ryū is done, so
-    they hold until the next call with ``work``.
+    One uint64 array holds the values' row and ``_ryu``'s rows; the slots
+    returned take the place of rows 4 .. 9 once Ryū is done.
     """
     n = sum(map(len, columns))
-    work = work or _Workspace(n)
-    kernel = work.array("kernel", np.uint64, rows=_SLOTS)
-    x = kernel[_SLOTS - 1, :n].view(np.float64)
+    kernel = np.empty((_SLOTS, n), np.uint64)
+    x = kernel[_SLOTS - 1].view(np.float64)
     np.concatenate(columns, out=x, casting="same_kind")
     # what the cells of zeros, nan and inf need, read before the slots
     # overwrite x
     negative = np.signbit(x)
     odd = np.flatnonzero(~np.isfinite(x) | (x == 0))
     y = x[odd]
-    digits, decpt = _ryu(x.view(np.uint64), work=work)
-    n_d, scratch = (row.view(np.int64) for row in kernel[2:4, :n])
+    digits, decpt = _ryu(x.view(np.uint64), kernel)
+    n_d, scratch = (row.view(np.int64) for row in kernel[2:4])
     frame = kernel[4:].view(np.uint8).reshape(-1)[:_FLOAT_SLOTS * n]
     frame = frame.reshape(_FLOAT_SLOTS, n)
 
@@ -357,21 +350,20 @@ def _int_cells(x) -> np.ndarray:
     return frame
 
 
-def rows_text(columns, cell_sep: str, row_sep: str, quote: bool, texts, *,
-              work=None) -> str:
+def rows_text(columns, cell_sep: str, row_sep: str, quote: bool, texts) -> str:
     """The rows of ``columns``, 1-D arrays of one length, as text: cells
     joined by ``cell_sep`` and rows by ``row_sep``.
 
     float64 and int64 columns come out as their values' ``repr``; ``quote``
     spells non-finite floats as JSON strings.  Any other column takes its
     cells' texts from ``texts(column, quote)``.  The float64 columns go
-    through one ``_float_cells`` call with ``work``.
+    through one ``_float_cells`` call.
     """
     n = len(columns[0])
     floats = [k for k, c in enumerate(columns) if c.dtype == np.float64]
     frames = [None] * len(columns)
     if floats:
-        frame = _float_cells([columns[k] for k in floats], quote, work)
+        frame = _float_cells([columns[k] for k in floats], quote)
         for j, k in enumerate(floats):
             frames[k] = frame[:, j * n:(j + 1) * n]
     for k, column in enumerate(columns):

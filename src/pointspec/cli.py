@@ -8,10 +8,11 @@ entries that are not numbers are configuration errors.  Every output echoes
 the system and the resolved parameters, so results are reproducible from the
 file alone; outputs are deterministic (no timestamps) and written atomically.
 
-Exit codes: 0 success, 2 configuration error (also an unwritable output and
-any ``ValueError`` or ``IndexError`` from the library), 3 numerical failure:
-under ``--strict`` a propagate overflow footer or eigs roots closer than
-``tol`` reported once, and any other ``OverflowError`` with or without it.
+Exit codes: 0 success, 2 configuration error (also an output file or stdout
+that cannot be written, and any ``ValueError`` or ``IndexError`` from the
+library), 3 numerical failure: under ``--strict`` a propagate overflow
+footer or eigs roots closer than ``tol`` reported once, and any other
+``OverflowError`` with or without it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import sys
 import numpy as np
 
 from . import growth as growth_mod
-from .lattice import (SparseSet, StrengthSequence, SystemSpec, _run_blocks,
-                      estimate_threshold)
+from .lattice import SparseSet, StrengthSequence, SystemSpec, estimate_threshold
 from .spectrum import (ClassifyConfig, classify, fd_oracle_eigenvalues,
                        truncated_eigenvalues)
 from .transfer import PropagationOverflow, free_flow, propagate
@@ -425,17 +425,12 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dic
 # kernel table is one kernel call over its float64 columns stacked.
 BLOCK_ROWS = 4096
 # Tables of this many cells or more render their int64 and float64 columns
-# with the numpy kernel of ``_shortest``, on ``_run_blocks`` workers, at
-# least BLOCKS_PER_WORKER blocks a worker.  Per-cell repr costs 0.7-1 us a
-# cell, the kernel ~0.2 us a cell of a growth table plus ~30 ms at its first
-# use in a process (import and tables): on a 2-vCPU VM the two break even
-# near 30 000 cells (6000 rows of 5 columns) in a fresh process, and near
-# 1500 in a warm one.
+# with the numpy kernel of ``_shortest``, one block at a time on the calling
+# thread.  Per-cell repr costs 0.7-1 us a cell, the kernel ~0.2 us a cell of
+# a growth table plus ~30 ms at its first use in a process (import and
+# tables): on a 2-vCPU VM the two break even near 30 000 cells (6000 rows of
+# 5 columns) in a fresh process, and near 1500 in a warm one.
 KERNEL_MIN_CELLS = 30_000
-# A block in flight holds ~0.5 kB of kernel workspace, slots and text per
-# growth row, about six times its ~80 bytes of CSV: one worker per 4 blocks
-# keeps the blocks in flight to a quarter of the table's rows.
-BLOCKS_PER_WORKER = 4
 _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
@@ -451,34 +446,21 @@ def _cell_texts(column: np.ndarray, quote: bool):
 
 def _row_blocks(table: np.ndarray, cell_sep: str, row_sep: str, quote: bool):
     """``table``'s rows as text by blocks of ``BLOCK_ROWS``, ``row_sep`` also
-    between; every cell as ``_cell_texts`` spells it.
-
-    Tables of ``KERNEL_MIN_CELLS`` cells or more render their blocks on
-    ``_run_blocks`` workers; the text does not depend on their number.
-    """
+    between; every cell as ``_cell_texts`` spells it."""
     names = table.dtype.names
-    n_blocks = -(-len(table) // BLOCK_ROWS)
-
-    def columns(i: int) -> list:
-        return [table[name][i * BLOCK_ROWS:(i + 1) * BLOCK_ROWS] for name in names]
-
-    if len(table) * len(names) >= KERNEL_MIN_CELLS:
+    kernel = len(table) * len(names) >= KERNEL_MIN_CELLS
+    if kernel:
         from . import _shortest
-
-        def block(i: int, ws):
-            return _shortest.rows_text(columns(i), cell_sep, row_sep, quote,
-                                       _cell_texts, work=ws)
-
-        floats = sum(table.dtype[name] == np.float64 for name in names)
-        blocks = _run_blocks(block, n_blocks, BLOCK_ROWS * floats,
-                             per_worker=BLOCKS_PER_WORKER)
-    else:
-        blocks = (row_sep.join(map(cell_sep.join, zip(*(
-            _cell_texts(c, quote) for c in columns(i))))) for i in range(n_blocks))
-    for i, text in enumerate(blocks):
-        if i:
+    for start in range(0, len(table), BLOCK_ROWS):
+        if start:
             yield row_sep
-        yield text
+        block = table[start:start + BLOCK_ROWS]
+        columns = [block[name] for name in names]
+        if kernel:
+            yield _shortest.rows_text(columns, cell_sep, row_sep, quote, _cell_texts)
+        else:
+            texts = (_cell_texts(c, quote) for c in columns)
+            yield row_sep.join(map(cell_sep.join, zip(*texts)))
 
 
 def _render_csv(columns, rows, footers) -> str:
@@ -492,7 +474,11 @@ def _render_json(doc: dict) -> str:
 
 def _write_output(text: str, path: str | None):
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a full disk or a closed pipe
+            raise ConfigError(f"cannot write output <stdout>: {exc}") from exc
         return
     tmp = f"{path}.tmp.{os.getpid()}"
     try:

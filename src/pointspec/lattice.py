@@ -43,21 +43,19 @@ class _Workspace:
     for, each made at first use.
 
     A kernel passed one as ``work`` takes its index table (``indices``) and
-    scratch (``a``, ``b``; the table kernel's rows of ``kernel``) from it and
-    is done with them when it returns.  ``_run_blocks`` gives each worker one for the
-    length of its blocks, so only a worker's first block allocates them.
+    scratch (``a``, ``b``) from it and is done with them when it returns.
+    ``_run_blocks`` gives each worker one for the length of its blocks, so
+    only a worker's first block allocates them.
     """
 
     def __init__(self, size: int):
         self.size = size
         self._arrays = {}
 
-    def array(self, name: str, dtype=float, rows: int | None = None) -> np.ndarray:
-        """The array ``name``: ``size`` entries, or ``rows`` rows of them."""
+    def array(self, name: str, dtype=float) -> np.ndarray:
         a = self._arrays.get(name)
         if a is None:
-            shape = self.size if rows is None else (rows, self.size)
-            a = self._arrays[name] = np.empty(shape, dtype)
+            a = self._arrays[name] = np.empty(self.size, dtype)
         return a
 
     def indices(self, first: int, count: int, out: np.ndarray) -> np.ndarray:
@@ -561,19 +559,16 @@ def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
     return np.min(log_threshold), positive, tails, trailing
 
 
-def _run_blocks(block, n_blocks: int, size: int, *, per_worker: int = 1) -> list:
+def _run_blocks(block, n_blocks: int, size: int) -> list:
     """``[block(i, ws) for i in range(n_blocks)]``, block i on worker i mod W.
 
-    W is the number of usable CPUs, at most n_blocks // per_worker and at
-    least 1; the caller is worker 0 and so evaluates block 0.  Each worker
-    makes one ``_Workspace(size)`` for all of its blocks, dropped when the
-    call returns.  Each worker runs in a copy of the caller's context, so
-    numpy error settings carry over, and the first error a worker raised is
-    raised again here.  ``window_scan`` runs its index blocks here, and the
-    CLI its row blocks of large tables, at least ``per_worker`` blocks a
-    worker, so the blocks in flight hold at most 1/per_worker of the rows.
+    W is the number of usable CPUs, at most n_blocks; the caller is worker 0
+    and so evaluates block 0.  Each worker makes one ``_Workspace(size)``
+    for all of its blocks, dropped when the call returns.  Each worker runs
+    in a copy of the caller's context, so numpy error settings carry over,
+    and the first error a worker raised is raised again here.
     """
-    import contextvars  # only the block runs need these three
+    import contextvars  # only the window scan needs these three
     import os
     import threading
 
@@ -581,7 +576,7 @@ def _run_blocks(block, n_blocks: int, size: int, *, per_worker: int = 1) -> list
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    workers = max(1, min(cpus, n_blocks // per_worker))
+    workers = min(cpus, n_blocks)
     parts = [None] * n_blocks
     errors = []
 

@@ -362,10 +362,6 @@ def _bisect_tree(system: SystemSpec, n_max: int, js: np.ndarray, lo: np.ndarray,
     step: the brackets are those of one-at-a-time bisection, bit for bit.
     """
     levels = max(1, min(_TREE_LEVELS, int(np.log2(_CALL_ENERGIES / len(js) + 1))))
-    if levels == 1:  # a tree of one midpoint: skip the walk's bookkeeping
-        mid = 0.5 * (lo + hi)
-        left = _count_below(system, n_max, mid) >= js
-        return np.where(left, lo, mid), np.where(left, mid, hi)
     edges = np.stack([lo, hi], axis=1)
     for _ in range(levels):
         finer = np.empty((len(js), 2 * edges.shape[1] - 1))

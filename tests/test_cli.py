@@ -761,8 +761,8 @@ class TestKernelRendering(TestTableRendering):
 
 
 class TestRenderWorkers:
-    """Kernel tables render on one worker per ``BLOCKS_PER_WORKER`` blocks, up
-    to one per usable CPU, with the same bytes."""
+    """Kernel tables render on the calling thread, whatever the CPU count,
+    with the same bytes."""
 
     @pytest.mark.parametrize("n_blocks", [3, 8, 9, 25])
     def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, n_blocks):
@@ -775,42 +775,39 @@ class TestRenderWorkers:
             "csv": lambda: cli._render_csv(columns, rows, footers),
             "json": lambda: cli._table_json("growth", run, columns, rows,
                                             footers, params)}
-        threads = set()
-        rows_text = _shortest.rows_text
+        callers, started = [], []
+        rows_text, start = _shortest.rows_text, threading.Thread.start
 
         def recording(*args, **kwargs):
-            # the Thread object, not its ident: a finished worker's ident may
-            # be handed to a worker started after it
-            threads.add(threading.current_thread())
+            callers.append(threading.current_thread())
             return rows_text(*args, **kwargs)
 
+        def starting(thread):
+            started.append(thread)
+            return start(thread)
+
         monkeypatch.setattr(_shortest, "rows_text", recording)
+        monkeypatch.setattr(threading.Thread, "start", starting)
         for render in renderers.values():
             render()  # the kernel's tables are built once per process
-        running = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more thread switches than cores: workers interleave
-        try:
-            for fmt, render in renderers.items():
-                texts = set()
-                for cpus in (1, 2, 4, 8):
-                    monkeypatch.setattr(os, "sched_getaffinity",
-                                        lambda pid, c=cpus: set(range(c)))
-                    threads.clear()
-                    tracemalloc.start()
-                    try:
-                        text = render()
-                        _, peak = tracemalloc.get_traced_memory()
-                    finally:
-                        tracemalloc.stop()
-                    texts.add(text)
-                    workers = max(1, min(cpus, n_blocks // 4))  # one per four blocks
-                    assert len(threads) == workers, (fmt, cpus)
-                    assert peak < 3 * len(text), (fmt, cpus, peak / len(text))
-                assert len(texts) == 1, fmt
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == running  # every worker joined
+        for fmt, render in renderers.items():
+            texts = set()
+            for cpus in (1, 2, 4, 8):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, c=cpus: set(range(c)))
+                callers.clear()
+                tracemalloc.start()
+                try:
+                    text = render()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                texts.add(text)
+                assert len(callers) == n_blocks, (fmt, cpus)
+                assert set(callers) == {threading.current_thread()}, (fmt, cpus)
+                assert peak < 3 * len(text), (fmt, cpus, peak / len(text))
+            assert len(texts) == 1, fmt
+        assert started == []
 
 
 class TestOutputWrite:
@@ -858,6 +855,22 @@ class TestOutputWrite:
         assert code == 2
         assert "cannot write output" in err and "No space left" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_full_stdout_exits_2(self, tmp_path, capsys, monkeypatch):
+        class FullDisk:
+            """A stdout that reports a full disk on every write."""
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def flush(self):
+                pass
+
+        cfg = write_config(tmp_path, FREE_PI)
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        code, _, err = run_cli(["eigs", "--config", cfg], capsys)
+        assert code == 2
+        assert "cannot write output <stdout>:" in err and "No space left" in err
 
 
 class TestConsoleScript:

@@ -145,8 +145,8 @@ def test_stacked_columns_give_each_columns_cells():
 
 
 def test_kernel_scratch_per_value():
-    # 16 384 values, a growth block's four float columns: the kernel's
-    # workspace, its slots and every temporary stay within 160 bytes a value
+    # 16 384 values, a growth block's four float columns: the call's array,
+    # its slots and every temporary stay within 160 bytes a value
     rng = np.random.default_rng(17)
     x = rng.standard_normal(4 * 4096) * 10.0 ** rng.integers(-30, 30, 4 * 4096)
     _shortest._float_cells([x[:8]], False)  # the tables, built once per process
