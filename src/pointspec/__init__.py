@@ -2,8 +2,7 @@
 interactions (delta and delta-prime) on sparse lattices."""
 
 from .growth import (BoundCheck, DivergenceVerdict, GrowthProfile,
-                     lower_bound_check, propagation_profile, series_terms,
-                     series_verdict, weighted_norm_sum)
+                     lower_bound_check, series_terms, series_verdict)
 from .lattice import (DELTA, DELTA_PRIME, SparseSet, StrengthSequence,
                       SystemSpec, ThresholdEstimate, estimate_threshold,
                       threshold_ratio)
@@ -26,8 +25,7 @@ __all__ = [
     "diagonalizer", "inverse_step_diagonalized", "operator_norm",
     "sample_solution", "SolutionSample",
     "GrowthProfile", "DivergenceVerdict", "BoundCheck",
-    "series_terms", "series_verdict", "lower_bound_check", "weighted_norm_sum",
-    "propagation_profile",
+    "series_terms", "series_verdict", "lower_bound_check",
     "Interval", "SpectralClassification", "ClassifyConfig", "EigenvalueList",
     "ProbeReport", "classify",
     "dirichlet_eigenvalues", "box_eigenvalue_above",

@@ -350,28 +350,20 @@ def _int_cells(x) -> np.ndarray:
     return frame
 
 
-def rows_text(columns, cell_sep: str, row_sep: str, quote: bool, texts) -> str:
-    """The rows of ``columns``, 1-D arrays of one length, as text: cells
-    joined by ``cell_sep`` and rows by ``row_sep``.
-
-    float64 and int64 columns come out as their values' ``repr``; ``quote``
-    spells non-finite floats as JSON strings.  Any other column takes its
-    cells' texts from ``texts(column, quote)``.  The float64 columns go
-    through one ``_float_cells`` call.
+def rows_text(columns, cell_sep: str, row_sep: str, quote: bool) -> str:
+    """The rows of ``columns``, float64 and int64 arrays of one length, as
+    text: each cell its value's ``repr``, cells joined by ``cell_sep`` and
+    rows by ``row_sep``; ``quote`` spells non-finite floats as JSON strings.
+    The float64 columns go through one ``_float_cells`` call; every other
+    column is read as int64.
     """
     n = len(columns[0])
     floats = [k for k, c in enumerate(columns) if c.dtype == np.float64]
-    frames = [None] * len(columns)
+    frames = [None if k in floats else _int_cells(c) for k, c in enumerate(columns)]
     if floats:
         frame = _float_cells([columns[k] for k in floats], quote)
         for j, k in enumerate(floats):
             frames[k] = frame[:, j * n:(j + 1) * n]
-    for k, column in enumerate(columns):
-        if column.dtype == np.int64:
-            frames[k] = _int_cells(column)
-        elif frames[k] is None:
-            cells = np.array(list(texts(column, quote)), dtype=bytes)
-            frames[k] = cells.view(np.uint8).reshape(len(cells), -1).T
     return _join(frames, cell_sep, row_sep)
 
 

@@ -1,8 +1,8 @@
 """Log-domain growth accounting and divergence tests.
 
-Everything here lives in log space: the running coupling products, the series
-terms ``gap_n / product_n^2``, and the partial sums (via log-sum-exp), since
-factorial gaps and growing strengths overflow doubles almost immediately.
+Everything here lives in log space: the running coupling products and the
+series terms ``gap_n / product_n^2``, since factorial gaps and growing
+strengths overflow doubles almost immediately.
 
 Kind convention: for a delta system the coupling factor at energy ``lam`` is
 ``1 + |alpha_i| / sqrt(lam)``; a delta-prime system is analyzed through the
@@ -30,16 +30,12 @@ def _log_factors(system: SystemSpec, lam_eff: float, n_lo: int, n_hi: int) -> np
 
 @dataclass(frozen=True)
 class GrowthProfile:
-    """Per-index log quantities for a system at a fixed probe energy.
-
-    ``log_norms`` is filled only when direct propagation was feasible.
-    """
+    """Per-index log quantities for a system at a fixed probe energy."""
 
     lam0: float
     log_gaps: np.ndarray
     log_products: np.ndarray
     terms: np.ndarray
-    log_norms: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.log_gaps)
@@ -116,11 +112,6 @@ def _verdict_from_scan(w: WindowScan, k: int, margin: float) -> DivergenceVerdic
                              tail_start=w.tail_start, margin=margin)
 
 
-def _norms(vecs: np.ndarray) -> np.ndarray:
-    """Euclidean row norms of boundary vectors, finite for every finite row."""
-    return np.hypot(np.abs(vecs[:, 0]), np.abs(vecs[:, 1]))
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """Result of checking the propagation lower bound against the product."""
@@ -141,7 +132,7 @@ def lower_bound_check(system: SystemSpec, lam: float, n_max: int,
     u, u_inv = diagonalizer(lam)
     c = 1.0 / (operator_norm(u) * operator_norm(u_inv))
     vecs = propagate(system, lam, xi0, n_max)
-    norms = _norms(vecs)
+    norms = np.hypot(vecs[:, 0], vecs[:, 1])  # finite for every finite row
     if n_max >= 1:
         log_products = np.cumsum(_log_factors(system, lam_eff, 1, n_max))
         slack = norms[1:] * np.exp(log_products) / (c * norms[0])
@@ -150,41 +141,3 @@ def lower_bound_check(system: SystemSpec, lam: float, n_max: int,
         min_slack = math.inf
     return BoundCheck(c_lambda=c, min_slack=min_slack,
                       passed=min_slack >= 1.0 - 1e-9)
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) shifted by the largest term, which is summed apart.
-
-    -inf when every term is -inf; +inf or nan when the largest term is.
-    """
-    i = int(np.argmax(a))
-    top = a[i]
-    if not np.isfinite(top):
-        return float(top)
-    rest = np.delete(a, i)
-    rest -= top
-    return float(top + np.log1p(np.sum(np.exp(rest))))
-
-
-def weighted_norm_sum(system: SystemSpec, lam: float, n_max: int,
-                      xi0=DIRICHLET_START) -> float:
-    """log of sum over n = 0..n_max of gap_n * ||xi_n||^2, via log-sum-exp."""
-    vecs = propagate(system, lam, xi0, n_max)
-    log_norms = np.log(_norms(vecs))
-    log_gaps = system.lattice.log_gaps(0, n_max)
-    return _logsumexp(log_gaps + 2.0 * log_norms)
-
-
-def propagation_profile(system: SystemSpec, lam0: float,
-                        n_max: int) -> GrowthProfile:
-    """Series terms plus directly propagated log vector norms.
-
-    Requires the propagation to stay representable up to n_max; beyond that
-    range only the log-domain quantities of ``series_terms`` exist.
-    """
-    prof = series_terms(system, lam0, n_max)
-    vecs = propagate(system, lam0, DIRICHLET_START, n_max)
-    log_norms = np.log(_norms(vecs))
-    return GrowthProfile(lam0=lam0, log_gaps=prof.log_gaps,
-                         log_products=prof.log_products, terms=prof.terms,
-                         log_norms=log_norms)

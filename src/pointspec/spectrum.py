@@ -165,26 +165,19 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
     essential = HALF_LINE if preconditions else None
     negative_axis = "excluded_by_positivity" if positive else "unknown"
 
+    case = NO_CONCLUSION
+    pp_window = sc_contains = sc_within = None
     if not preconditions:
         failed = [name for name, ok in
                   [("sparseness", pre["sparseness_ok"]),
                    ("strength growth", pre["strength_ok"])] if not ok]
         caveats.append("preconditions not verified: " + ", ".join(failed))
-        case = NO_CONCLUSION
-        pp_window = sc_contains = sc_within = None
-        ac = "unknown"
     elif est.diverging and positive:
         case = CASE_II
-        pp_window = Interval.empty()
-        sc_contains = HALF_LINE
-        sc_within = HALF_LINE
-        ac = "empty"
+        pp_window, sc_contains, sc_within = Interval.empty(), HALF_LINE, HALF_LINE
     elif est.diverging:
-        case = NO_CONCLUSION
         caveats.append("threshold ratios diverge but some strengths are "
                        "nonpositive; the pure verdict needs positivity")
-        pp_window = sc_contains = sc_within = None
-        ac = "unknown"
     elif est.value > config.zero_threshold:
         a = est.value
         if system.kind == DELTA:
@@ -196,13 +189,14 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
             pp_window = Interval.closed_ray(a)
             sc_contains = Interval.closed(0.0, a)
         sc_within = HALF_LINE
-        ac = "empty"
     else:
-        case = NO_CONCLUSION
         caveats.append("threshold estimate is numerically zero; "
                        "the zero-liminf regime is not covered")
-        pp_window = sc_contains = sc_within = None
-        ac = "unknown"
+    ac = "unknown"
+    if case != NO_CONCLUSION:  # both theorems leave no ac spectrum
+        ac = "empty"
+        caveats.append("absence of absolutely continuous spectrum is a "
+                       "theorem-level label, not numerically certified")
 
     if grid is not None:
         # a divergent series at g excludes eigenvalues >= g for delta, <= g for delta'
@@ -218,18 +212,11 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
             diagnostics["pp_lower_from_exclusions"] = (
                 max(excluded_at) if excluded_at else None)
 
-    if ac == "empty":
-        caveats.append("absence of absolutely continuous spectrum is a "
-                       "theorem-level label, not numerically certified")
-
-    return SpectralClassification(case=case, threshold=est,
-                                  pp_window=pp_window,
-                                  sc_contains=sc_contains,
-                                  sc_within=sc_within, ac=ac,
-                                  essential=essential,
-                                  negative_axis=negative_axis,
-                                  caveats=tuple(caveats),
-                                  diagnostics=diagnostics)
+    return SpectralClassification(
+        case=case, threshold=est, pp_window=pp_window, sc_contains=sc_contains,
+        sc_within=sc_within, ac=ac, essential=essential,
+        negative_axis=negative_axis, caveats=tuple(caveats),
+        diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""JSON schemas for the machine-readable command outputs."""
+"""JSON schemas of the machine-readable command outputs, which the CLI tests
+validate them against."""
 
 _THRESHOLD_SHAPE = {
     "type": "object",

@@ -12,7 +12,7 @@ import pytest
 
 from pointspec import cli, fundamental_matrix
 from pointspec.cli import ConfigError, main, parse_config
-from pointspec.schemas import AVALUE_SCHEMA, CLASSIFY_SCHEMA, TABLE_SCHEMA
+from schemas import AVALUE_SCHEMA, CLASSIFY_SCHEMA, TABLE_SCHEMA
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -27,6 +27,25 @@ def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def config_dict(run):
+    """A config document that parses to ``run``: the system as every output
+    echoes it, the params, and the output block if any."""
+    doc = {"system": cli._system_dict(run.system), "params": run.params}
+    output = {k: v for k, v in (("format", run.output_format),
+                                ("path", run.output_path)) if v is not None}
+    return {**doc, "output": output} if output else doc
+
+
+def edited(doc, path, value):
+    """A copy of ``doc`` with the entry at the keys ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    return doc
 
 
 FACTORIAL_QUARTER = {
@@ -76,17 +95,17 @@ STRENGTHS = {
 class TestConfigParsing:
     def test_round_trip(self):
         run = parse_config(FACTORIAL_QUARTER)
-        doc = run.to_dict()
+        doc = config_dict(run)
         again = parse_config(doc)
         assert again == run
-        assert again.to_dict() == doc
+        assert config_dict(again) == doc
 
     def test_round_trip_with_output_block(self):
         doc = dict(FREE_PI)
         doc["output"] = {"format": "json", "path": "x.json"}
         run = parse_config(doc)
         assert run.output_format == "json"
-        assert parse_config(run.to_dict()) == run
+        assert parse_config(config_dict(run)) == run
 
     def test_unknown_key_rejected(self):
         doc = {"system": dict(FACTORIAL_QUARTER["system"], bogus=1),
@@ -113,14 +132,14 @@ class TestConfigParsing:
         given_s, echo_s = STRENGTHS[strengths]
         run = parse_config({"system": {"kind": "delta_prime", "positions": given_p,
                                        "strengths": given_s}})
-        doc = run.to_dict()
+        doc = config_dict(run)
         # json.dumps tells an echoed 2.0 from 2
         assert json.dumps(doc) == json.dumps(
             {"system": {"kind": "delta_prime", "positions": echo_p,
                         "strengths": echo_s}, "params": {}})
         again = parse_config(doc)
         assert again == run
-        assert again.to_dict() == doc
+        assert config_dict(again) == doc
 
     @pytest.mark.parametrize("family, block, message", [
         ("positions", {"type": "power", "c": 1.0, "p": 2.0, "q": 1.0},
@@ -212,14 +231,54 @@ class TestMalformedInput:
                           "eigs": {"n_points": 3, "lambda_range": [0.5, 9.0]},
                           "growth": {"lambda0": 1.0, "window": [0, 2]},
                           "classify": {"window": [1, 2]}}[command]}
-        block = doc
-        for key in path[:-1]:
-            block = block[key]
-        block[path[-1]] = value
         code, out, err = run_cli([command, "--config",
-                                  write_config(tmp_path, doc)], capsys)
+                                  write_config(tmp_path, edited(doc, path, value))],
+                                 capsys)
         assert code == 2 and out == ""
         assert err == f"config error: {message}\n"
+
+
+GROWTH_DOC = {"system": FREE_PI["system"], "params": {"lambda0": 1.0, "window": [0, 1]}}
+
+# (command, config file text or None for no file, message with {path} for
+# the config's path)
+CONFIG_ERRORS = [
+    ("eigs", "[]", "config must be an object"),
+    ("eigs", json.dumps(edited(FREE_PI, ("system", "positions"), {"c": 1.0})),
+     "system.positions must be an object with a 'type' field"),
+    ("eigs", json.dumps(edited(FREE_PI, ("system", "positions", "points"), [])),
+     "system.positions.points must be a nonempty array"),
+    ("eigs", json.dumps(edited(FREE_PI, ("params",), [])), "params must be an object"),
+    ("eigs", json.dumps(edited(FREE_PI, ("output",), {"format": "xml"})),
+     "output.format must be 'csv' or 'json'"),
+    ("eigs", json.dumps(edited(FREE_PI, ("output",), {"path": 3})),
+     "output.path must be a string"),
+    ("eigs", None,
+     "cannot read config {path}: [Errno 2] No such file or directory: {path!r}"),
+    ("eigs", "not json",
+     "config {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("eigs", json.dumps(edited(FREE_PI, ("params", "n_points"), 2.5)),
+     "params.n_points must be an integer"),
+    ("eigs", json.dumps(edited(FREE_PI, ("params", "n_points"), 0)),
+     "params.n_points must be >= 1"),
+    ("growth", json.dumps(edited(GROWTH_DOC, ("params", "window"), [5, 5])),
+     "params.window must satisfy 0 <= start < end"),
+    ("eigs", json.dumps(edited(FREE_PI, ("params", "oracle"), "lapack")),
+     "params.oracle must be null or 'fd'"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", CONFIG_ERRORS,
+                         ids=["config_object", "positions_type", "points_empty",
+                              "params_object", "output_format", "output_path",
+                              "unreadable", "not_json", "n_points_integer",
+                              "n_points_minimum", "growth_window", "oracle"])
+def test_config_error_exits_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"config error: {message.format(path=str(path))}\n")
 
 
 class TestClassifyCommand:
@@ -264,6 +323,13 @@ class TestClassifyCommand:
                               "--out", str(target)], capsys)
         assert code == 2
         assert not target.exists()
+
+    def test_default_window_echoed(self, tmp_path, capsys):
+        doc = edited(FACTORIAL_QUARTER, ("params",), {})
+        code, out, _ = run_cli(["classify", "--config", write_config(tmp_path, doc)],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["params"]["window"] == [100, 1000000]
 
     def test_csv_format_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FACTORIAL_QUARTER)
@@ -361,6 +427,7 @@ class TestEigsCommand:
         rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
         assert abs(float(rows[0][1]) - 1.0) < 1e-8
 
+    @pytest.mark.requires_scipy
     def test_fd_oracle_columns(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FREE_PI))
         doc["system"]["positions"]["points"] = [0.0, 1.0, 3.0]
@@ -393,6 +460,33 @@ class TestEigsCommand:
         assert code == 2 and out == ""
         assert "more than grid_resolution (2000)" in err
 
+    def test_fd_h_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def solver(*args, **kwargs):
+            pytest.fail("the shooting solver ran before params.fd_h was checked")
+        monkeypatch.setattr(cli, "truncated_eigenvalues", solver)
+        doc = edited(FREE_PI, ("params", "oracle"), "fd")
+        code, out, err = run_cli(["eigs", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, out, err) == (2, "", "config error: missing params.fd_h\n")
+
+    def test_fd_count_is_an_unknown_key(self, tmp_path, capsys):
+        doc = edited(FREE_PI, ("params",), {**FREE_PI["params"], "oracle": "fd",
+                                            "fd_h": math.pi / 512, "fd_count": 4})
+        code, out, err = run_cli(["eigs", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: unknown key(s) in params: ['fd_count']\n"
+
+    def test_endpoint_overflow_exits_3_without_strict(self, tmp_path, capsys):
+        doc = {"system": {"kind": "delta", "positions": {"type": "factorial"},
+                          "strengths": {"type": "constant", "c": 1.0}},
+               "params": {"n_points": 171, "lambda_range": [0.5, 10.0]}}
+        code, out, err = run_cli(["eigs", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: truncation endpoint beyond double range\n"
+
+    @pytest.mark.requires_scipy
     def test_default_fd_count_reaches_past_range(self, tmp_path, capsys):
         # attractive couplings put FD eigenvalues below zero and below the
         # range; the default count must still reach the top roots
@@ -414,6 +508,7 @@ class TestEigsCommand:
         assert len(rows) >= 5
         assert all(float(r[5]) <= 1e-3 for r in rows)
 
+    @pytest.mark.requires_scipy
     def test_default_fd_count_assembles_matrix_once(self, tmp_path, capsys,
                                                     monkeypatch):
         import pointspec.spectrum as spectrum
@@ -550,6 +645,21 @@ class TestPropagateCommand:
                                  capsys)
         assert code2 == 3
 
+    def test_position_overflow_cuts_before_the_vector(self, tmp_path, capsys):
+        # x_n = n^100 leaves double range at n = 1210 while the free vector
+        # stays finite
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "power", "c": 1.0, "p": 100.0},
+                          "strengths": {"type": "constant", "c": 0.0}},
+               "params": {"lambda": 1.0, "n_max": 1210, "dense_per_interval": 1}}
+        code, out, _ = run_cli(["propagate", "--config", write_config(tmp_path, doc)],
+                               capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert "#overflow at n=1210" in lines
+        rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+        assert rows[-1][0] == "1209" and len(rows) == 1210 + 1209
+
     def test_flags_do_not_carry_over_between_calls(self, tmp_path, capsys):
         # main reuses one parser per process
         doc = {"system": {"kind": "delta",
@@ -651,7 +761,7 @@ def old_json(command, run, columns, rows, footers, params):
             return "nan" if v != v else "inf" if v > 0 else "-inf"
         return v
 
-    doc = {"command": command, "system": run.to_dict()["system"],
+    doc = {"command": command, "system": cli._system_dict(run.system),
            "params": {k: safe(v) for k, v in params.items()}, "columns": columns,
            "rows": [[safe(v) for v in row] for row in rows],
            "footers": [f.lstrip("# ") for f in footers]}
@@ -661,18 +771,15 @@ def old_json(command, run, columns, rows, footers, params):
 def columnar(columns, rows):
     """``rows`` as the table commands return them: one structured array.
 
-    A column of ints within int64 becomes int64, one of floats float64, and
-    any other (ints past int64, ints mixed with floats) keeps its objects.
+    A column of ints becomes int64, one of floats (or an empty one) float64,
+    and any other (ints mixed with floats) keeps its objects, which
+    ``_table`` refuses.
     """
+    dtypes = {frozenset({int}): np.int64, frozenset({float}): np.float64}
     arrays = []
     for column in zip(*rows) if rows else [()] * len(columns):
-        kinds = {type(v) for v in column}
-        if kinds == {int} and all(-2**63 <= v < 2**63 for v in column):
-            arrays.append(np.array(column, dtype=np.int64))
-        elif kinds == {float}:
-            arrays.append(np.array(column, dtype=np.float64))
-        else:
-            arrays.append(np.array(column, dtype=object))
+        kinds = frozenset(map(type, column)) or frozenset({float})
+        arrays.append(np.array(column, dtype=dtypes.get(kinds, object)))
     return cli._table(columns, arrays)
 
 
@@ -705,10 +812,15 @@ class TestTableRendering:
              (3, -math.nan, 1e-05)], params={"lambda": math.inf})
 
     def test_int_only_columns(self):
-        self.assert_renders_as_before([(i, -i, i * 10**20) for i in range(7)])
+        # int64 at both ends of its range
+        self.assert_renders_as_before(
+            [(i, -2**63 + i, 2**63 - 1 - i * 10**17) for i in range(7)])
 
     def test_mixed_int_and_float_column(self):
-        self.assert_renders_as_before([(i, i % 2 or 0.5, -2**63 + i) for i in range(5)])
+        # every table column is int64 or float64: a column of Python ints
+        # and floats is refused, not rendered
+        with pytest.raises(TypeError, match="int64 or float64"):
+            columnar(self.COLUMNS, [(i, i % 2 or 0.5, -2**63 + i) for i in range(5)])
 
     @pytest.mark.parametrize("blocks, offset", [(1, -1), (1, 0), (1, 1), (2, 1)])
     def test_rows_around_block_size(self, blocks, offset):
@@ -718,11 +830,11 @@ class TestTableRendering:
 
     def test_float_columns_with_disjoint_slots(self):
         # stacked for the kernel, each float column keeps its own slots: all
-        # scientific, all fixed, only specials; beside int64 and object
-        # columns, over a full block and a one-row last block
+        # scientific, all fixed, only specials; beside two int64 columns, over
+        # a full block and a one-row last block
         specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
         rows = [(i - 7, (i + 1) * 1.2345e20, 1.0 + i / 7.0,
-                 specials[i % len(specials)], i * 10**20)
+                 specials[i % len(specials)], i * 10**15)
                 for i in range(cli.BLOCK_ROWS + 1)]
         self.assert_renders_as_before(
             rows, columns=["n", "sci", "fixed", "special", "big"])

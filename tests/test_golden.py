@@ -34,8 +34,10 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("command, expected, args", CASES,
-                         ids=[case[1] for case in CASES])
+@pytest.mark.parametrize("command, expected, args", [
+    pytest.param(*case, id=case[1],
+                 marks=[pytest.mark.requires_scipy] if case[0] == "eigs" else [])
+    for case in CASES])
 def test_output_bytes(command, expected, args, tmp_path):
     out = tmp_path / expected
     code = main([command, "--config", str(GOLDEN / f"{command}.config.json"),

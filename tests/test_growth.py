@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from pointspec import (SparseSet, StrengthSequence, SystemSpec, diagonalizer,
-                       lower_bound_check, propagate, propagation_profile,
-                       series_terms, series_verdict, step_matrix,
-                       weighted_norm_sum)
+                       lower_bound_check, propagate, series_terms,
+                       series_verdict, step_matrix)
 from pointspec.growth import log_dalembert_ratios
 
 from conftest import factorial_system, random_small_system
@@ -161,64 +160,6 @@ class TestLowerBoundCheck:
             xi0 = rng.normal(size=2)
             res = lower_bound_check(sys, lam, n, xi0=xi0)
             assert res.min_slack >= 1.0 - 1e-9, (trial, kind, lam)
-
-
-class TestWeightedNormSum:
-    def test_single_term(self):
-        lat = SparseSet.explicit([0.0, 2.0, 5.0])
-        sys = SystemSpec("delta", lat, StrengthSequence.constant(1.0))
-        xi0 = (0.3, 0.4)
-        expected = math.log(2.0 * 0.25)
-        assert weighted_norm_sum(sys, 1.0, 0, xi0=xi0) == \
-            pytest.approx(expected, rel=1e-12)
-
-    def test_unit_gaps_free_rotation_grows_linearly(self):
-        lat = SparseSet.explicit(np.arange(31.0))
-        sys = SystemSpec("delta", lat, StrengthSequence.constant(0.0))
-        for n in (5, 10, 29):
-            # free rotation keeps the norm at exactly 1
-            assert weighted_norm_sum(sys, 1.0, n) == \
-                pytest.approx(math.log(n + 1.0), rel=1e-12)
-
-    def test_factorial_prefix_dominated_by_last_term(self):
-        sys = factorial_system("delta", 0.5)
-        n = 6
-        total = weighted_norm_sum(sys, 1.0, n)
-        vecs = propagate(sys, 1.0, (0.0, 1.0), n)
-        last = (sys.lattice.log_gaps(n, n)[0]
-                + 2 * math.log(np.linalg.norm(vecs[n])))
-        assert last <= total < last + math.log(2.0)
-
-
-    def test_logsumexp_against_scipy(self, rng):
-        special = pytest.importorskip("scipy.special")
-        from pointspec.growth import _logsumexp
-        cases = [rng.normal(scale, 1.0, size) for scale in (-800.0, 0.0, 30.0, 900.0)
-                 for size in (1, 2, 7, 1000)]
-        cases += [np.array([0.0, 0.0, -np.inf]), rng.uniform(-3, 3, 5) - 1e-17,
-                  np.full(4, 700.0)]
-        for a in cases:
-            want = float(special.logsumexp(a))
-            assert abs(_logsumexp(a) - want) <= 1e-15 * max(1.0, abs(want))
-        assert _logsumexp(np.full(3, -np.inf)) == -np.inf
-
-
-class TestPropagationProfile:
-    def test_log_norms_match_direct_propagation(self):
-        sys = factorial_system("delta", 0.5)
-        prof = propagation_profile(sys, 1.0, 7)
-        vecs = propagate(sys, 1.0, (0.0, 1.0), 7)
-        assert np.allclose(prof.log_norms,
-                           np.log(np.linalg.norm(vecs, axis=1)), atol=1e-12)
-        ref = series_terms(sys, 1.0, 7)
-        assert np.array_equal(prof.terms, ref.terms)
-
-    def test_overflow_propagates(self):
-        lat = SparseSet.explicit(np.arange(5.0))
-        sys = SystemSpec("delta", lat,
-                         StrengthSequence.explicit([1e250] * 4))
-        with pytest.raises(OverflowError):
-            propagation_profile(sys, 1.0, 3)
 
 
 class TestTildePropagationConsistency:

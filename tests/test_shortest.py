@@ -24,7 +24,7 @@ def kernel_lines(values, quote=False):
     column = np.asarray(values)
     return [line for start in range(0, len(column), BLOCK)
             for line in _shortest.rows_text([column[start:start + BLOCK]], ",",
-                                            "\n", quote, None).split("\n")]
+                                            "\n", quote).split("\n")]
 
 
 def assert_matches_repr(values, quote=False):
@@ -120,13 +120,14 @@ def test_int64_columns():
 
 
 def test_several_columns_and_other_dtypes():
-    ints = np.arange(-3, 4, dtype=np.int64)
-    floats = ints * 0.25
-    objects = np.array([10**20 * int(i) for i in ints], dtype=object)
-    text = _shortest.rows_text([ints, floats, objects], ", ", ";\n", False,
-                               lambda column, quote: map(repr, column.tolist()))
+    # int64 and float64 columns side by side, and an int32 column (numpy's
+    # default integer on some platforms before numpy 2), which reads as int64
+    ints = np.arange(-3, 4, dtype=np.int64) * 10**17
+    floats = np.arange(-3, 4) * 0.25
+    narrow = np.arange(-3, 4, dtype=np.int32)
+    text = _shortest.rows_text([ints, floats, narrow], ", ", ";\n", False)
     assert text == ";\n".join(f"{i!r}, {f!r}, {o!r}" for i, f, o in
-                              zip(ints.tolist(), floats.tolist(), objects.tolist()))
+                              zip(ints.tolist(), floats.tolist(), narrow.tolist()))
 
 
 def test_stacked_columns_give_each_columns_cells():

@@ -314,6 +314,7 @@ class TestTruncatedEigenvalues:
         assert np.allclose(res.values, [0.25, 2.25, 6.25], atol=1e-8)
         assert res.suspected_missed == 0
 
+    @pytest.mark.requires_scipy
     def test_matches_fd_oracle_on_small_delta_system(self):
         lat = SparseSet.explicit([0.0, 1.0, 3.0])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([5.0, 0.0]))
@@ -387,6 +388,7 @@ def random_truncation(rng, kind, n):
 
 
 class TestCountBelow:
+    @pytest.mark.requires_scipy
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_matches_fd_count(self, kind):
         rng = np.random.default_rng(5 if kind == "delta" else 6)
@@ -413,6 +415,7 @@ class TestCountBelow:
             sys = SystemSpec(kind, lat, StrengthSequence.explicit([0.0, 0.0]))
             assert np.array_equal(_count_below(sys, 2, lams), want)
 
+    @pytest.mark.requires_scipy
     def test_finds_roots_the_grid_scan_missed(self):
         # a sign-change scan of the closure value on the default grid finds
         # 25 of these 27 roots: the pair at 12.7888/12.7944 shares one cell
@@ -604,12 +607,14 @@ def fd_matrix_loop(system, n_max, h):
 
 
 class TestFdOracle:
+    @pytest.mark.requires_scipy
     def test_free_laplacian_benchmark(self):
         lat = SparseSet.explicit([0.0, math.pi])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([0.0]))
         res = fd_oracle_eigenvalues(sys, 1, math.pi / 2000, 3)
         assert abs(res.values[0] - 1.0) < 1e-5
 
+    @pytest.mark.requires_scipy
     def test_second_order_convergence(self):
         lat = SparseSet.explicit([0.0, math.pi])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([0.0]))
@@ -618,6 +623,7 @@ class TestFdOracle:
         for e0, e1 in zip(errs, errs[1:]):
             assert 3.0 < e0 / e1 < 5.0
 
+    @pytest.mark.requires_scipy
     def test_delta_at_midpoint_matches_shooting(self):
         lat = SparseSet.explicit([0.0, 1.0, 2.0])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([10.0, 0.0]))
@@ -628,6 +634,7 @@ class TestFdOracle:
         k = min(5, len(inside), len(sh.values))
         assert np.allclose(sh.values[:k], inside[:k], rtol=1e-3)
 
+    @pytest.mark.requires_scipy
     def test_delta_prime_matches_shooting(self):
         lat = SparseSet.explicit([0.0, 1.0, 2.5])
         sys = SystemSpec("delta_prime", lat,
@@ -640,6 +647,7 @@ class TestFdOracle:
         assert k >= 4
         assert np.allclose(sh.values[:k], inside[:k], rtol=1e-3)
 
+    @pytest.mark.requires_scipy
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_upper_reaches_one_past(self, kind):
         sys = SystemSpec(kind, SparseSet.explicit([0.0, 1.0, 2.5, 3.0]),
@@ -653,6 +661,7 @@ class TestFdOracle:
         with pytest.raises(ValueError):
             fd_oracle_eigenvalues(sys, 3, h)
 
+    @pytest.mark.requires_scipy
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_upper_at_an_fd_eigenvalue(self, kind):
         # the value LAPACK bisects can sit at or below the point where the
@@ -669,6 +678,7 @@ class TestFdOracle:
                 assert np.array_equal(
                     fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
 
+    @pytest.mark.requires_scipy
     def test_upper_below_the_spectrum(self):
         # every node carries alpha = 100: the matrix's Gershgorin bound is
         # far above upper = 20, and the list is the lowest eigenvalue alone
@@ -678,6 +688,7 @@ class TestFdOracle:
         assert len(fd) == 1 and fd.values[0] > 20.0
         assert np.array_equal(fd.values, fd_oracle_eigenvalues(sys, 4, 0.25, 1).values)
 
+    @pytest.mark.requires_scipy
     def test_sturm_count_matches_lapack(self, rng):
         from scipy.linalg import eigh_tridiagonal
 
