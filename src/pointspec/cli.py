@@ -343,6 +343,8 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bo
     oracle = p.get("oracle")
     if oracle not in (None, "fd"):
         raise ConfigError("params.oracle must be null or 'fd'")
+    if oracle is None and "fd_h" in p:
+        raise ConfigError("params.fd_h needs params.oracle 'fd'")
     fd_h = _number(p, "fd_h", "params", positive=True) if oracle == "fd" else None
     eigs = truncated_eigenvalues(run.system, n_max, (float(rng[0]), float(rng[1])),
                                  grid_resolution=resolution, tol=tol)

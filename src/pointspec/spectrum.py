@@ -33,6 +33,10 @@ NO_CONCLUSION = "no_conclusion"
 _GRID_STRIDE = 16  # grid points per coarse cell
 _TREE_LEVELS = 4  # most bisection steps per count call: 15 midpoints per bracket
 _CALL_ENERGIES = 512  # most midpoints a count call of more than one level takes
+_FD_GRID = 512  # cells of the FD oracle's isolation grid
+_FD_TREE_LEVELS = 9  # an FD count costs little per energy: up to 511 midpoints a bracket
+_TINY = 1e-100  # least angle of an FD run map: keeps every map finite
+_FD_ROWS = 8  # FD count denominators held at once
 
 
 @dataclass(frozen=True)
@@ -335,29 +339,51 @@ def _count_below(system: SystemSpec, n_max: int, lams) -> np.ndarray:
     return count
 
 
-def _bisect_tree(system: SystemSpec, n_max: int, js: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Several bisection steps of every bracket from one count call.
+def _bisect_tree(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float,
+                 max_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Several bisection steps of every bracket from one call of ``count``.
 
     Halves every sub-bracket of each bracket ``levels`` times, each midpoint
     formed as 0.5 * (a + b) from its own sub-bracket, and counts all the
-    midpoints in one call.  ``levels`` is ``_TREE_LEVELS`` while the trees
-    fit in ``_CALL_ENERGIES`` midpoints and shrinks as the brackets grow
-    in number, down to one step per call: there a deeper tree would
-    multiply the energies that one-at-a-time bisection counts.  Each root
-    then walks down its tree under the same stopping test as before every
-    step: the brackets are those of one-at-a-time bisection, bit for bit.
+    midpoints in one call; roots that share a bracket share its tree.
+    ``levels`` is ``max_levels`` while the trees fit in ``_CALL_ENERGIES``
+    midpoints and shrinks as the brackets grow in number, down to one step
+    per call: there a deeper tree would multiply the energies that
+    one-at-a-time bisection counts.  Each root then walks down its tree
+    under the same stopping test as before every step: the brackets are
+    those of one-at-a-time bisection, bit for bit.
     """
-    levels = max(1, min(_TREE_LEVELS, int(np.log2(_CALL_ENERGIES / len(js) + 1))))
-    edges = np.stack([lo, hi], axis=1)
-    for _ in range(levels):
-        finer = np.empty((len(js), 2 * edges.shape[1] - 1))
-        finer[:, ::2] = edges
-        finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        edges = finer
+    rows = np.arange(len(js))
+    tree, lo_t, hi_t = rows, lo, hi  # each root's tree, and the trees' brackets
+    if shared := not np.all(new := (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])):
+        first = np.flatnonzero(np.concatenate(([True], new)))
+        tree, lo_t, hi_t = np.cumsum(np.concatenate(([0], new))), lo[first], hi[first]
+    # a bracket wider than stop is live, and `needed` steps bring the widest
+    # down to stop: a deeper tree would only add energies
+    stop = max(tol, np.spacing(max(-lo.min(), hi.max())))
+    needed = math.ceil(math.log2(np.max(hi - lo) / stop))
+    levels = max(1, min(max_levels, needed,
+                        int(math.log2(_CALL_ENERGIES / len(lo_t) + 1))))
+    edges = np.empty((len(lo_t), 2**levels + 1))
+    edges[:, 0], edges[:, -1] = lo_t, hi_t
+    for level in range(levels - 1, -1, -1):  # each sub-bracket's midpoint, top down
+        step = 2**level
+        mid = edges[:, step::2 * step]
+        np.add(edges[:, :-step:2 * step], edges[:, 2 * step::2 * step], out=mid)
+        mid *= 0.5
+    counts = count(edges[:, 1:-1].ravel()).reshape(len(lo_t), -1)
+    if (np.all(counts[:, 1:] >= counts[:, :-1])
+            and np.min(edges[:, 2::2] - edges[:, :-2:2]) > stop):
+        # the count rises along every tree, and every cell a step starts from
+        # passes the stopping test: each walk ends in the finest cell where
+        # the count reaches its root
+        at = np.count_nonzero((counts[tree] if shared else counts) < js[:, None], axis=1)
+        return edges[tree, at], edges[tree, at + 1]
+    if shared:
+        edges, counts = edges[tree], counts[tree]
     mids = edges[:, 1:-1]  # ascending; the tree's root sits in the middle
-    left_of = _count_below(system, n_max, mids.ravel()).reshape(mids.shape) >= js[:, None]
-    rows, at = np.arange(len(js)), np.full(len(js), -1)  # mids[at]: left edge (-1: lo)
+    left_of = counts >= js[:, None]
+    at = np.full(len(js), -1)  # mids[at]: left edge (-1: lo)
     live = True  # every bracket passed in is live
     for level in range(levels - 1, -1, -1):
         at += 2**level  # each sub-bracket's midpoint
@@ -366,7 +392,26 @@ def _bisect_tree(system: SystemSpec, n_max: int, js: np.ndarray, lo: np.ndarray,
         lo = np.where(live & ~left, mid, lo)
         at -= 2**level * left  # roots left of it keep their left edge
         if level:
-            live = hi - lo > np.maximum(tol, np.spacing(hi))
+            live = hi - lo > np.maximum(tol, np.spacing(np.abs(hi)))
+    return lo, hi
+
+
+def _bisect(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float,
+            max_levels: int = _TREE_LEVELS) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect each bracket [lo, hi] of the js-th eigenvalue on ``count``.
+
+    ``count(lams)`` gives the eigenvalues at or below each energy, and each
+    bracket holds its root: count(lo) < j <= count(hi).  Brackets stop once
+    no wider than ``tol``, or than the gap between adjacent doubles; each
+    call of ``count`` serves up to ``max_levels`` steps (``_bisect_tree``).
+    """
+    # adjacent doubles cannot be split, whatever tol asks
+    while np.any(live := hi - lo > np.maximum(tol, np.spacing(np.abs(hi)))):
+        if np.all(live):
+            lo, hi = _bisect_tree(count, js, lo, hi, tol, max_levels)
+        else:
+            lo[live], hi[live] = _bisect_tree(count, js[live], lo[live], hi[live], tol,
+                                              max_levels)
     return lo, hi
 
 
@@ -421,11 +466,8 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
         counts[fine] = _count_below(system, n_max, grid[fine])
     js = np.arange(counts[0] + 1, counts[-1] + 1)  # counts of the roots in range
     cell = np.searchsorted(counts, js) - 1
-    lo, hi = grid[cell], grid[cell + 1]
-    # adjacent doubles cannot be split, whatever tol asks
-    while np.any(live := hi - lo > np.maximum(tol, np.spacing(hi))):
-        lo[live], hi[live] = _bisect_tree(system, n_max, js[live], lo[live],
-                                          hi[live], tol)
+    lo, hi = _bisect(lambda lams: _count_below(system, n_max, lams), js,
+                     grid[cell], grid[cell + 1], tol)
     roots, first = np.unique(0.5 * (lo + hi), return_index=True)
     col = 0 if system.kind == DELTA else 1  # psi(x_N) for delta, psi'(x_N) else
     residuals = [abs(propagate(system, r, DIRICHLET_START, n_max)[-1][col])
@@ -436,8 +478,8 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
 
 
 def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
-                          count: int | None = None,
-                          upper: float | None = None) -> EigenvalueList:
+                          count: int | None = None, upper: float | None = None,
+                          tol: float | None = None) -> EigenvalueList:
     """Independent finite-difference eigenvalues of the same truncation.
 
     Second-order scheme on a uniform mesh over [0, x_N] with the lattice
@@ -450,6 +492,14 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     mass scaling.  The right end is closed to match the shooting solver:
     Dirichlet for delta, Neumann for delta-prime.
 
+    The matrix is never assembled.  Its eigenvalues are bisected on the
+    count of its nonpositive pivots (``_fd_count_below``), which costs
+    O(lattice points) per energy, from a grid of ``_FD_GRID`` cells over
+    bounds on the whole spectrum, to brackets no wider than ``tol`` (or
+    than the gap between adjacent doubles).  The default, 2 ulp ||T|| with
+    ||T|| the larger bound, is the accuracy of LAPACK's bisection; the count
+    resolves low eigenvalues of fine meshes far better than that.
+
     Returns the lowest ``count`` eigenvalues.  Without ``count`` it returns
     every eigenvalue at or below ``upper`` plus the next one (capped at the
     matrix size), so negative and below-range eigenvalues cannot push the
@@ -460,51 +510,47 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
         raise ValueError("need count or upper")
     if count is not None and not count >= 1:
         raise ValueError("need count >= 1")
-    dt, et = _fd_tridiagonal(system, n_max, h)
-    # the only scipy use in the package: importing it here keeps it off
-    # every other command's start-up
-    from scipy.linalg import eigh_tridiagonal
+    if tol is not None and not tol >= 0:
+        raise ValueError("need tol >= 0")
+    mesh, size, (lowest, highest) = _fd_runs(system, n_max, h)
 
-    def lowest(k: int) -> np.ndarray:
-        k = min(k, len(dt))
-        return eigh_tridiagonal(dt, et, select="i", select_range=(0, k - 1),
-                                eigvals_only=True)
+    def count_below(lams):
+        return _fd_count_below(*mesh, lams)
+
+    norm_tol = 2.0 * np.finfo(float).eps * max(-lowest, highest)
+    if tol is None:
+        tol = norm_tol
+    # padded by far more than the count's rounding: no eigenvalue escapes
+    grid = np.linspace(lowest - 8.0 * norm_tol, highest + 8.0 * norm_tol, _FD_GRID + 1)
+    energies = grid[1:-1] if upper is None else np.append(grid[1:-1], upper)
+    counts = count_below(energies)
+    grid_counts = np.concatenate([[0], counts[:_FD_GRID - 1], [size]])
+
+    def eigenvalues(js):
+        cell = np.searchsorted(grid_counts, js) - 1
+        lo, hi = _bisect(count_below, js, grid[cell], grid[cell + 1], tol,
+                         _FD_TREE_LEVELS)
+        return 0.5 * (lo + hi)
 
     if count is not None:
-        return EigenvalueList(values=lowest(count))
-    vals = lowest(_sturm_count(dt, et, upper) + 1)
-    # a bisected eigenvalue can land at or below upper while the exact count
-    # there leaves it out; then the next one is still owed
-    while vals[-1] <= upper and len(vals) < len(dt):
-        vals = lowest(len(vals) + 1)
+        return EigenvalueList(values=eigenvalues(np.arange(1, min(count, size) + 1)))
+    vals = eigenvalues(np.arange(1, min(counts[-1] + 1, size) + 1))
+    # a bisected eigenvalue can land at or below upper while the count there
+    # leaves it out; then the next one is still owed
+    while vals[-1] <= upper and len(vals) < size:
+        vals = np.append(vals, eigenvalues(np.array([len(vals) + 1])))
     return EigenvalueList(values=vals)
 
 
-def _sturm_count(d: np.ndarray, e: np.ndarray, x: float) -> int:
-    """Eigenvalues <= x of the symmetric tridiagonal (d, e), as LAPACK counts.
+def _fd_runs(system: SystemSpec, n_max: int, h: float):
+    """The FD matrix of ``fd_oracle_eigenvalues`` as runs of free mesh rows.
 
-    Counts the nonpositive pivots of the LDL^T factorization of T - x I, the
-    way dstebz does: an off-diagonal with e_j^2 < |d_j d_(j+1)| ulp^2 +
-    safmin splits the matrix, and a pivot smaller in magnitude than
-    pivmin = safmin * max(1, max kept e_j^2) counts as negative.
+    A run ends at an interacting node.  Returns ``_fd_count_below``'s
+    arguments (h, the distinct run lengths as a column, how many runs have
+    each, each run's index among them, the strengths at the nodes between
+    runs, and the kind), the matrix size, and bounds below and above its
+    spectrum from its quadratic form.
     """
-    ulp2, safmin = np.finfo(float).eps ** 2, np.finfo(float).tiny
-    e2 = e * e
-    e2[np.abs(d[:-1] * d[1:]) * ulp2 + safmin > e2] = 0.0
-    pivmin = safmin * float(np.max(e2, initial=1.0))
-    count, pivot = 0, 1.0
-    for dj, ej2 in zip(d.tolist(), [0.0, *e2.tolist()]):
-        pivot = dj - ej2 / pivot - x
-        if abs(pivot) < pivmin:
-            pivot = -pivmin
-        if pivot <= 0.0:
-            count += 1
-    return count
-
-
-def _fd_tridiagonal(system: SystemSpec, n_max: int,
-                    h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mass-scaled diagonal and off-diagonal of the FD truncation matrix."""
     if not h > 0:
         raise ValueError("need positive mesh size")
     length = system.lattice.position(n_max)
@@ -513,26 +559,122 @@ def _fd_tridiagonal(system: SystemSpec, n_max: int,
     m = int(round(length / h))
     if m < 4:
         raise ValueError("mesh too coarse for the truncation length")
-    if m > 2 * 10**5:
-        raise ValueError(f"mesh of {m} nodes exceeds the manageable limit")
-
-    xs = system.lattice.positions(n_max)[1:]
-    nodes = np.rint(xs / h)
-    if len(np.unique(nodes)) != len(nodes) or np.any(nodes <= 0):
+    nodes = np.rint(system.lattice.positions(n_max)[1:] / h)  # nondecreasing
+    if nodes[0] <= 0 or np.any(nodes[1:] == nodes[:-1]):
         raise ValueError("lattice points collide on the mesh; refine h")
 
     inner = nodes < m  # at node m psi or psi' vanishes: the interaction is inert
-    j, a = nodes[inner].astype(int) - 1, system.strengths.alphas(1, n_max)[inner]
+    a = system.strengths.alphas(1, n_max)[inner]
     delta_prime = system.kind == DELTA_PRIME
-    size = m if delta_prime else m - 1  # node m is an unknown under Neumann
-    d, mass, e = np.full(size, 2.0 / h), np.full(size, h), np.full(size - 1, -1.0 / h)
-    if not delta_prime:
-        d[j] += a
-    else:  # an interacting node splits into two unknowns coupled by -1/alpha
-        d[-1], mass[-1] = 1.0 / h, h / 2.0
-        j, a = j[np.abs(a) > 1e-12], a[np.abs(a) > 1e-12]
-        d[j], mass[j] = 1.0 / h + 1.0 / a, h / 2.0
-        d, mass = np.insert(d, j, d[j]), np.insert(mass, j, mass[j])
-        e = np.insert(e, j, -1.0 / a)
-    scale = 1.0 / np.sqrt(mass)
-    return d * scale * scale, e * scale[:-1] * scale[1:]
+    kept = np.abs(a) > 1e-12 if delta_prime else a != 0.0
+    a = a[kept]
+    index = {}  # each distinct run length's place among them
+    runs = [index.setdefault(run, len(index))
+            for run in np.diff(np.concatenate([[0], nodes[inner][kept], [m]])).tolist()]
+    lengths = np.array(list(index), dtype=float)
+    weights = np.bincount(runs).astype(float)  # runs of each length
+    # bonds of weight 1/h add at most 4/h^2 per unit mass; a delta node adds
+    # alpha/h, a split node's bond 1/alpha at most 4/(alpha h) either way
+    extra = a / h if not delta_prime else 4.0 / (a * h)
+    bounds = (min(0.0, np.min(extra, initial=0.0)),
+              4.0 / h**2 + max(0.0, np.max(extra, initial=0.0)))
+    size = m + len(a) if delta_prime else m - 1
+    return (h, lengths[:, None], weights, runs, a.tolist(), delta_prime), size, bounds
+
+
+def _fd_count_below(h: float, lengths: np.ndarray, weights: np.ndarray, runs: list,
+                    kicks: list, delta_prime: bool, lams) -> np.ndarray:
+    """Eigenvalues at or below each energy of the FD matrix, run by run.
+
+    Counts the nonpositive pivots of the LDL^T factorization of A - lam M,
+    which by Sylvester's law of inertia number the eigenvalues of the
+    mass-scaled matrix at or below lam.  Off the interacting nodes the mesh
+    rows read u_(j+1) = (2 - h^2 lam) u_j - u_(j-1), and row j's pivot is
+    u_(j+1) / (h u_j): nonpositive where u changes sign.  Between runs the
+    count carries v = D / u at the run's last node, with the discrete
+    derivative D = (u_j - u_(j-1)) / h - lam h u_j / 2.  A run maps v to
+    (A v - s2) / (v + A) and has q nonpositive pivots, plus one where that
+    denominator is nonpositive (``_fd_run_maps``).  A delta node adds
+    alpha u to D.
+    A split delta-prime node is two rows: u jumps by alpha D while D carries
+    over, so v goes to (v / alpha) / (v + 1 / alpha), whose denominator is
+    the left row's pivot.  The Neumann row at x_N has pivot v.
+    """
+    x = np.asarray(lams, dtype=float)
+    maps, s2, turns = _fd_run_maps(h, lengths, x)
+    count = (weights @ turns).astype(np.int64)
+    # one denominator per step, counted a block of rows at a time; the first
+    # run starts from u = 0 and has none
+    dens, k = np.empty((_FD_ROWS, len(x))), 0
+    v = maps[runs[0]].copy()
+    with np.errstate(all="ignore"):  # only an exact u = 0 at a node divides by 0
+        for run, alpha in zip(runs[1:], kicks):
+            if delta_prime:
+                jump = 1.0 / alpha
+                np.add(v, jump, out=dens[k])
+                v *= jump
+                v /= dens[k]
+                k += 1
+            else:
+                v += alpha
+            np.add(v, maps[run], out=dens[k])
+            v *= maps[run]
+            v -= s2
+            v /= dens[k]
+            k += 1
+            if k >= _FD_ROWS - 1:  # room for the next step's two rows
+                count += np.count_nonzero(dens[:k] <= 0.0, axis=0)
+                k = 0
+    if delta_prime:
+        dens[k] = v
+        k += 1
+    return count + np.count_nonzero(dens[:k] <= 0.0, axis=0)
+
+
+def _fd_run_maps(h: float, lengths: np.ndarray, x: np.ndarray):
+    """The map of v (see ``_fd_count_below``) across a run, per length and energy.
+
+    Returns A of shape (lengths, energies), s2 per energy, and q of shape
+    (lengths, energies), the run's nonpositive pivots besides the one its
+    denominator may show.  With cos(theta) = 1 - h^2 lam / 2 (the discrete
+    oscillation theorem):
+
+    * 0 <= h^2 lam < 4: a discrete Prufer angle advances by L theta; q is its
+      whole half-turns and rho what remains; with s = sin(theta) / h,
+      A = s cot(rho) and s2 = s^2;
+    * lam < 0: theta = i eta, u changes sign at most once along a run, and
+      A = s coth(L eta), s2 = -s^2 with s = sinh(eta) / h;
+    * h^2 lam >= 4: theta = pi + i eta, and (-1)^j u changes sign at most
+      once, so every pivot but at most one is nonpositive: q = L - 1,
+      A = -s coth(L eta), and s2 as for lam < 0.
+
+    Angles are kept at or above _TINY, so A stays finite where rho or eta
+    vanish within rounding; there it takes its limit.
+    """
+    if x.min() >= 0.0 and (z := (0.5 * h) * np.sqrt(x)).max() < 1.0:
+        return _fd_turning_maps(h, lengths, z)
+    z = (0.5 * h) * np.sqrt(np.abs(x))  # sin(theta / 2), or its continuation
+    maps, s2, turns = _fd_turning_maps(h, lengths, np.minimum(z, 1.0))
+    hyperbolic = (x < 0.0) | (z >= 1.0)  # theta imaginary, or pi plus imaginary
+    z, above = z[hyperbolic], x[hyperbolic] > 0.0
+    eta = 2.0 * np.where(above, np.arccosh(np.maximum(z, 1.0)), np.arcsinh(z))
+    np.maximum(eta, _TINY, out=eta)
+    s = np.sinh(eta) / h
+    maps[:, hyperbolic] = np.where(above, -s, s) / np.tanh(lengths * eta)
+    s2[hyperbolic] = -s * s
+    turns[:, hyperbolic] = np.where(above, lengths - 1.0, 0.0)
+    return maps, s2, turns
+
+
+def _fd_turning_maps(h: float, lengths: np.ndarray, z: np.ndarray):
+    """``_fd_run_maps`` where 0 <= h^2 lam < 4, from z = sin(theta / 2)."""
+    theta = 2.0 * np.arcsin(np.maximum(z, _TINY))
+    s = np.sin(theta) / h
+    turns = lengths * theta
+    rho = np.fmod(turns, math.pi)  # exact, in [0, pi)
+    turns -= rho
+    turns /= math.pi
+    np.rint(turns, out=turns)
+    np.maximum(rho, _TINY, out=rho)
+    np.tan(rho, out=rho)
+    return np.divide(s, rho, out=rho), s * s, turns

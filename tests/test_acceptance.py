@@ -130,7 +130,6 @@ def test_criterion_6_transfer_algebra():
             assert np.array_equal(jj, np.eye(2))
 
 
-@pytest.mark.requires_scipy
 def test_criterion_7_eigensolver_cross_validation():
     with criterion(7, "shooting vs finite-difference oracle on 20 randomized "
                       "truncations, plus exact free case and second-order "

@@ -265,6 +265,8 @@ CONFIG_ERRORS = [
      "params.window must satisfy 0 <= start < end"),
     ("eigs", json.dumps(edited(FREE_PI, ("params", "oracle"), "lapack")),
      "params.oracle must be null or 'fd'"),
+    ("eigs", json.dumps(edited(FREE_PI, ("params", "fd_h"), "coarse")),
+     "params.fd_h needs params.oracle 'fd'"),
 ]
 
 
@@ -272,7 +274,8 @@ CONFIG_ERRORS = [
                          ids=["config_object", "positions_type", "points_empty",
                               "params_object", "output_format", "output_path",
                               "unreadable", "not_json", "n_points_integer",
-                              "n_points_minimum", "growth_window", "oracle"])
+                              "n_points_minimum", "growth_window", "oracle",
+                              "fd_h_without_oracle"])
 def test_config_error_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "config.json"
     if text is not None:
@@ -427,7 +430,23 @@ class TestEigsCommand:
         rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
         assert abs(float(rows[0][1]) - 1.0) < 1e-8
 
-    @pytest.mark.requires_scipy
+    def test_fd_oracle_loads_no_scipy(self, tmp_path):
+        # a cold eigs run with the FD oracle, in a fresh interpreter
+        doc = edited(FREE_PI, ("params",), {**FREE_PI["params"], "oracle": "fd",
+                                            "fd_h": math.pi / 512})
+        code = ("import sys; from pointspec.cli import main; "
+                "assert main(['eigs', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", code, write_config(tmp_path, doc),
+                               str(tmp_path / "out.csv")], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "out.csv").read_text().splitlines()[0].endswith(
+            "fd_lambda,rel_deviation")
+
     def test_fd_oracle_columns(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FREE_PI))
         doc["system"]["positions"]["points"] = [0.0, 1.0, 3.0]
@@ -469,6 +488,17 @@ class TestEigsCommand:
                                  capsys)
         assert (code, out, err) == (2, "", "config error: missing params.fd_h\n")
 
+    @pytest.mark.parametrize("oracle", [None, "omitted"])
+    def test_fd_h_without_the_oracle_exits_2(self, tmp_path, capsys, oracle):
+        params = {**FREE_PI["params"], "fd_h": math.pi / 512}
+        if oracle != "omitted":
+            params["oracle"] = oracle
+        doc = edited(FREE_PI, ("params",), params)
+        code, out, err = run_cli(["eigs", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, out, err) == (2, "", "config error: params.fd_h needs "
+                                           "params.oracle 'fd'\n")
+
     def test_fd_count_is_an_unknown_key(self, tmp_path, capsys):
         doc = edited(FREE_PI, ("params",), {**FREE_PI["params"], "oracle": "fd",
                                             "fd_h": math.pi / 512, "fd_count": 4})
@@ -486,7 +516,6 @@ class TestEigsCommand:
         assert (code, out) == (3, "")
         assert err == "numerical failure: truncation endpoint beyond double range\n"
 
-    @pytest.mark.requires_scipy
     def test_default_fd_count_reaches_past_range(self, tmp_path, capsys):
         # attractive couplings put FD eigenvalues below zero and below the
         # range; the default count must still reach the top roots
@@ -508,17 +537,16 @@ class TestEigsCommand:
         assert len(rows) >= 5
         assert all(float(r[5]) <= 1e-3 for r in rows)
 
-    @pytest.mark.requires_scipy
-    def test_default_fd_count_assembles_matrix_once(self, tmp_path, capsys,
-                                                    monkeypatch):
+    def test_default_fd_count_lays_out_the_mesh_once(self, tmp_path, capsys,
+                                                     monkeypatch):
         import pointspec.spectrum as spectrum
         calls = []
-        original = spectrum._fd_tridiagonal
+        original = spectrum._fd_runs
 
         def counting(*args):
             calls.append(args)
             return original(*args)
-        monkeypatch.setattr(spectrum, "_fd_tridiagonal", counting)
+        monkeypatch.setattr(spectrum, "_fd_runs", counting)
         doc = json.loads(json.dumps(FREE_PI))
         doc["system"]["positions"]["points"] = [0.0, 1.0, 3.0]
         doc["system"]["strengths"]["values"] = [5.0, 0.0]

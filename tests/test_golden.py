@@ -34,10 +34,8 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("command, expected, args", [
-    pytest.param(*case, id=case[1],
-                 marks=[pytest.mark.requires_scipy] if case[0] == "eigs" else [])
-    for case in CASES])
+@pytest.mark.parametrize("command, expected, args",
+                         [pytest.param(*case, id=case[1]) for case in CASES])
 def test_output_bytes(command, expected, args, tmp_path):
     out = tmp_path / expected
     code = main([command, "--config", str(GOLDEN / f"{command}.config.json"),
@@ -46,7 +44,7 @@ def test_output_bytes(command, expected, args, tmp_path):
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
 
 
-# every case but the FD oracle, run where importing scipy fails
+# every case, the FD oracle included, run where importing scipy fails
 NO_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None
@@ -60,7 +58,7 @@ for command, out, args in json.loads(sys.argv[1]):
 
 def test_output_bytes_without_scipy(tmp_path):
     cases = [(command, str(tmp_path / expected), list(args))
-             for command, expected, args in CASES if command != "eigs"]
+             for command, expected, args in CASES]
     src = str(Path(pointspec.__file__).parents[1])
     subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(cases), str(GOLDEN)],
                    check=True, env={**os.environ, "PYTHONPATH": src})

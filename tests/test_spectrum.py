@@ -11,10 +11,11 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        essential_spectrum_probe, fd_oracle_eigenvalues,
                        truncated_eigenvalues)
 from pointspec import spectrum
-from pointspec.spectrum import _count_below, _fd_tridiagonal, _sturm_count
+from pointspec.spectrum import _count_below
 from pointspec.transfer import DIRICHLET_START, propagate
 
 from conftest import factorial_system
+from fd_reference import _fd_tridiagonal, _sturm_count
 
 
 def synthetic_exact_threshold(kind, a, n_points=60):
@@ -314,7 +315,6 @@ class TestTruncatedEigenvalues:
         assert np.allclose(res.values, [0.25, 2.25, 6.25], atol=1e-8)
         assert res.suspected_missed == 0
 
-    @pytest.mark.requires_scipy
     def test_matches_fd_oracle_on_small_delta_system(self):
         lat = SparseSet.explicit([0.0, 1.0, 3.0])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([5.0, 0.0]))
@@ -388,7 +388,6 @@ def random_truncation(rng, kind, n):
 
 
 class TestCountBelow:
-    @pytest.mark.requires_scipy
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_matches_fd_count(self, kind):
         rng = np.random.default_rng(5 if kind == "delta" else 6)
@@ -415,7 +414,6 @@ class TestCountBelow:
             sys = SystemSpec(kind, lat, StrengthSequence.explicit([0.0, 0.0]))
             assert np.array_equal(_count_below(sys, 2, lams), want)
 
-    @pytest.mark.requires_scipy
     def test_finds_roots_the_grid_scan_missed(self):
         # a sign-change scan of the closure value on the default grid finds
         # 25 of these 27 roots: the pair at 12.7888/12.7944 shares one cell
@@ -607,14 +605,12 @@ def fd_matrix_loop(system, n_max, h):
 
 
 class TestFdOracle:
-    @pytest.mark.requires_scipy
     def test_free_laplacian_benchmark(self):
         lat = SparseSet.explicit([0.0, math.pi])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([0.0]))
         res = fd_oracle_eigenvalues(sys, 1, math.pi / 2000, 3)
         assert abs(res.values[0] - 1.0) < 1e-5
 
-    @pytest.mark.requires_scipy
     def test_second_order_convergence(self):
         lat = SparseSet.explicit([0.0, math.pi])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([0.0]))
@@ -623,7 +619,6 @@ class TestFdOracle:
         for e0, e1 in zip(errs, errs[1:]):
             assert 3.0 < e0 / e1 < 5.0
 
-    @pytest.mark.requires_scipy
     def test_delta_at_midpoint_matches_shooting(self):
         lat = SparseSet.explicit([0.0, 1.0, 2.0])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([10.0, 0.0]))
@@ -634,7 +629,6 @@ class TestFdOracle:
         k = min(5, len(inside), len(sh.values))
         assert np.allclose(sh.values[:k], inside[:k], rtol=1e-3)
 
-    @pytest.mark.requires_scipy
     def test_delta_prime_matches_shooting(self):
         lat = SparseSet.explicit([0.0, 1.0, 2.5])
         sys = SystemSpec("delta_prime", lat,
@@ -647,7 +641,6 @@ class TestFdOracle:
         assert k >= 4
         assert np.allclose(sh.values[:k], inside[:k], rtol=1e-3)
 
-    @pytest.mark.requires_scipy
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_upper_reaches_one_past(self, kind):
         sys = SystemSpec(kind, SparseSet.explicit([0.0, 1.0, 2.5, 3.0]),
@@ -660,12 +653,13 @@ class TestFdOracle:
                 fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
         with pytest.raises(ValueError):
             fd_oracle_eigenvalues(sys, 3, h)
+        with pytest.raises(ValueError, match="tol"):
+            fd_oracle_eigenvalues(sys, 3, h, 2, tol=-1.0)
 
-    @pytest.mark.requires_scipy
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_upper_at_an_fd_eigenvalue(self, kind):
-        # the value LAPACK bisects can sit at or below the point where the
-        # exact count passes it; the list must still reach past upper
+        # a bisected value can sit at or below the point where the count
+        # passes it; the list must still reach past upper
         sys = SystemSpec(kind, SparseSet.explicit([0.0, 1.0, 2.5, 3.0]),
                          StrengthSequence.explicit([-6.0, 2.0, 3.0]))
         h = 3.0 / 600
@@ -678,7 +672,6 @@ class TestFdOracle:
                 assert np.array_equal(
                     fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
 
-    @pytest.mark.requires_scipy
     def test_upper_below_the_spectrum(self):
         # every node carries alpha = 100: the matrix's Gershgorin bound is
         # far above upper = 20, and the list is the lowest eigenvalue alone
@@ -717,8 +710,6 @@ class TestFdOracle:
         system = SystemSpec("delta", lat, StrengthSequence.explicit([1.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="collide"):
             fd_oracle_eigenvalues(system, 3, 0.01, 4)
-        with pytest.raises(ValueError, match="manageable"):
-            fd_oracle_eigenvalues(system, 3, 1e-7, upper=5.0)
         with pytest.raises(ValueError, match="coarse"):
             fd_oracle_eigenvalues(system, 3, 1.0, 2)
 
@@ -761,10 +752,99 @@ class TestFdOracle:
     def test_mesh_size_limits(self):
         lat = SparseSet.explicit([0.0, 1.0])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([0.0]))
-        with pytest.raises(ValueError, match="manageable"):
-            fd_oracle_eigenvalues(sys, 1, 1e-7, 2)
         with pytest.raises(ValueError, match="coarse"):
             fd_oracle_eigenvalues(sys, 1, 0.5, 2)
+
+
+def fd_norm(d, e):
+    """||T|| as LAPACK's bisection takes it: the larger Gershgorin bound."""
+    radius = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])
+    return max(abs(float(np.min(d - radius))), abs(float(np.max(d + radius))))
+
+
+def fd_truncations(rng, kind):
+    """Random truncations on a few meshes, zero and sub-1e-12 strengths among them."""
+    for n, h in ((1, 1 / 16), (3, 1 / 64), (8, 1 / 32), (17, 1 / 16)):
+        system = random_truncation(rng, kind, n)
+        alphas = system.strengths.values * rng.choice([0.0, 1e-13, 1.0], n)
+        yield SystemSpec(kind, system.lattice, StrengthSequence.explicit(alphas)), n, h
+
+
+class TestFdCount:
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_equals_the_pivot_count(self, kind):
+        # the cell count against LAPACK's pivot count on the assembled
+        # matrix, with its eigenvalues from a dense numpy solve
+        rng = np.random.default_rng(23 if kind == "delta" else 24)
+        for system, n, h in fd_truncations(rng, kind):
+            d, e = _fd_tridiagonal(system, n, h)
+            w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            mesh, size, (lowest, highest) = spectrum._fd_runs(system, n, h)
+            assert size == len(d) and lowest <= w[0] and w[-1] <= highest
+
+            def count(lams):
+                return spectrum._fd_count_below(*mesh, np.asarray(lams, dtype=float))
+
+            lams = np.concatenate([
+                rng.uniform(lowest, highest, 40),  # anywhere in the spectrum
+                -rng.uniform(0.0, 4.0 / h**2, 10),  # lam <= 0
+                [-1e-300, -5e-324, 0.0, 5e-324, 1e-300, 1e-100, 1e-12],  # tiny
+                np.array([1.0, 1.001, 1.5, 3.0]) * 4.0 / h**2,  # h^2 lam >= 4
+                0.5 * (w[:-1] + w[1:]),  # between eigenvalues
+            ])
+            assert np.array_equal(count(lams), [_sturm_count(d, e, x) for x in lams])
+            # within a few ulp ||T|| of an eigenvalue each count's rounding
+            # decides; outside that band they agree exactly
+            band = 16 * np.finfo(float).eps * fd_norm(d, e)
+            near = np.concatenate([w - band, w + band])
+            assert np.array_equal(count(near), [_sturm_count(d, e, x) for x in near])
+            at = np.concatenate([np.nextafter(w, -np.inf), np.nextafter(w, np.inf)])
+            diff = count(at) - np.array([_sturm_count(d, e, x) for x in at])
+            assert np.all(np.abs(diff) <= 1)
+            assert count([lowest]) == 0 and count([highest]) == size
+
+    @pytest.mark.requires_scipy
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_eigenvalues_within_lapack_accuracy(self, kind):
+        # the oracle's values against LAPACK's bisection on the assembled
+        # matrix, on truncations like the benchmark's
+        from scipy.linalg import eigh_tridiagonal
+
+        rng = np.random.default_rng(31 if kind == "delta" else 32)
+        for _ in range(10):
+            n = int(rng.integers(8, 33))
+            system = random_truncation(rng, kind, n)
+            upper = float(rng.uniform(5.0, 20.0))
+            fd = fd_oracle_eigenvalues(system, n, 1 / 128, upper=upper).values
+            d, e = _fd_tridiagonal(system, n, 1 / 128)
+            ref = eigh_tridiagonal(d, e, select="i", select_range=(0, len(fd) - 1),
+                                   eigvals_only=True)
+            assert np.all(np.abs(fd - ref) <= 2 * np.finfo(float).eps * fd_norm(d, e))
+            assert ref[-1] > upper >= ref[-2]
+
+    def test_tol_zero_stops_at_adjacent_doubles(self):
+        # negative eigenvalues too: their brackets stop at adjacent doubles
+        sys = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.0]),
+                         StrengthSequence.explicit([-6.0, 0.0]))
+        exact = fd_oracle_eigenvalues(sys, 2, 1 / 64, 3, tol=0.0).values
+        default = fd_oracle_eigenvalues(sys, 2, 1 / 64, 3).values
+        assert exact[0] < 0 < exact[1]
+        d, e = _fd_tridiagonal(sys, 2, 1 / 64)
+        assert np.all(np.abs(exact - default) <= 2 * np.finfo(float).eps * fd_norm(d, e))
+
+    @pytest.mark.parametrize("kind, want", [("delta", [1.0, 4.0]),
+                                            ("delta_prime", [0.25, 2.25])])
+    def test_free_box_on_a_huge_mesh(self, kind, want):
+        # 10^8 mesh nodes, no more work than one run: the count resolves the
+        # low eigenvalues to rounding, far below the default tolerance
+        # 2 ulp ||T|| (1.8 here), and tol=0 asks for that
+        system = SystemSpec(kind, SparseSet.explicit([0.0, math.pi]),
+                            StrengthSequence.explicit([0.0]))
+        h = math.pi / 10**8
+        fd = fd_oracle_eigenvalues(system, 1, h, 2, tol=0.0).values
+        # the scheme's second-order error, lam^2 h^2 / 12, is below rounding
+        want = np.array(want)
+        assert np.all(np.abs(fd - want) <= want * (want * h * h / 12 + 4 * np.finfo(float).eps))
 
 
 class TestEigenvalueList:

@@ -277,8 +277,7 @@ class TestOperatorNorm:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # no scipy module at all: only the FD oracle imports scipy.linalg,
-    # when it runs
+    # no scipy module at all: the package needs numpy alone
     import subprocess
     import sys as system
     code = ("import sys, pointspec.cli; "
