@@ -37,6 +37,7 @@ _FD_GRID = 512  # cells of the FD oracle's isolation grid
 _FD_TREE_LEVELS = 9  # an FD count costs little per energy: up to 511 midpoints a bracket
 _TINY = 1e-100  # least angle of an FD run map: keeps every map finite
 _FD_ROWS = 8  # FD count denominators held at once
+_FD_BLOCK = 64  # most distinct FD run lengths whose maps are formed at once
 
 
 @dataclass(frozen=True)
@@ -478,8 +479,8 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
 
 
 def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
-                          count: int | None = None, upper: float | None = None,
-                          tol: float | None = None) -> EigenvalueList:
+                          count: int | None = None,
+                          upper: float | None = None) -> EigenvalueList:
     """Independent finite-difference eigenvalues of the same truncation.
 
     Second-order scheme on a uniform mesh over [0, x_N] with the lattice
@@ -495,10 +496,8 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     The matrix is never assembled.  Its eigenvalues are bisected on the
     count of its nonpositive pivots (``_fd_count_below``), which costs
     O(lattice points) per energy, from a grid of ``_FD_GRID`` cells over
-    bounds on the whole spectrum, to brackets no wider than ``tol`` (or
-    than the gap between adjacent doubles).  The default, 2 ulp ||T|| with
-    ||T|| the larger bound, is the accuracy of LAPACK's bisection; the count
-    resolves low eigenvalues of fine meshes far better than that.
+    bounds on the whole spectrum, to brackets of 2 ulp ||T|| with ||T|| the
+    larger bound: the accuracy of a bisection on the assembled matrix.
 
     Returns the lowest ``count`` eigenvalues.  Without ``count`` it returns
     every eigenvalue at or below ``upper`` plus the next one (capped at the
@@ -510,18 +509,14 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
         raise ValueError("need count or upper")
     if count is not None and not count >= 1:
         raise ValueError("need count >= 1")
-    if tol is not None and not tol >= 0:
-        raise ValueError("need tol >= 0")
     mesh, size, (lowest, highest) = _fd_runs(system, n_max, h)
 
     def count_below(lams):
         return _fd_count_below(*mesh, lams)
 
-    norm_tol = 2.0 * np.finfo(float).eps * max(-lowest, highest)
-    if tol is None:
-        tol = norm_tol
+    tol = 2.0 * np.finfo(float).eps * max(-lowest, highest)
     # padded by far more than the count's rounding: no eigenvalue escapes
-    grid = np.linspace(lowest - 8.0 * norm_tol, highest + 8.0 * norm_tol, _FD_GRID + 1)
+    grid = np.linspace(lowest - 8.0 * tol, highest + 8.0 * tol, _FD_GRID + 1)
     energies = grid[1:-1] if upper is None else np.append(grid[1:-1], upper)
     counts = count_below(energies)
     grid_counts = np.concatenate([[0], counts[:_FD_GRID - 1], [size]])
@@ -546,10 +541,12 @@ def _fd_runs(system: SystemSpec, n_max: int, h: float):
     """The FD matrix of ``fd_oracle_eigenvalues`` as runs of free mesh rows.
 
     A run ends at an interacting node.  Returns ``_fd_count_below``'s
-    arguments (h, the distinct run lengths as a column, how many runs have
-    each, each run's index among them, the strengths at the nodes between
-    runs, and the kind), the matrix size, and bounds below and above its
-    spectrum from its quadratic form.
+    arguments (h, the runs in blocks of consecutive runs with at most
+    ``_FD_BLOCK`` distinct lengths, and the kind), the matrix size, and
+    bounds below and above its spectrum from its quadratic form.  A block
+    holds its distinct run lengths as a column, how many of its runs have
+    each, each run's index among them, and the strength at the node before
+    each run (None before the first).
     """
     if not h > 0:
         raise ValueError("need positive mesh size")
@@ -568,22 +565,26 @@ def _fd_runs(system: SystemSpec, n_max: int, h: float):
     delta_prime = system.kind == DELTA_PRIME
     kept = np.abs(a) > 1e-12 if delta_prime else a != 0.0
     a = a[kept]
-    index = {}  # each distinct run length's place among them
-    runs = [index.setdefault(run, len(index))
-            for run in np.diff(np.concatenate([[0], nodes[inner][kept], [m]])).tolist()]
-    lengths = np.array(list(index), dtype=float)
-    weights = np.bincount(runs).astype(float)  # runs of each length
+    gaps = np.diff(np.concatenate([[0], nodes[inner][kept], [m]])).tolist()
+    blocks = []
+    for gap, kick in zip(gaps, [None, *a.tolist()]):
+        if not blocks or (gap not in blocks[-1][0] and len(blocks[-1][0]) == _FD_BLOCK):
+            blocks.append(({}, [], []))
+        index, runs, kicks = blocks[-1]  # each distinct length's place among them
+        runs.append(index.setdefault(gap, len(index)))
+        kicks.append(kick)
+    blocks = [(np.array(list(index), dtype=float)[:, None], np.bincount(runs).astype(float),
+               runs, kicks) for index, runs, kicks in blocks]
     # bonds of weight 1/h add at most 4/h^2 per unit mass; a delta node adds
     # alpha/h, a split node's bond 1/alpha at most 4/(alpha h) either way
     extra = a / h if not delta_prime else 4.0 / (a * h)
     bounds = (min(0.0, np.min(extra, initial=0.0)),
               4.0 / h**2 + max(0.0, np.max(extra, initial=0.0)))
     size = m + len(a) if delta_prime else m - 1
-    return (h, lengths[:, None], weights, runs, a.tolist(), delta_prime), size, bounds
+    return (h, blocks, delta_prime), size, bounds
 
 
-def _fd_count_below(h: float, lengths: np.ndarray, weights: np.ndarray, runs: list,
-                    kicks: list, delta_prime: bool, lams) -> np.ndarray:
+def _fd_count_below(h: float, blocks: list, delta_prime: bool, lams) -> np.ndarray:
     """Eigenvalues at or below each energy of the FD matrix, run by run.
 
     Counts the nonpositive pivots of the LDL^T factorization of A - lam M,
@@ -599,32 +600,37 @@ def _fd_count_below(h: float, lengths: np.ndarray, weights: np.ndarray, runs: li
     A split delta-prime node is two rows: u jumps by alpha D while D carries
     over, so v goes to (v / alpha) / (v + 1 / alpha), whose denominator is
     the left row's pivot.  The Neumann row at x_N has pivot v.
+    The run maps are formed a block of runs at a time, so memory stays
+    O(energies) however many distinct run lengths there are.
     """
     x = np.asarray(lams, dtype=float)
-    maps, s2, turns = _fd_run_maps(h, lengths, x)
-    count = (weights @ turns).astype(np.int64)
-    # one denominator per step, counted a block of rows at a time; the first
-    # run starts from u = 0 and has none
+    count = np.zeros(len(x), dtype=np.int64)
+    # one denominator per step, counted a block of rows at a time
     dens, k = np.empty((_FD_ROWS, len(x))), 0
-    v = maps[runs[0]].copy()
     with np.errstate(all="ignore"):  # only an exact u = 0 at a node divides by 0
-        for run, alpha in zip(runs[1:], kicks):
-            if delta_prime:
-                jump = 1.0 / alpha
-                np.add(v, jump, out=dens[k])
-                v *= jump
+        for lengths, weights, runs, kicks in blocks:
+            maps, s2, turns = _fd_run_maps(h, lengths, x)
+            count += (weights @ turns).astype(np.int64)
+            for run, alpha in zip(runs, kicks):
+                if alpha is None:  # the first run starts from u = 0: no denominator
+                    v = maps[run].copy()
+                    continue
+                if delta_prime:
+                    jump = 1.0 / alpha
+                    np.add(v, jump, out=dens[k])
+                    v *= jump
+                    v /= dens[k]
+                    k += 1
+                else:
+                    v += alpha
+                np.add(v, maps[run], out=dens[k])
+                v *= maps[run]
+                v -= s2
                 v /= dens[k]
                 k += 1
-            else:
-                v += alpha
-            np.add(v, maps[run], out=dens[k])
-            v *= maps[run]
-            v -= s2
-            v /= dens[k]
-            k += 1
-            if k >= _FD_ROWS - 1:  # room for the next step's two rows
-                count += np.count_nonzero(dens[:k] <= 0.0, axis=0)
-                k = 0
+                if k >= _FD_ROWS - 1:  # room for the next step's two rows
+                    count += np.count_nonzero(dens[:k] <= 0.0, axis=0)
+                    k = 0
     if delta_prime:
         dens[k] = v
         k += 1

@@ -653,8 +653,6 @@ class TestFdOracle:
                 fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
         with pytest.raises(ValueError):
             fd_oracle_eigenvalues(sys, 3, h)
-        with pytest.raises(ValueError, match="tol"):
-            fd_oracle_eigenvalues(sys, 3, h, 2, tol=-1.0)
 
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_upper_at_an_fd_eigenvalue(self, kind):
@@ -772,9 +770,12 @@ def fd_truncations(rng, kind):
 
 class TestFdCount:
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
-    def test_equals_the_pivot_count(self, kind):
+    @pytest.mark.parametrize("block", [spectrum._FD_BLOCK, 2])
+    def test_equals_the_pivot_count(self, kind, block, monkeypatch):
         # the cell count against LAPACK's pivot count on the assembled
-        # matrix, with its eigenvalues from a dense numpy solve
+        # matrix, with its eigenvalues from a dense numpy solve; block 2
+        # forms the run maps of longer truncations in several blocks
+        monkeypatch.setattr(spectrum, "_FD_BLOCK", block)
         rng = np.random.default_rng(23 if kind == "delta" else 24)
         for system, n, h in fd_truncations(rng, kind):
             d, e = _fd_tridiagonal(system, n, h)
@@ -822,26 +823,20 @@ class TestFdCount:
             assert np.all(np.abs(fd - ref) <= 2 * np.finfo(float).eps * fd_norm(d, e))
             assert ref[-1] > upper >= ref[-2]
 
-    def test_tol_zero_stops_at_adjacent_doubles(self):
-        # negative eigenvalues too: their brackets stop at adjacent doubles
-        sys = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.0]),
-                         StrengthSequence.explicit([-6.0, 0.0]))
-        exact = fd_oracle_eigenvalues(sys, 2, 1 / 64, 3, tol=0.0).values
-        default = fd_oracle_eigenvalues(sys, 2, 1 / 64, 3).values
-        assert exact[0] < 0 < exact[1]
-        d, e = _fd_tridiagonal(sys, 2, 1 / 64)
-        assert np.all(np.abs(exact - default) <= 2 * np.finfo(float).eps * fd_norm(d, e))
-
     @pytest.mark.parametrize("kind, want", [("delta", [1.0, 4.0]),
                                             ("delta_prime", [0.25, 2.25])])
     def test_free_box_on_a_huge_mesh(self, kind, want):
         # 10^8 mesh nodes, no more work than one run: the count resolves the
-        # low eigenvalues to rounding, far below the default tolerance
-        # 2 ulp ||T|| (1.8 here), and tol=0 asks for that
+        # low eigenvalues to rounding, far below the oracle's tolerance
+        # 2 ulp ||T|| (1.8 here), so they are bisected on it to adjacent doubles
         system = SystemSpec(kind, SparseSet.explicit([0.0, math.pi]),
                             StrengthSequence.explicit([0.0]))
         h = math.pi / 10**8
-        fd = fd_oracle_eigenvalues(system, 1, h, 2, tol=0.0).values
+        mesh, size, _ = spectrum._fd_runs(system, 1, h)
+        assert size >= 10**8 - 1
+        lo, hi = spectrum._bisect(lambda lams: spectrum._fd_count_below(*mesh, lams),
+                                  np.array([1, 2]), np.zeros(2), np.full(2, 8.0), 0.0)
+        fd = 0.5 * (lo + hi)
         # the scheme's second-order error, lam^2 h^2 / 12, is below rounding
         want = np.array(want)
         assert np.all(np.abs(fd - want) <= want * (want * h * h / 12 + 4 * np.finfo(float).eps))
