@@ -4,9 +4,12 @@ Configuration is a single JSON document (see README for the schema).  Each
 generator family has one key table (``POSITION_KEYS``, ``STRENGTH_KEYS``) and
 classify's thresholds are the fields of ``ClassifyConfig``: each drives the
 accepted keys, the parse and the echo.  ``NaN``, ``Infinity`` and array
-entries that are not numbers are configuration errors.  Every output echoes
-the system and the resolved parameters, so results are reproducible from the
-file alone; outputs are deterministic (no timestamps) and written atomically.
+entries that are not numbers are configuration errors.  Every number, scalar
+or array entry, must be a finite double: ``1e400``, or an integer literal past
+the largest double, is a configuration error before anything is computed.
+Every output echoes the system and the resolved parameters, so results are
+reproducible from the file alone; outputs are deterministic (no timestamps)
+and written atomically.
 The table commands return int64 and float64 columns, and every cell renders
 as its value's ``repr`` (JSON quotes ``nan``, ``inf`` and ``-inf``); a table
 of ``KERNEL_MIN_CELLS`` cells or more renders through the numpy kernel of
@@ -60,6 +63,26 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
 def _is_number(v) -> bool:
     """An int or a float; JSON true and false load as bools, which are ints."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_finite(v, where: str, entry: bool = False):
+    """Raise a ConfigError naming the key of the first number in ``v`` that
+    is no finite double: JSON reads ``1e400`` as inf, and an integer literal
+    can pass the largest double.  ``where`` is ``v``'s key path."""
+    if isinstance(v, dict):
+        for key, x in v.items():
+            _check_finite(x, f"{where}.{key}" if where else key)
+    elif isinstance(v, list):
+        for x in v:
+            _check_finite(x, where, True)
+    elif _is_number(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int beyond double range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{where} must hold only finite doubles" if entry
+                              else f"{where} must be a finite double")
 
 
 def _number(d: dict, key: str, where: str, default=None, positive=False):
@@ -165,6 +188,7 @@ class RunConfig:
 
 def parse_config(doc: dict) -> RunConfig:
     _require_keys(doc, {"system", "params", "output"}, {"system"}, "config")
+    _check_finite(doc, "")
     sysblock = doc["system"]
     _require_keys(sysblock, {"kind", "positions", "strengths"},
                   {"kind", "positions", "strengths"}, "system")

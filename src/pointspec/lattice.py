@@ -454,7 +454,8 @@ class WindowScan:
     ``tail_nondecreasing`` describes the log d'Alembert ratios
     ln(gap(n)/gap(n-1)) - 2 ln(1 + |alpha_n| / sqrt(lam)) at the k-th probe
     energy (lam its effective energy) over n from ``tail_start`` (or the
-    window start, if later) to the window end.
+    window start, if later) to the window end.  A settled energy (see
+    ``window_scan``) holds NaN and False there.
     """
 
     window: tuple[int, int]
@@ -469,16 +470,23 @@ class WindowScan:
 
 
 def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
-                tail_fraction: float = 0.5) -> WindowScan:
+                tail_fraction: float = 0.5, *, settle: bool = False) -> WindowScan:
     """Scan [n_lo, n_hi] (n_lo >= 1) once, a block of indices at a time.
 
     The tail is the last max(2, ceil(N * tail_fraction)) of the N indices.
     Blocks of ``WINDOW_BLOCK`` indices are laid out from n_hi down, so only
     the block at n_lo is partial, and are dealt round-robin to one thread
     per usable CPU; numpy releases the GIL in its loops.  Each index is
-    evaluated once, and the result does not depend on the thread count:
-    minima and flags combine exactly, and a tail is nondecreasing when each
-    block's part is and no step across a block boundary falls.
+    evaluated at most once, and the result does not depend on the thread
+    count: minima and flags combine exactly, and a tail is nondecreasing
+    when each block's part is and no step across a block boundary falls.
+
+    With ``settle``, which only ``classify`` sets, a block whose part of an
+    energy's tail steps down by more than ``_TAIL_SLOP`` settles that
+    energy: the tail is not nondecreasing, so its verdict is known, and the
+    blocks after it skip the energy.  A settled energy's ``tail_min`` is
+    NaN, never a partial minimum, so which blocks evaluated it leaves no
+    trace.  Without ``settle`` every tail minimum is exact.
     """
     system.lattice._check_ratio_range(n_lo, n_hi)
     system.strengths._check_range(n_lo, n_hi)
@@ -486,16 +494,23 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
     tail_start = n_hi - max(2, int(math.ceil((n_hi - n_lo + 1) * tail_fraction))) + 1
     tail_lo = max(tail_start, n_lo)
     n_blocks = -(-(n_hi - n_lo + 1) // WINDOW_BLOCK)
+    # one flag per energy, shared by the workers: a flag is only ever set, so
+    # a worker that reads it before another sets it only repeats work
+    settled = [False] * len(scales) if settle else None
 
     def block(i: int, ws: _Workspace):
         hi = n_hi - (n_blocks - 1 - i) * WINDOW_BLOCK
         return _scan_block(system, max(n_lo, hi - WINDOW_BLOCK + 1), hi,
-                           tail_lo, scales, i == n_blocks - 1, ws)
+                           tail_lo, scales, i == n_blocks - 1, ws, settled)
 
     parts = _run_blocks(block, n_blocks, min(n_hi - n_lo + 1, WINDOW_BLOCK) + 1)
     mins, positive, block_tails, trailing = zip(*parts)
     tail_min, nondecreasing = [], []
     for k in range(len(scales)):
+        if settled and settled[k]:
+            tail_min.append(math.nan)
+            nondecreasing.append(False)
+            continue
         tails = [t[k] for t in block_tails if t]  # (min, rising, first, last)
         tail_min.append(float(np.min([t[0] for t in tails])))
         nondecreasing.append(all(t[1] for t in tails) and all(
@@ -510,14 +525,16 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
 
 
 def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
-                last: bool, ws: _Workspace):
+                last: bool, ws: _Workspace, settled=None):
     """One block's share of ``window_scan``, in the worker's workspace.
 
     Returns the least log threshold ratio, whether every alpha_n > 0, per
     energy (min, nondecreasing, first, last) of the block's part of the
-    tail, and for the last block its trailing entries.  |alpha_n| is
-    evaluated only where the tail or the trailing entries read it, unless
-    its sign must be read off every entry.
+    tail, and for the last block its trailing entries.  ``settled`` is the
+    scan's list of settled flags, or None when no energy settles: a settled
+    energy's entry is None, and a falling part settles its energy.  |alpha_n|
+    is evaluated only where a live energy's tail or the trailing entries
+    read it, unless its sign must be read off every entry.
     """
     strengths = system.strengths
     n = hi - lo + 1
@@ -526,37 +543,53 @@ def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
     log_threshold *= -2.0
     log_threshold += log_sparse
     tail = max(tail_lo - lo, 0) if hi >= tail_lo else n  # block offset of the tail
-    flags = ws.array("flags", dtype=bool)
+    live = [k for k in range(len(scales)) if not (settled and settled[k])]
     # c n^p >= c for n >= 1 when p >= 0: the sign of c is every alpha_n's
     sign_of_c = strengths.kind == "constant" or (
         strengths.kind == "power" and strengths.p >= 0)
     if sign_of_c:
         positive = strengths.c > 0
-        first = max(min(tail, n - _TREND_LEN), 0) if last else tail
+        first = tail if live else n
+        if last:
+            first = max(min(first, n - _TREND_LEN), 0)
     else:
         first = 0
     if first < n:  # the block offset of the first |alpha_n| read
         abs_alphas = strengths.alphas(lo + first, hi, out=ws.array("alphas"), work=ws)
         if not sign_of_c:
-            positive = bool(np.greater(abs_alphas, 0.0, out=flags[:n]).all())
+            flags = ws.array("flags", dtype=bool)[:n]
+            positive = bool(np.greater(abs_alphas, 0.0, out=flags).all())
         np.abs(abs_alphas, out=abs_alphas)
     tails = []
-    if tail < n:
+    if tail < n and live:
         abs_tail, sparse_tail = abs_alphas[tail - first:], log_sparse[tail:]
         t, steps = ws.array("a")[:n - tail], ws.array("b")[:n - tail - 1]
-        for s in scales:
-            np.divide(abs_tail, s, out=t)
-            np.log1p(t, out=t)
-            t *= -2.0
-            t += sparse_tail
-            np.subtract(t[1:], t[:-1], out=steps)
-            rising = np.greater_equal(steps, -_TAIL_SLOP, out=flags[:len(steps)]).all()
-            tails.append((np.min(t), bool(rising), t[0], t[-1]))
+        tails = [None] * len(scales)
+        for k in live:
+            if settled and settled[k]:  # by another worker since this block began
+                continue
+            rising = _tail_part(abs_tail, sparse_tail, scales[k], t, steps)
+            if settled is not None and not rising:
+                settled[k] = True
+            else:
+                tails[k] = (np.min(t), rising, t[0], t[-1])
     trailing = None
     if last:
         trailing = tuple(a[-_TREND_LEN:].copy() for a in
                          (log_sparse, abs_alphas, log_threshold))
     return np.min(log_threshold), positive, tails, trailing
+
+
+def _tail_part(abs_alphas, log_sparse, scale: float, out, steps) -> bool:
+    """Log d'Alembert ratios log_sparse - 2 ln(1 + abs_alphas / scale) into
+    out, and whether no step between them falls by more than ``_TAIL_SLOP``
+    (a NaN step falls); ``steps`` is scratch one entry shorter."""
+    np.divide(abs_alphas, scale, out=out)
+    np.log1p(out, out=out)
+    out *= -2.0
+    out += log_sparse
+    np.subtract(out[1:], out[:-1], out=steps)
+    return not len(steps) or bool(steps.min() >= -_TAIL_SLOP)  # min keeps NaN
 
 
 def _run_blocks(block, n_blocks: int, size: int) -> list:

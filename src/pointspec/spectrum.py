@@ -152,7 +152,7 @@ def classify(system: SystemSpec, window: tuple[int, int] = (100, 10**6),
     """
     _check_window(*window)
     grid = None if lambda0_grid is None else [float(g) for g in lambda0_grid]
-    w = window_scan(system, *window, grid or ())
+    w = window_scan(system, *window, grid or (), settle=True)
     est = _threshold_from_scan(w, config.divergence_threshold)
     pre = _precondition_report(w, config)
     caveats = [

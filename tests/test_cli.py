@@ -237,6 +237,53 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err == f"config error: {message}\n"
 
+    # JSON reads 1e400 as inf; a 401-digit integer literal has no double
+    @pytest.mark.parametrize("command, path, literal, message", [
+        ("growth", ("params", "lambda0"), "1e400",
+         "params.lambda0 must be a finite double"),
+        ("classify", ("system", "positions"),
+         '{"type": "power", "c": 1e400, "p": 2.0}',
+         "system.positions.c must be a finite double"),
+        ("classify", ("system", "positions"),
+         '{"type": "power", "c": 1%s, "p": 2.0}' % ("0" * 400),
+         "system.positions.c must be a finite double"),
+        ("eigs", ("params", "n_points"), "1" + "0" * 400,
+         "params.n_points must be a finite double"),
+        ("classify", ("params", "lambda0_grid"), "[1e400, 1.0]",
+         "params.lambda0_grid must hold only finite doubles"),
+        ("propagate", ("system", "positions", "points"), "[1.0, 1e400]",
+         "system.positions.points must hold only finite doubles"),
+        ("eigs", ("system", "strengths", "values"), "[1.0, -1e400, 1.0]",
+         "system.strengths.values must hold only finite doubles"),
+        ("eigs", ("params", "lambda_range"), "[0.5, 1e400]",
+         "params.lambda_range must hold only finite doubles"),
+        ("propagate", ("params", "xi0"), "[0.0, 1%s]" % ("0" * 400),
+         "params.xi0 must hold only finite doubles"),
+    ], ids=["lambda0", "lattice_c", "lattice_c_integer", "n_points_integer",
+            "lambda0_grid", "points", "values", "lambda_range", "xi0"])
+    def test_numbers_outside_double_range_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch, command, path,
+                                                 literal, message):
+        def computing(run):
+            raise AssertionError("a command ran on a config out of range")
+
+        for name in ("classify", "avalue", "growth", "eigs", "propagate"):
+            monkeypatch.setattr(cli, f"cmd_{name}", computing)
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "explicit",
+                                        "points": [1.0, 2.0, 3.0]},
+                          "strengths": {"type": "explicit",
+                                        "values": [1.0, 1.0, 1.0]}},
+               "params": {"propagate": {"lambda": 1.0, "n_max": 3},
+                          "eigs": {"n_points": 3, "lambda_range": [0.5, 9.0]},
+                          "growth": {"lambda0": 1.0, "window": [0, 2]},
+                          "classify": {"window": [1, 2]}}[command]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(edited(doc, path, "LITERAL")).replace(
+            '"LITERAL"', literal))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
 
 GROWTH_DOC = {"system": FREE_PI["system"], "params": {"lambda0": 1.0, "window": [0, 1]}}
 

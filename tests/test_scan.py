@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pointspec import (ClassifyConfig, SparseSet, StrengthSequence, SystemSpec,
-                       classify, estimate_threshold, series_verdict)
+                       classify, estimate_threshold, lattice, series_verdict)
 from pointspec.growth import DivergenceVerdict
 from pointspec.lattice import (WINDOW_BLOCK, ThresholdEstimate, _scan_block,
                                _tail_trend, _Workspace, window_scan)
@@ -180,6 +180,116 @@ def test_tail_fall_across_a_block_boundary(dip):
     assert_matches_oracle(system, window, grid=[1e6])
 
 
+def featured_system(alpha1, steps):
+    """A delta system whose log d'Alembert ratios rise by 1e-8 a step at the
+    energies 100, 1e6 and 1e10, but for the steps at the indices ``steps``
+    maps to "up" or "down".
+
+    |alpha_n| is alpha1 up to the first such index.  At "up" it becomes 2e-3
+    and the log gap ratio gains 2e-5: the step falls at lam = 100 only.  At
+    "down" it becomes 1e-3 and the log gap ratio loses 2e-7: the step falls
+    at lam = 1e10 only.  Every tail ratio stays above e^(5e-4), so with the
+    margin 1e-5 an energy's verdict is "inconclusive" exactly where it falls.
+    """
+    n = 3 * B + 2
+    log_ratios = 1e-3 + 1e-8 * np.arange(1, n + 1)  # entry i: n = i + 1
+    alphas = np.full(n, alpha1)
+    for at, step in steps.items():
+        log_ratios[at - 1:] += 2e-5 if step == "up" else -2e-7
+        alphas[at - 1:] = 2e-3 if step == "up" else 1e-3
+    log_gaps = np.concatenate([[0.0], np.cumsum(log_ratios)])
+    points = np.concatenate([[0.0], np.cumsum(np.exp(log_gaps))])
+    return SystemSpec("delta", SparseSet.explicit(points), StrengthSequence.explicit(alphas))
+
+
+# With the window [1, 3B + 1] the tail starts at 3B/2 + 1 in the block
+# [B + 2, 2B + 1], and the last block starts at 2B + 2.
+FALLS = {
+    # lam = 100 falls only in the last block, lam = 1e10 only across its start
+    "last_block": (2e-3, {2 * B + 2: "down", 2 * B + 2 + B // 2: "up"}),
+    # lam = 100 falls in the first tail block, lam = 1e10 as above
+    "first_block": (1e-3, {3 * B // 2 + 100: "up", 2 * B + 2: "down"}),
+}
+FALL_GRID = [100.0, 1e6, 1e10]
+
+
+def falling_steps(system, lam, window):
+    """Indices n of the tail whose log d'Alembert ratio falls below n - 1's."""
+    n_hi = window[1]
+    tail = oracle_verdict(system, lam, window).tail_start
+    log_sparse, abs_alphas = oracle_window(system, tail, n_hi)[:2]
+    ratios = log_sparse - 2.0 * np.log1p(abs_alphas / math.sqrt(lam))
+    return [tail + 1 + int(k) for k in np.flatnonzero(np.diff(ratios) < -1e-12)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(FALLS))
+def test_settled_energies_keep_the_oracle_verdicts(monkeypatch, name, workers):
+    alpha1, steps = FALLS[name]
+    system = featured_system(alpha1, steps)
+    window = (1, 3 * B + 1)
+    ups = [n for n, step in steps.items() if step == "up"]
+    assert [falling_steps(system, lam, window) for lam in FALL_GRID] == [
+        ups, [], [2 * B + 2]]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers read and set the flags interleaved
+    try:
+        res = classify(system, window, FALL_GRID, ClassifyConfig(margin=1e-5))
+    finally:
+        sys.setswitchinterval(interval)
+    verdicts = res.diagnostics["exclusion_verdicts"]
+    assert verdicts == [
+        "excluded" if oracle_verdict(system, lam, window, 1e-5).verdict == "diverges"
+        else "inconclusive" for lam in FALL_GRID]
+    assert verdicts == ["inconclusive", "excluded", "inconclusive"]
+    for lam in FALL_GRID:  # series_verdict keeps each falling tail's minimum
+        assert repr(series_verdict(system, lam, window, 1e-5)) == repr(
+            oracle_verdict(system, lam, window, 1e-5))
+
+
+def test_settled_energies_skip_the_later_blocks(monkeypatch):
+    # the tail falls at every energy and in every block: ln(gap ratio) is q,
+    # and |alpha_n| = 1.5 sqrt(n) grows
+    system = SystemSpec("delta", SparseSet.exponential(1.1, 0.7),
+                        StrengthSequence.power(1.5, 0.5))
+    window = (CAP - CAP // 4, CAP)
+    tail_blocks = -(-math.ceil((CAP // 4 + 1) / 2) // B)
+    scales = []
+    tail_part = lattice._tail_part
+
+    def counting(abs_alphas, log_sparse, scale, *args):
+        scales.append(scale)
+        return tail_part(abs_alphas, log_sparse, scale, *args)
+
+    monkeypatch.setattr(lattice, "_tail_part", counting)
+    for workers in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
+        scales.clear()
+        res = classify(system, window, [0.1, 1.0, 10.0])
+        assert res.diagnostics["exclusion_verdicts"] == ["inconclusive"] * 3
+        assert len(set(scales)) == 3
+        assert all(scales.count(s) <= workers for s in scales)
+        # series_verdict reads the minimum of every tail block
+        scales.clear()
+        assert series_verdict(system, 1.0, window).verdict == "inconclusive"
+        assert len(scales) == tail_blocks
+
+    calls = []
+    alphas = StrengthSequence.alphas
+
+    def recording(self, n_lo, n_hi, **kwargs):
+        calls.append((n_lo, n_hi))
+        return alphas(self, n_lo, n_hi, **kwargs)
+
+    monkeypatch.setattr(StrengthSequence, "alphas", recording)
+    for scan in (lambda: estimate_threshold(system, *window),
+                 lambda: classify(system, window)):
+        calls.clear()
+        scan()
+        assert calls == [(CAP - 24, CAP)]  # the trailing entries only
+
+
 def assert_thread_count_free(monkeypatch, system, window):
     """The scan runs on one thread per usable CPU, with the same result."""
     threads = set()
@@ -231,14 +341,14 @@ def test_explicit_lattices_scan_on_every_worker(monkeypatch):
 def test_workers_keep_the_callers_numpy_errors(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     system = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.power(1.5, 0.25))
-    alphas = StrengthSequence.alphas
+    log_gap_ratios = SparseSet.log_gap_ratios  # every block calls it
 
     def overflowing(self, n_lo, n_hi, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             _ = np.float64(1e308) * 10.0
-        return alphas(self, n_lo, n_hi, **kwargs)
+        return log_gap_ratios(self, n_lo, n_hi, **kwargs)
 
-    monkeypatch.setattr(StrengthSequence, "alphas", overflowing)
+    monkeypatch.setattr(SparseSet, "log_gap_ratios", overflowing)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         classify(system, (100, 100 + 4 * B))
 
