@@ -16,9 +16,11 @@ The float64 columns of a block go through Ryū in one call, stacked end to
 end, so each numpy operation runs over every float cell of the block.
 Ryū's 128-bit products run on 32-bit limbs held in uint64 arrays.  Every
 array in that arithmetic is uint64 and every constant meeting one a
-``np.uint64``: numpy promotes uint64 mixed with int64 to float64.  The
-per-exponent table of Ryū's constants is built on first use, and each of
-its rows is gathered only where it is read (``np.take`` with
+``np.uint64``: numpy promotes uint64 mixed with int64 to float64.  Ryū's
+constants form one table with a column per (exponent, wide) pair; a call
+fills the columns it reads that no earlier call filled, so nothing is built
+at import and a process computes only the columns its values need.  Each
+row of the table is gathered only where it is read (``np.take`` with
 ``mode="clip"`` writes straight into ``out``; every column is in range).
 Every uint64 array of the kernel, the stacked values and the returned slots
 are rows of one array that each call makes for itself.
@@ -26,7 +28,7 @@ are rows of one array that each call makes for itself.
 
 from __future__ import annotations
 
-import functools
+import threading
 
 import numpy as np
 
@@ -47,10 +49,17 @@ _T0, _T1, _T2, _T3, _SHIFT, _REM_MASK, _HIDDEN_BIT = range(7)
 _QP, _NP_HI, _NP_LO, _QM, _RM_HI, _RM_LO, _POW5, _TINY, _TZ_MASK, _E10 = range(10)
 
 
-@functools.cache
-def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Ryū's constants as uint64 rows, column 2 e + w for the biased exponent
-    e of a double and w = 1 unless it is a power of two above 2^-1022.
+# Ryū's constants as uint64 rows over the columns 2 e + w, filled on demand
+# (``_tables``): rows _T0 .. _HIDDEN_BIT are what ``_scaled`` reads, and
+# the rows after them the rest; _FILLED marks the columns already written
+_COLUMNS = np.zeros((17, 4096), np.uint64)
+_FILLED = np.zeros(4096, bool)
+_FILL_LOCK = threading.Lock()
+
+
+def _column(c: int) -> list[int]:
+    """Ryū's constants for column c = 2 e + w, for the biased exponent e of a
+    double and w = 1 unless it is a power of two above 2^-1022.
 
     A double m2 * 2^e2 scales mv = 4 m2 by T / 2^J: T is 2^(bits(5^q) + 124)
     / 5^q rounded up for e2 >= 0 (e10 = q), the top 125 bits of 5^(-e2 - q)
@@ -62,39 +71,48 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     in q decimal zeros (e2 >= 0, q <= 21), the flag and mask of the cases
     e2 < 0 with q <= 1 and 1 < q < 63, and e10 in two's complement.
     """
-    pow5 = [5**k for k in range(326)]
-    columns = []
+    e, w = divmod(c, 2)
+    e2 = max(e, 1) - 1077
+    if e2 >= 0:
+        q = ((e2 * 78913) >> 18) - (e2 > 3)
+        p = 5**q
+        t = (1 << (p.bit_length() + 124)) // p + 1
+        j = q - e2 + 124 + p.bit_length()
+        e10 = q
+    else:
+        q = ((-e2 * 732923) >> 20) - (-e2 > 1)
+        p = 5**(-e2 - q)
+        t = p >> (p.bit_length() - 125) if p.bit_length() >= 125 else \
+            p << (125 - p.bit_length())
+        j = q + 125 - p.bit_length()
+        e10 = q + e2
     low64 = (1 << 64) - 1
-    for e in range(2048):
-        e2 = max(e, 1) - 1077
-        if e2 >= 0:
-            q = ((e2 * 78913) >> 18) - (e2 > 3)
-            p = pow5[q]
-            t = (1 << (p.bit_length() + 124)) // p + 1
-            j = q - e2 + 124 + p.bit_length()
-            e10 = q
-        else:
-            q = ((-e2 * 732923) >> 20) - (-e2 > 1)
-            p = pow5[-e2 - q]
-            t = p >> (p.bit_length() - 125) if p.bit_length() >= 125 else \
-                p << (125 - p.bit_length())
-            j = q + 125 - p.bit_length()
-            e10 = q + e2
-        rest_p = (1 << j) - 2 * t % (1 << j)
-        for w in (0, 1):
-            rem_m = (1 + w) * t % (1 << j)
-            columns.append([
-                *((t >> (32 * k)) & 0xFFFFFFFF for k in range(4)), j - 96,
-                (1 << (j - 64)) - 1, (1 << 52) if e else 0,
-                2 * t >> j, rest_p >> 64, rest_p & low64,
-                (1 + w) * t >> j, rem_m >> 64, rem_m & low64,
-                p if e2 >= 0 and q <= 21 else 0, int(e2 < 0 and q <= 1),
-                (1 << q) - 1 if e2 < 0 and 1 < q < 63 else 0, e10 & low64])
-    table = np.array(columns, dtype=np.uint64).T
-    tables = np.ascontiguousarray(table[:7]), np.ascontiguousarray(table[7:])
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+    rest_p = (1 << j) - 2 * t % (1 << j)
+    rem_m = (1 + w) * t % (1 << j)
+    return [*((t >> (32 * k)) & 0xFFFFFFFF for k in range(4)), j - 96,
+            (1 << (j - 64)) - 1, (1 << 52) if e else 0,
+            2 * t >> j, rest_p >> 64, rest_p & low64,
+            (1 + w) * t >> j, rem_m >> 64, rem_m & low64,
+            p if e2 >= 0 and q <= 21 else 0, int(e2 < 0 and q <= 1),
+            (1 << q) - 1 if e2 < 0 and 1 < q < 63 else 0, e10 & low64]
+
+
+def _tables(column) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``_scaled`` reads and the rest, with every column in
+    ``column`` filled: each column once per process, under ``_FILL_LOCK``,
+    its flag set only after its values are written, so a call that finds
+    a column's flag set reads its values without the lock."""
+    if not _FILLED[column].all():
+        with _FILL_LOCK:
+            needed = np.zeros(len(_FILLED), bool)
+            needed[column] = True
+            # less what another call filled while this one waited
+            missing = np.flatnonzero(needed & ~_FILLED)
+            if missing.size:
+                _COLUMNS[:, missing] = np.array(
+                    [_column(c) for c in missing.tolist()], np.uint64).T
+                _FILLED[missing] = True
+    return _COLUMNS[:7], _COLUMNS[7:]
 
 
 def _below(hi, lo, b_hi, b_lo, column, t):
@@ -158,7 +176,6 @@ def _ryu(bits, kernel):
     scratch; ``bits`` may be row 9.
     """
     n = len(bits)
-    scaling, table = _exponent_tables()
     vr, rem_hi, rem_lo, column, mv, t, vp, vm, x = kernel[:9]
     np.right_shift(bits, _U(52), out=mv)
     # the biased exponent e, then the column 2 e + wide
@@ -169,6 +186,7 @@ def _ryu(bits, kernel):
     wide = (mv != 0) | (column <= 1)
     column <<= 1
     column += wide
+    scaling, table = _tables(column)
     mv |= np.take(scaling[_HIDDEN_BIT], column, out=t, mode="clip")
     # an even mantissa owns its interval's ends
     accept = np.bitwise_and(mv, _U(1), out=t) == 0

@@ -11,9 +11,11 @@ Every output echoes the system and the resolved parameters, so results are
 reproducible from the file alone; outputs are deterministic (no timestamps)
 and written atomically.
 The table commands return int64 and float64 columns, and every cell renders
-as its value's ``repr`` (JSON quotes ``nan``, ``inf`` and ``-inf``); a table
-of ``KERNEL_MIN_CELLS`` cells or more renders through the numpy kernel of
-``_shortest``, with the same bytes.
+as its value's ``repr`` (JSON quotes ``nan``, ``inf`` and ``-inf``).  A
+table of ``KERNEL_MIN_CELLS`` cells or more renders through the numpy kernel
+of ``_shortest``, with the same bytes, once the kernel is loaded in the
+process; the kernel's first table in a process must also repay its import,
+so it takes only tables of ``KERNEL_COLD_MIN_CELLS`` cells or more.
 
 Exit codes: 0 success, 2 configuration error (also an output file or stdout
 that cannot be written, and any ``ValueError`` or ``IndexError`` from the
@@ -35,7 +37,8 @@ import sys
 import numpy as np
 
 from . import growth as growth_mod
-from .lattice import SparseSet, StrengthSequence, SystemSpec, estimate_threshold
+from .lattice import (MAX_INDEX, SparseSet, StrengthSequence, SystemSpec,
+                      estimate_threshold)
 from .spectrum import (ClassifyConfig, classify, fd_oracle_eigenvalues,
                        truncated_eigenvalues)
 from .transfer import PropagationOverflow, free_flow, propagate
@@ -98,7 +101,8 @@ def _number(d: dict, key: str, where: str, default=None, positive=False):
     return float(v)
 
 
-def _integer(d: dict, key: str, where: str, default=None, minimum=None):
+def _integer(d: dict, key: str, where: str, default=None, minimum=None,
+             maximum=None):
     if key not in d:
         if default is None:
             raise ConfigError(f"missing {where}.{key}")
@@ -108,6 +112,8 @@ def _integer(d: dict, key: str, where: str, default=None, minimum=None):
         raise ConfigError(f"{where}.{key} must be an integer")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{where}.{key} must be <= {maximum}")
     return v
 
 
@@ -135,8 +141,9 @@ OPTIONAL_KEYS = {"max_index", "r"}
 def _parse_generator(block, where: str, keys_by_type: dict, cls, positive: bool):
     """Build ``cls`` from a generator block whose keys ``keys_by_type`` lists.
 
-    ``max_index`` is an integer >= 1, ``points`` and ``values`` nonempty
-    arrays of numbers, and every other key a number, positive if ``positive``.
+    ``max_index`` is an integer in [1, ``MAX_INDEX``], ``points`` and
+    ``values`` nonempty arrays of numbers, and every other key a number,
+    positive if ``positive``.
     """
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigError(f"{where} must be an object with a 'type' field")
@@ -149,7 +156,8 @@ def _parse_generator(block, where: str, keys_by_type: dict, cls, positive: bool)
     values = {}
     for key in [k for k in keys if k in block]:
         if key == "max_index":
-            values[key] = _integer(block, key, where, minimum=1)
+            values[key] = _integer(block, key, where, minimum=1,
+                                   maximum=MAX_INDEX)
         elif key in ("points", "values"):
             array = block[key]
             if not isinstance(array, list) or not array:
@@ -446,13 +454,20 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dic
 # Rows per rendered block: bounds the transient cell texts, and a block of a
 # kernel table is one kernel call over its float64 columns stacked.
 BLOCK_ROWS = 4096
-# Tables of this many cells or more render their int64 and float64 columns
-# with the numpy kernel of ``_shortest``, one block at a time on the calling
-# thread.  Per-cell repr costs 0.7-1 us a cell, the kernel ~0.2 us a cell of
-# a growth table plus ~30 ms at its first use in a process (import and
-# tables): on a 2-vCPU VM the two break even near 30 000 cells (6000 rows of
-# 5 columns) in a fresh process, and near 1500 in a warm one.
-KERNEL_MIN_CELLS = 30_000
+# Tables of KERNEL_MIN_CELLS cells or more render their int64 and float64
+# columns with the numpy kernel of ``_shortest``, one block at a time on the
+# calling thread, once the kernel is loaded in the process; a table that
+# would be the kernel's first use takes it only from KERNEL_COLD_MIN_CELLS
+# cells, where it also repays the kernel's import and first call.  On a
+# 2-vCPU VM, warm: per-cell repr costs 0.5-0.7 us a cell, the kernel ~0.35 ms
+# a call plus ~0.23 us a cell, and the two break even near 1500 cells.
+# Cold: repr ~1 us a cell; the kernel ~0.5 us a cell plus its import (~5 ms,
+# compiled from source), ~3 us for each constants column a table reads (~30
+# for a power chain, ~700 for a dense factorial chain) and its first call's
+# set-up, and the two break even near 13 000 cells for power chains and
+# 18 000 for factorial ones.
+KERNEL_MIN_CELLS = 1_500
+KERNEL_COLD_MIN_CELLS = 15_000
 _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
@@ -469,7 +484,9 @@ def _row_blocks(table: np.ndarray, cell_sep: str, row_sep: str, quote: bool):
     """``table``'s rows as text by blocks of ``BLOCK_ROWS``, ``row_sep`` also
     between; every cell as ``_cell_texts`` spells it."""
     names = table.dtype.names
-    kernel = len(table) * len(names) >= KERNEL_MIN_CELLS
+    loaded = f"{__package__}._shortest" in sys.modules
+    kernel = (len(table) * len(names)
+              >= (KERNEL_MIN_CELLS if loaded else KERNEL_COLD_MIN_CELLS))
     if kernel:
         from . import _shortest
     for start in range(0, len(table), BLOCK_ROWS):

@@ -20,12 +20,18 @@ KINDS = (DELTA, DELTA_PRIME)
 LATTICE_KINDS = ("factorial", "power", "exponential", "explicit")
 STRENGTH_KINDS = ("power", "constant", "explicit")
 
-# exact factorial gaps n * n! up to n = 169, the last one below double overflow
+# exact factorial gaps n * n! up to n = 169 and positions n! up to n = 170,
+# each the last one below double overflow (x_0 = 0)
 _FACTORIAL_GAPS = np.array([1.0] + [float(n * math.factorial(n)) for n in range(1, 170)])
+_FACTORIAL_POSITIONS = np.array([0.0] + [float(math.factorial(n)) for n in range(1, 171)])
 _LOG_FACTORIAL_GAPS = np.log(_FACTORIAL_GAPS)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
+
+# largest max_index: window scans form indices as doubles, which are exact
+# integers only up to 2^53
+MAX_INDEX = 2**53
 
 
 def _log_expm1(y, out=None):
@@ -116,7 +122,7 @@ class SparseSet:
       * ``explicit``:    a finite ascending tuple (0 prepended if missing)
 
     ``max_index`` caps the usable position index; gaps are defined for
-    ``0 <= n <= max_index - 1``.
+    ``0 <= n <= max_index - 1``.  It is at most ``MAX_INDEX``.
     """
 
     kind: str
@@ -142,8 +148,8 @@ class SparseSet:
             object.__setattr__(self, "points", pts)
             object.__setattr__(self, "max_index", len(pts) - 1)
         else:
-            if self.max_index < 1:
-                raise ValueError("max_index must be >= 1")
+            if not 1 <= self.max_index <= MAX_INDEX:
+                raise ValueError(f"max_index must be in [1, {MAX_INDEX}]")
             if self.kind in ("power", "exponential") and self.c <= 0:
                 raise ValueError("c must be positive")
             if self.kind == "power" and self.p <= 0:
@@ -180,10 +186,8 @@ class SparseSet:
         if n == 0:
             return 0.0
         if self.kind == "factorial":
-            try:
-                return float(math.factorial(n))
-            except OverflowError:
-                return math.inf
+            return (float(_FACTORIAL_POSITIONS[n]) if n < len(_FACTORIAL_POSITIONS)
+                    else math.inf)
         if self.kind == "power":
             try:
                 return self.c * float(n) ** self.p
@@ -198,8 +202,18 @@ class SparseSet:
         return self.points[n]
 
     def positions(self, n_max: int) -> np.ndarray:
-        """x_0 .. x_{n_max} as an array (entries may be +inf)."""
-        return np.array([self.position(n) for n in range(n_max + 1)])
+        """x_0 .. x_{n_max} as an array (entries may be +inf).
+
+        Factorial positions are a slice of the exact table, +inf beyond it;
+        the other generators stay scalar, so each entry is ``position``'s
+        double (numpy's vectorized ``power`` and ``exp`` may round
+        differently from libm's)."""
+        if self.kind != "factorial":
+            return np.array([self.position(n) for n in range(n_max + 1)])
+        if n_max >= 0:
+            self.position(n_max)  # the index check
+        xs = _FACTORIAL_POSITIONS[:max(n_max + 1, 0)]
+        return np.concatenate([xs, np.full(max(n_max + 1 - len(xs), 0), math.inf)])
 
     def gap(self, n: int) -> float:
         """Gap x_{n+1} - x_n; +inf marks a value beyond double range."""

@@ -314,6 +314,17 @@ CONFIG_ERRORS = [
      "params.oracle must be null or 'fd'"),
     ("eigs", json.dumps(edited(FREE_PI, ("params", "fd_h"), "coarse")),
      "params.fd_h needs params.oracle 'fd'"),
+    # window indices are doubles: past 2^53 neighbours collide (a "flat"
+    # trend on a lattice whose ratio tends to infinity), and a window of
+    # 10^30 indices has more blocks than a list can index
+    ("classify", json.dumps(edited(edited(
+        FACTORIAL_QUARTER, ("system", "positions", "max_index"), 2 * 10**16),
+        ("params", "window"), [19999999999000000, 19999999999999990])),
+     "system.positions.max_index must be <= 9007199254740992"),
+    ("classify", json.dumps(edited(edited(
+        FACTORIAL_QUARTER, ("system", "positions", "max_index"), 10**30),
+        ("params", "window"), [1, 10**30 - 1])),
+     "system.positions.max_index must be <= 9007199254740992"),
 ]
 
 
@@ -322,7 +333,8 @@ CONFIG_ERRORS = [
                               "params_object", "output_format", "output_path",
                               "unreadable", "not_json", "n_points_integer",
                               "n_points_minimum", "growth_window", "oracle",
-                              "fd_h_without_oracle"])
+                              "fd_h_without_oracle", "max_index_indices_collide",
+                              "max_index_blocks_past_a_list"])
 def test_config_error_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "config.json"
     if text is not None:
@@ -944,6 +956,7 @@ class TestKernelRendering(TestTableRendering):
 
     @pytest.fixture(autouse=True)
     def kernel_everywhere(self, monkeypatch):
+        from pointspec import _shortest  # noqa: F401  loaded: every table takes it
         monkeypatch.setattr(cli, "KERNEL_MIN_CELLS", 0)
 
 
@@ -976,7 +989,7 @@ class TestRenderWorkers:
         monkeypatch.setattr(_shortest, "rows_text", recording)
         monkeypatch.setattr(threading.Thread, "start", starting)
         for render in renderers.values():
-            render()  # the kernel's tables are built once per process
+            render()  # the kernel's constants are filled once per process
         for fmt, render in renderers.items():
             texts = set()
             for cpus in (1, 2, 4, 8):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -127,6 +128,31 @@ class TestSparseSet:
         exact = [1.0] + [float(n * math.factorial(n)) for n in range(1, 170)]
         assert got[:170].tolist() == exact
         assert np.all(got[170:] == math.inf)
+
+    def test_factorial_positions_exact_until_double_overflow(self):
+        lat = SparseSet.factorial()
+        got = lat.positions(200)
+        exact = [0.0] + [float(math.factorial(n)) for n in range(1, 171)]
+        assert got[:171].tolist() == exact
+        assert np.all(got[171:] == math.inf) and len(got) == 201
+        assert [lat.position(n) for n in range(201)] == got.tolist()
+        assert lat.positions(-1).shape == (0,)
+        with pytest.raises(IndexError):
+            SparseSet.factorial(max_index=5).positions(6)
+
+    def test_factorial_position_past_overflow_is_immediate(self):
+        # n! is never formed: the table ends at the last finite double
+        lat = SparseSet.factorial()
+        start = time.perf_counter()
+        assert lat.position(10**7) == math.inf
+        assert time.perf_counter() - start < 1e-3
+
+    def test_max_index_at_most_two_to_53(self):
+        # window indices are doubles, exact integers up to 2^53
+        assert SparseSet.factorial(max_index=2**53).max_index == 2**53
+        for kind in (SparseSet.factorial, lambda m: SparseSet.power(1.0, 2.0, m)):
+            with pytest.raises(ValueError, match="max_index"):
+                kind(2**53 + 1)
 
     def test_gaps_range_errors(self):
         lat = SparseSet.explicit([0.0, 1.0, 3.0])

@@ -9,12 +9,15 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pointspec import _shortest
+from pointspec import _shortest, cli
+from shortest_reference import exponent_tables
 
 BLOCK = 4096
 QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
@@ -150,7 +153,7 @@ def test_kernel_scratch_per_value():
     # its slots and every temporary stay within 160 bytes a value
     rng = np.random.default_rng(17)
     x = rng.standard_normal(4 * 4096) * 10.0 ** rng.integers(-30, 30, 4 * 4096)
-    _shortest._float_cells([x[:8]], False)  # the tables, built once per process
+    _shortest._float_cells([x], False)  # the columns x reads, filled once per process
     tracemalloc.start()
     try:
         _shortest._float_cells([x], False)
@@ -168,26 +171,155 @@ print(json.dumps("pointspec._shortest" in sys.modules))
 """
 
 
-def test_cli_and_small_tables_leave_the_kernel_unloaded(tmp_path):
-    # a fresh interpreter: importing the CLI and rendering a table below the
-    # crossover neither imports the kernel nor builds its tables
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
+def propagate_config(path, n_max, dense):
+    """A power-lattice chain of 5 (n_max (dense + 1) + 1) cells."""
+    path.write_text(json.dumps({
         "system": {"kind": "delta",
                    "positions": {"type": "power", "c": 1.0, "p": 1.2},
                    "strengths": {"type": "constant", "c": 0.5}},
-        "params": {"lambda": 2.0, "n_max": 200, "dense_per_interval": 4}}))
-    proc = subprocess.run([sys.executable, "-c", GUARD, str(config),
+        "params": {"lambda": 2.0, "n_max": n_max, "dense_per_interval": dense}}))
+    return str(path)
+
+
+def test_cli_and_small_tables_leave_the_kernel_unloaded(tmp_path):
+    # a fresh interpreter: importing the CLI and rendering a table below the
+    # cold crossover neither imports the kernel nor fills its constants
+    config = propagate_config(tmp_path / "config.json", 200, 4)
+    proc = subprocess.run([sys.executable, "-c", GUARD, config,
                            str(tmp_path / "out.csv")],
                           check=True, capture_output=True, text=True)
     assert json.loads(proc.stdout) is False
     lines = (tmp_path / "out.csv").read_text().splitlines()
     assert lines[0] == "n,x,re_psi,re_dpsi,log_norm_xi" and len(lines) > 1000
+    cells = 5 * (len(lines) - 2)  # less the header and the footer
+    assert cli.KERNEL_MIN_CELLS <= cells < cli.KERNEL_COLD_MIN_CELLS
+
+
+WARM = """
+import json, sys
+from pointspec.cli import main
+mid, small, growth, out = sys.argv[1:]
+chains = {"mid": mid, "small": small}
+for name, config in chains.items():
+    main(["propagate", "--config", config, "--out", f"{out}/{name}_cold.csv"])
+loaded = "pointspec._shortest" in sys.modules
+main(["growth", "--config", growth, "--out", f"{out}/growth.csv"])
+from pointspec import _shortest
+rows_text, calls = _shortest.rows_text, []
+_shortest.rows_text = lambda *args: calls.append(args) or rows_text(*args)
+counts = []
+for name, config in chains.items():
+    main(["propagate", "--config", config, "--out", f"{out}/{name}_warm.csv"])
+    counts.append(len(calls))
+print(json.dumps([loaded, counts]))
+"""
+
+
+def test_loaded_kernel_takes_mid_size_tables(tmp_path):
+    # a fresh interpreter: a mid-size table renders by repr until a table
+    # past the cold crossover has loaded the kernel, and through the kernel
+    # after; a table below KERNEL_MIN_CELLS never does; the bytes are equal
+    mid = propagate_config(tmp_path / "mid.json", 200, 4)  # 5005 cells
+    small = propagate_config(tmp_path / "small.json", 50, 0)  # 255 cells
+    growth = tmp_path / "growth.json"  # 20 000 cells
+    growth.write_text(json.dumps({
+        "system": {"kind": "delta", "positions": {"type": "factorial"},
+                   "strengths": {"type": "power", "c": 1.0, "p": 0.5}},
+        "params": {"lambda0": 4.0, "window": [0, 3999]}}))
+    assert 255 < cli.KERNEL_MIN_CELLS <= 5005 < cli.KERNEL_COLD_MIN_CELLS <= 20_000
+    proc = subprocess.run([sys.executable, "-c", WARM, mid, small, str(growth),
+                           str(tmp_path)], check=True, capture_output=True,
+                          text=True)
+    assert json.loads(proc.stdout) == [False, [1, 1]]
+    for name in ("mid", "small"):
+        assert ((tmp_path / f"{name}_cold.csv").read_bytes()
+                == (tmp_path / f"{name}_warm.csv").read_bytes())
 
 
 def test_tables_wait_for_first_use():
+    # importing the kernel fills no column of its constants
     code = ("import pointspec._shortest as s; "
-            "print(s._exponent_tables.cache_info().currsize)")
+            "print(int(s._FILLED.sum()), int(s._COLUMNS.any()))")
     proc = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True)
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.split() == ["0", "0"]
+
+
+@pytest.fixture
+def empty_columns(monkeypatch):
+    """The kernel's constants as a process that never ran it holds them."""
+    monkeypatch.setattr(_shortest, "_COLUMNS", np.zeros_like(_shortest._COLUMNS))
+    monkeypatch.setattr(_shortest, "_FILLED", np.zeros_like(_shortest._FILLED))
+
+
+def test_every_column_equals_the_reference(empty_columns):
+    _shortest._tables(np.arange(len(_shortest._FILLED)))
+    assert _shortest._FILLED.all()
+    assert np.array_equal(_shortest._COLUMNS, exponent_tables())
+
+
+def test_columns_filled_where_read_once_each(empty_columns, monkeypatch):
+    # values over 131 binary exponents, with powers of two (w = 0), zeros,
+    # subnormals, nan and inf among them
+    rng = np.random.default_rng(20)
+    x = np.concatenate([
+        rng.standard_normal(3000) * 2.0 ** rng.integers(-60, 61, 3000),
+        [2.0**k for k in range(-8, 9)], [0.0, -0.0, 5e-324, 1e-310, -2.0**-1022,
+                                         math.nan, math.inf, -math.inf]])
+    fills = []
+    column = _shortest._column
+    monkeypatch.setattr(_shortest, "_column", lambda c: fills.append(c) or column(c))
+    text = _shortest.rows_text([x, x[::-1]], ",", "\n", False)
+    assert text.split("\n") == [f"{a!r},{b!r}" for a, b in
+                                zip(x.tolist(), x[::-1].tolist())]
+    _shortest.rows_text([x], ",", "\n", True)  # every column already filled
+
+    bits = x.view(np.uint64)
+    exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    wide = ((bits & np.uint64((1 << 52) - 1)) != 0) | (exponent <= 1)
+    read = set((2 * exponent + wide).tolist())
+    assert sorted(fills) == sorted(read)  # each read column once, no other
+    assert set(np.flatnonzero(_shortest._FILLED).tolist()) == read
+    assert len(read) <= 2 * len(set(exponent.tolist()))
+    filled = _shortest._FILLED
+    assert np.array_equal(_shortest._COLUMNS[:, filled], exponent_tables()[:, filled])
+
+
+def test_threads_fill_each_column_once(empty_columns, monkeypatch):
+    # more threads than cores, switching every microsecond and started
+    # together, each rendering values over five binary exponents, three of
+    # them its neighbours'; computing a column yields the interpreter:
+    # every column is computed once, and every text is repr's
+    fills = []
+    column = _shortest._column
+
+    def computing(c):
+        fills.append(c)
+        time.sleep(1e-4)
+        return column(c)
+
+    monkeypatch.setattr(_shortest, "_column", computing)
+    columns = [np.ldexp(1.0 + np.arange(600) / 601.0, np.arange(600) % 5 + 2 * k)
+               for k in range(16)]
+    texts = [None] * len(columns)
+    start = threading.Barrier(len(columns))
+
+    def render(k):
+        start.wait(timeout=30)
+        texts[k] = _shortest.rows_text([columns[k]], ",", "\n", False)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=render, args=(k,))
+                   for k in range(len(columns))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for values, text in zip(columns, texts):
+        assert text.split("\n") == list(map(repr, values.tolist()))
+    assert len(fills) == len(set(fills)) == _shortest._FILLED.sum()
