@@ -27,17 +27,18 @@ CASE_I_DELTA_PRIME = "case_i_delta_prime"
 CASE_II = "case_ii"
 NO_CONCLUSION = "no_conclusion"
 
-# a _count_below call pays ~10 ufunc dispatches per lattice step, as much
-# as its arithmetic on ~100-200 energies costs; strides of 8-64 measure
-# alike, and so do deeper trees for a few brackets
+# a _count_below call pays 5 ufunc dispatches per lattice step, several
+# times their arithmetic on ~100-500 energies, plus cos and sin once per
+# distinct gap; trees of 4-7 levels measure within 2% of each other, 5 the
+# fastest, and strides of 8-32 alike
 _GRID_STRIDE = 16  # grid points per coarse cell
-_TREE_LEVELS = 4  # most bisection steps per count call: 15 midpoints per bracket
+_TREE_LEVELS = 5  # most bisection steps per count call: 31 midpoints per bracket
 _CALL_ENERGIES = 512  # most midpoints a count call of more than one level takes
 _FD_GRID = 512  # cells of the FD oracle's isolation grid
 _FD_TREE_LEVELS = 9  # an FD count costs little per energy: up to 511 midpoints a bracket
-_TINY = 1e-100  # least angle of an FD run map: keeps every map finite
+_TINY = 1e-100  # least angle of a cell's or an FD run's map: keeps every map finite
 _FD_ROWS = 8  # FD count denominators held at once
-_FD_BLOCK = 64  # most distinct FD run lengths whose maps are formed at once
+_FD_BLOCK = 64  # most distinct lengths whose maps are formed at once, and most kicks
 
 
 @dataclass(frozen=True)
@@ -315,33 +316,93 @@ def essential_spectrum_probe(system: SystemSpec, s_values,
     return ProbeReport(entries=tuple(entries))
 
 
-def _count_below(system: SystemSpec, n_max: int, lams) -> np.ndarray:
-    """Eigenvalues at or below each energy of the truncation to [0, x_N].
+def _distinct_blocks(lengths: list, kicks: list) -> list:
+    """Consecutive cells in blocks of at most ``_FD_BLOCK`` distinct lengths.
 
-    Steps the Prufer angle phi of (sqrt(lam) psi, psi') for all energies at
-    once; for delta-prime it follows psi', on which each interaction acts as
-    a delta of strength -lam alpha.  Whole half-turns go into the count and
-    phi stays in [0, pi).  By oscillation theory the delta count is every
+    A block holds its distinct lengths as a column, how many of its cells
+    have each, each cell's index among them, and each cell's kick.
+    """
+    blocks = []
+    for length, kick in zip(lengths, kicks):
+        if not blocks or (length not in blocks[-1][0] and len(blocks[-1][0]) == _FD_BLOCK):
+            blocks.append(({}, [], []))
+        index, cells, block_kicks = blocks[-1]  # each distinct length's place among them
+        cells.append(index.setdefault(length, len(index)))
+        block_kicks.append(kick)
+    return [(np.array(list(index), dtype=float)[:, None], np.bincount(cells).astype(float),
+             cells, block_kicks) for index, cells, block_kicks in blocks]
+
+
+def _shooting_cells(system: SystemSpec, n_max: int):
+    """The truncation to [0, x_N] as ``_count_below`` reads it.
+
+    Reads the gaps and strengths once, for every count of a solve.  Returns
+    the cells in ``_distinct_blocks``, each kick the strength at the node
+    the cell starts from (0 at x_0; the interaction at x_N is inert under
+    the closure), and whether the kind is delta-prime.
+    """
+    gaps = system.lattice.gaps(0, n_max - 1).tolist()
+    alphas = system.strengths.alphas(1, n_max)[:-1].tolist()
+    blocks = [(lengths, weights, cells, np.array(kicks)) for lengths, weights, cells, kicks
+              in _distinct_blocks(gaps, [0.0, *alphas])]
+    return blocks, system.kind == DELTA_PRIME
+
+
+def _count_below(blocks: list, delta_prime: bool, lams) -> np.ndarray:
+    """Eigenvalues at or below each energy of a truncation (``_shooting_cells``).
+
+    Follows u = cot(phi), phi the Prufer angle of (sqrt(lam) psi, psi'), for
+    all energies at once; for delta-prime it follows psi', on which each
+    interaction acts as a delta of strength -lam alpha.  A cell of gap g
+    turns phi by g sqrt(lam): its whole half-turns go into the count, and
+    the rest rho (an exact remainder) maps u to (u c - 1) / (u + c) with
+    c = cot(rho), the cotangent addition formula.  Since phi and rho lie in
+    [0, pi), phi + rho reaches pi exactly where that denominator is
+    nonpositive, and each such cell adds one more.  An interaction adds
+    alpha / sqrt(lam) to u (delta) or -sqrt(lam) alpha (delta-prime).  psi
+    starts at 0 (u = +inf: the first delta cell sets u = c), psi' at its
+    maximum (u = 0).  By oscillation theory the delta count is every
     eigenvalue <= lam, negative ones included, and the delta-prime count
     every positive one; differences between energies are exact for both.
+
+    The cells' maps are formed once per distinct gap of a block, and the
+    kicks ``_FD_BLOCK`` cells at a time, so memory stays O(energies x
+    block) however long the truncation.  rho is kept at or above _TINY, so
+    c stays finite where a cell is a whole number of half-turns.
     """
     rt = np.sqrt(np.asarray(lams, dtype=float))
-    beta = 1.0 / rt if system.kind == DELTA else -rt
-    phi = np.full(rt.shape, 0.0 if system.kind == DELTA else 0.5 * math.pi)
-    count = np.zeros(rt.shape, dtype=np.int64)
-    gaps = system.lattice.gaps(0, n_max - 1).tolist()
-    alphas = system.strengths.alphas(1, n_max).tolist()
-    for n, (g, a) in enumerate(zip(gaps, alphas), 1):
-        turns, phi = np.divmod(phi + g * rt, math.pi)
-        count += turns.astype(np.int64)
-        if n < n_max:  # the interaction at x_N is inert under the closure
-            s = np.sin(phi)
-            phi = np.arctan2(s, np.cos(phi) + a * beta * s)
-    return count
+    beta = -rt if delta_prime else 1.0 / rt
+    count = np.zeros(len(rt))  # whole numbers, exact below 2^53
+    u = np.zeros(len(rt))
+    start = not delta_prime  # the first cell sets u, with no denominator
+    with np.errstate(all="ignore"):  # only an exact psi = 0 at a node divides by 0
+        for lengths, weights, cells, kicks in blocks:
+            whole, rho = np.divmod(lengths * rt, math.pi)  # rho exact, in [0, pi)
+            count += weights @ whole
+            np.maximum(rho, _TINY, out=rho)
+            cot = np.cos(rho)
+            cot /= np.sin(rho, out=rho)
+            for lo in range(0, len(cells), _FD_BLOCK):
+                # each cell's kick, then its denominator in the same row
+                dens = np.multiply.outer(kicks[lo:lo + _FD_BLOCK], beta)
+                for den, cell in zip(dens, cells[lo:lo + _FD_BLOCK]):
+                    c = cot[cell]
+                    if start:
+                        u[:] = c
+                        den.fill(1.0)
+                        start = False
+                        continue
+                    u += den
+                    np.add(u, c, out=den)
+                    u *= c
+                    u -= 1.0
+                    u /= den
+                count += np.add.reduce(dens <= 0.0, axis=0)
+    return count.astype(np.int64)
 
 
-def _bisect_tree(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float,
-                 max_levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _bisect_tree(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: np.ndarray,
+                 tol: float, max_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Several bisection steps of every bracket from one call of ``count``.
 
     Halves every sub-bracket of each bracket ``levels`` times, each midpoint
@@ -352,17 +413,16 @@ def _bisect_tree(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: flo
     per call: there a deeper tree would multiply the energies that
     one-at-a-time bisection counts.  Each root then walks down its tree
     under the same stopping test as before every step: the brackets are
-    those of one-at-a-time bisection, bit for bit.
+    those of one-at-a-time bisection, bit for bit.  ``width`` is hi - lo.
     """
-    rows = np.arange(len(js))
-    tree, lo_t, hi_t = rows, lo, hi  # each root's tree, and the trees' brackets
-    if shared := not np.all(new := (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])):
+    tree, lo_t, hi_t = None, lo, hi  # each root's tree, if roots share them, and their brackets
+    if not (new := (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])).all():
         first = np.flatnonzero(np.concatenate(([True], new)))
         tree, lo_t, hi_t = np.cumsum(np.concatenate(([0], new))), lo[first], hi[first]
     # a bracket wider than stop is live, and `needed` steps bring the widest
     # down to stop: a deeper tree would only add energies
-    stop = max(tol, np.spacing(max(-lo.min(), hi.max())))
-    needed = math.ceil(math.log2(np.max(hi - lo) / stop))
+    stop = max(tol, math.ulp(max(-lo.min(), hi.max())))
+    needed = math.ceil(math.log2(width.max() / stop))
     levels = max(1, min(max_levels, needed,
                         int(math.log2(_CALL_ENERGIES / len(lo_t) + 1))))
     edges = np.empty((len(lo_t), 2**levels + 1))
@@ -373,15 +433,16 @@ def _bisect_tree(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: flo
         np.add(edges[:, :-step:2 * step], edges[:, 2 * step::2 * step], out=mid)
         mid *= 0.5
     counts = count(edges[:, 1:-1].ravel()).reshape(len(lo_t), -1)
-    if (np.all(counts[:, 1:] >= counts[:, :-1])
-            and np.min(edges[:, 2::2] - edges[:, :-2:2]) > stop):
+    if tree is not None:
+        edges, counts = edges[tree], counts[tree]
+    rows = np.arange(len(js))
+    if ((counts[:, 1:] >= counts[:, :-1]).all()
+            and (edges[:, 2::2] - edges[:, :-2:2]).min() > stop):
         # the count rises along every tree, and every cell a step starts from
         # passes the stopping test: each walk ends in the finest cell where
         # the count reaches its root
-        at = np.count_nonzero((counts[tree] if shared else counts) < js[:, None], axis=1)
-        return edges[tree, at], edges[tree, at + 1]
-    if shared:
-        edges, counts = edges[tree], counts[tree]
+        at = (counts < js[:, None]).sum(axis=1)
+        return edges[rows, at], edges[rows, at + 1]
     mids = edges[:, 1:-1]  # ascending; the tree's root sits in the middle
     left_of = counts >= js[:, None]
     at = np.full(len(js), -1)  # mids[at]: left edge (-1: lo)
@@ -406,14 +467,18 @@ def _bisect(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float,
     no wider than ``tol``, or than the gap between adjacent doubles; each
     call of ``count`` serves up to ``max_levels`` steps (``_bisect_tree``).
     """
-    # adjacent doubles cannot be split, whatever tol asks
-    while np.any(live := hi - lo > np.maximum(tol, np.spacing(np.abs(hi)))):
-        if np.all(live):
-            lo, hi = _bisect_tree(count, js, lo, hi, tol, max_levels)
+    while True:
+        width = hi - lo
+        # adjacent doubles cannot be split, whatever tol asks
+        live = width > np.maximum(tol, np.spacing(np.abs(hi)))
+        n_live = np.count_nonzero(live)
+        if not n_live:
+            return lo, hi
+        if n_live == len(live):
+            lo, hi = _bisect_tree(count, js, lo, hi, width, tol, max_levels)
         else:
-            lo[live], hi[live] = _bisect_tree(count, js[live], lo[live], hi[live], tol,
-                                              max_levels)
-    return lo, hi
+            lo[live], hi[live] = _bisect_tree(count, js[live], lo[live], hi[live],
+                                              width[live], tol, max_levels)
 
 
 def truncated_eigenvalues(system: SystemSpec, n_max: int,
@@ -429,15 +494,18 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     ``_GRID_STRIDE``-th grid point first, then at the inner points of the
     coarse cells where it rises.  All roots are then bisected together on
     the count until their brackets are no wider than ``tol`` (or than the
-    gap between adjacent doubles); each count call serves several bisection
-    steps through a tree of midpoints, the more the fewer brackets are
-    live.  Roots and brackets equal those of a full-grid count and
-    one-midpoint-per-step bisection, as long as the count does not decrease
-    along the grid, which oscillation theory gives while the cell phases
-    ``sqrt(lam) * gap`` keep their digits (not so for factorial truncations
-    past n ~ 18).  Roots closer than ``tol`` share a bracket and are
-    reported once; ``suspected_missed`` is the exact number of roots in the
-    range that the list lacks.  More roots than grid cells raise.
+    gap between adjacent doubles); each count call serves up to
+    ``_TREE_LEVELS`` bisection steps through a tree of midpoints, the more
+    the fewer brackets are live.  The count reads the truncation once
+    (``_shooting_cells``) and steps the cotangent of the Prufer angle
+    through one Moebius map per cell.  Roots and brackets equal those of a
+    full-grid count and one-midpoint-per-step bisection, as long as the
+    count does not decrease along the grid, which oscillation theory gives
+    while the cell phases ``sqrt(lam) * gap`` keep their digits (not so for
+    factorial truncations past n ~ 18).  Roots closer than ``tol`` share a
+    bracket and are reported once; ``suspected_missed`` is the exact number
+    of roots in the range that the list lacks.  More roots than grid cells
+    raise.
     """
     lam_lo, lam_hi = lam_range
     if not (0 < lam_lo < lam_hi):
@@ -451,9 +519,14 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
         raise OverflowError("truncation endpoint beyond double range")
     if math.sqrt(lam_hi) * x_end / math.pi + n_max > 2.0**53:  # bounds the count
         raise ValueError("eigenvalue count passes 2^53, beyond exact doubles")
+    cells = _shooting_cells(system, n_max)
+
+    def count(lams):
+        return _count_below(*cells, lams)
+
     grid = np.linspace(lam_lo, lam_hi, grid_resolution + 1)
     coarse = np.r_[0:grid_resolution:_GRID_STRIDE, grid_resolution]
-    coarse_counts = _count_below(system, n_max, grid[coarse])
+    coarse_counts = count(grid[coarse])
     if (n_roots := coarse_counts[-1] - coarse_counts[0]) > grid_resolution:
         raise ValueError(f"{n_roots} eigenvalues in range, more than "
                          f"grid_resolution ({grid_resolution}); narrow the range")
@@ -464,11 +537,10 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     rising = np.repeat(coarse_counts[1:] > coarse_counts[:-1], widths)
     rising[coarse[:-1]] = False
     if len(fine := np.flatnonzero(rising)):
-        counts[fine] = _count_below(system, n_max, grid[fine])
+        counts[fine] = count(grid[fine])
     js = np.arange(counts[0] + 1, counts[-1] + 1)  # counts of the roots in range
     cell = np.searchsorted(counts, js) - 1
-    lo, hi = _bisect(lambda lams: _count_below(system, n_max, lams), js,
-                     grid[cell], grid[cell + 1], tol)
+    lo, hi = _bisect(count, js, grid[cell], grid[cell + 1], tol)
     roots, first = np.unique(0.5 * (lo + hi), return_index=True)
     col = 0 if system.kind == DELTA else 1  # psi(x_N) for delta, psi'(x_N) else
     residuals = [abs(propagate(system, r, DIRICHLET_START, n_max)[-1][col])
@@ -483,20 +555,22 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
                           upper: float | None = None) -> EigenvalueList:
     """Independent finite-difference eigenvalues of the same truncation.
 
-    Second-order scheme on a uniform mesh over [0, x_N] with the lattice
-    points, x_N included, snapped to their nearest mesh nodes: each moves by
-    up to h/2.  A delta interaction adds alpha/h to the diagonal at its node.
-    A delta-prime interaction splits the mesh at its node into left/right
-    unknowns tied by the jump condition (value jump alpha times the shared
-    derivative), which enters the assembled matrix as a 1/alpha coupling
-    between the two unknowns; the matrix stays symmetric tridiagonal after
-    mass scaling.  The right end is closed to match the shooting solver:
-    Dirichlet for delta, Neumann for delta-prime.
+    Second-order scheme on a uniform mesh over [0, x_N] that holds the
+    lattice: every lattice point, x_N included, must lie within 1e-9 h of a
+    mesh node, or ``ValueError`` names fd_h.  A delta interaction adds
+    alpha/h to the diagonal at its node.  A delta-prime interaction splits
+    the mesh at its node into left/right unknowns tied by the jump condition
+    (value jump alpha times the shared derivative), which enters the
+    assembled matrix as a 1/alpha coupling between the two unknowns; the
+    matrix stays symmetric tridiagonal after mass scaling.  The right end is
+    closed to match the shooting solver: Dirichlet for delta, Neumann for
+    delta-prime.
 
     The matrix is never assembled.  Its eigenvalues are bisected on the
     count of its nonpositive pivots (``_fd_count_below``), which costs
     O(lattice points) per energy, from a grid of ``_FD_GRID`` cells over
-    bounds on the whole spectrum, to brackets of 2 ulp ||T|| with ||T|| the
+    bounds on the whole spectrum (counted from its low end as far as the
+    wanted eigenvalues need), to brackets of 2 ulp ||T|| with ||T|| the
     larger bound: the accuracy of a bisection on the assembled matrix.
 
     Returns the lowest ``count`` eigenvalues.  Without ``count`` it returns
@@ -517,11 +591,19 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     tol = 2.0 * np.finfo(float).eps * max(-lowest, highest)
     # padded by far more than the count's rounding: no eigenvalue escapes
     grid = np.linspace(lowest - 8.0 * tol, highest + 8.0 * tol, _FD_GRID + 1)
-    energies = grid[1:-1] if upper is None else np.append(grid[1:-1], upper)
-    counts = count_below(energies)
-    grid_counts = np.concatenate([[0], counts[:_FD_GRID - 1], [size]])
+    # the grid is counted from its low end, with upper only as far as the
+    # first point above it, and on when a wanted index passes those counts:
+    # where the count rises along the grid, each cell is the whole grid's
+    known = (_FD_GRID - 1 if upper is None
+             else min(int(np.searchsorted(grid, upper)), _FD_GRID - 1))
+    counts = count_below(np.append(grid[1:known + 1], [] if upper is None else upper))
+    grid_counts = np.append(0, counts[:known])  # at grid[0], grid[1], ...
 
     def eigenvalues(js):
+        nonlocal grid_counts
+        if grid_counts[-1] < js[-1] and len(grid_counts) <= _FD_GRID:
+            rest = count_below(grid[len(grid_counts):-1])
+            grid_counts = np.concatenate([grid_counts, rest, [size]])
         cell = np.searchsorted(grid_counts, js) - 1
         lo, hi = _bisect(count_below, js, grid[cell], grid[cell + 1], tol,
                          _FD_TREE_LEVELS)
@@ -556,9 +638,14 @@ def _fd_runs(system: SystemSpec, n_max: int, h: float):
     m = int(round(length / h))
     if m < 4:
         raise ValueError("mesh too coarse for the truncation length")
-    nodes = np.rint(system.lattice.positions(n_max)[1:] / h)  # nondecreasing
+    points = system.lattice.positions(n_max)[1:] / h
+    nodes = np.rint(points)  # nondecreasing
     if nodes[0] <= 0 or np.any(nodes[1:] == nodes[:-1]):
         raise ValueError("lattice points collide on the mesh; refine h")
+    if np.any(off := np.abs(points - nodes) > 1e-9):
+        n = int(np.argmax(off)) + 1
+        raise ValueError(f"lattice point x_{n} = {system.lattice.position(n)!r} is off the "
+                         f"FD mesh of fd_h = {h!r}; choose an fd_h that divides the gaps")
 
     inner = nodes < m  # at node m psi or psi' vanishes: the interaction is inert
     a = system.strengths.alphas(1, n_max)[inner]
@@ -566,15 +653,7 @@ def _fd_runs(system: SystemSpec, n_max: int, h: float):
     kept = np.abs(a) > 1e-12 if delta_prime else a != 0.0
     a = a[kept]
     gaps = np.diff(np.concatenate([[0], nodes[inner][kept], [m]])).tolist()
-    blocks = []
-    for gap, kick in zip(gaps, [None, *a.tolist()]):
-        if not blocks or (gap not in blocks[-1][0] and len(blocks[-1][0]) == _FD_BLOCK):
-            blocks.append(({}, [], []))
-        index, runs, kicks = blocks[-1]  # each distinct length's place among them
-        runs.append(index.setdefault(gap, len(index)))
-        kicks.append(kick)
-    blocks = [(np.array(list(index), dtype=float)[:, None], np.bincount(runs).astype(float),
-               runs, kicks) for index, runs, kicks in blocks]
+    blocks = _distinct_blocks(gaps, [None, *a.tolist()])
     # bonds of weight 1/h add at most 4/h^2 per unit mass; a delta node adds
     # alpha/h, a split node's bond 1/alpha at most 4/(alpha h) either way
     extra = a / h if not delta_prime else 4.0 / (a * h)
@@ -605,36 +684,42 @@ def _fd_count_below(h: float, blocks: list, delta_prime: bool, lams) -> np.ndarr
     """
     x = np.asarray(lams, dtype=float)
     count = np.zeros(len(x), dtype=np.int64)
+    if not len(x):
+        return count
     # one denominator per step, counted a block of rows at a time
     dens, k = np.empty((_FD_ROWS, len(x))), 0
+    rows = list(dens)
     with np.errstate(all="ignore"):  # only an exact u = 0 at a node divides by 0
         for lengths, weights, runs, kicks in blocks:
             maps, s2, turns = _fd_run_maps(h, lengths, x)
             count += (weights @ turns).astype(np.int64)
+            maps = list(maps)
             for run, alpha in zip(runs, kicks):
+                run_map = maps[run]
                 if alpha is None:  # the first run starts from u = 0: no denominator
-                    v = maps[run].copy()
+                    v = run_map.copy()
                     continue
                 if delta_prime:
                     jump = 1.0 / alpha
-                    np.add(v, jump, out=dens[k])
+                    np.add(v, jump, out=rows[k])
                     v *= jump
-                    v /= dens[k]
+                    v /= rows[k]
                     k += 1
                 else:
                     v += alpha
-                np.add(v, maps[run], out=dens[k])
-                v *= maps[run]
+                den = rows[k]
+                np.add(v, run_map, out=den)
+                v *= run_map
                 v -= s2
-                v /= dens[k]
+                v /= den
                 k += 1
                 if k >= _FD_ROWS - 1:  # room for the next step's two rows
-                    count += np.count_nonzero(dens[:k] <= 0.0, axis=0)
+                    count += np.add.reduce(dens[:k] <= 0.0, axis=0)
                     k = 0
     if delta_prime:
         dens[k] = v
         k += 1
-    return count + np.count_nonzero(dens[:k] <= 0.0, axis=0)
+    return count + np.add.reduce(dens[:k] <= 0.0, axis=0)
 
 
 def _fd_run_maps(h: float, lengths: np.ndarray, x: np.ndarray):
@@ -657,17 +742,18 @@ def _fd_run_maps(h: float, lengths: np.ndarray, x: np.ndarray):
     Angles are kept at or above _TINY, so A stays finite where rho or eta
     vanish within rounding; there it takes its limit.
     """
-    if x.min() >= 0.0 and (z := (0.5 * h) * np.sqrt(x)).max() < 1.0:
-        return _fd_turning_maps(h, lengths, z)
     z = (0.5 * h) * np.sqrt(np.abs(x))  # sin(theta / 2), or its continuation
+    if x.min() >= 0.0 and z.max() < 1.0:
+        return _fd_turning_maps(h, lengths, z)
     maps, s2, turns = _fd_turning_maps(h, lengths, np.minimum(z, 1.0))
     hyperbolic = (x < 0.0) | (z >= 1.0)  # theta imaginary, or pi plus imaginary
     z, above = z[hyperbolic], x[hyperbolic] > 0.0
     eta = 2.0 * np.where(above, np.arccosh(np.maximum(z, 1.0)), np.arcsinh(z))
     np.maximum(eta, _TINY, out=eta)
     s = np.sinh(eta) / h
-    maps[:, hyperbolic] = np.where(above, -s, s) / np.tanh(lengths * eta)
-    s2[hyperbolic] = -s * s
+    minus_s = -s
+    maps[:, hyperbolic] = np.where(above, minus_s, s) / np.tanh(lengths * eta)
+    s2[hyperbolic] = minus_s * s
     turns[:, hyperbolic] = np.where(above, lengths - 1.0, 0.0)
     return maps, s2, turns
 

@@ -511,7 +511,7 @@ class TestEigsCommand:
         doc["system"]["positions"]["points"] = [0.0, 1.0, 3.0]
         doc["system"]["strengths"]["values"] = [5.0, 0.0]
         doc["params"].update({"n_points": 2, "lambda_range": [0.05, 30.0],
-                              "oracle": "fd", "fd_h": 3.0 / 4096})
+                              "oracle": "fd", "fd_h": 1.0 / 1024})
         cfg = write_config(tmp_path, doc)
         code, out, _ = run_cli(["eigs", "--config", cfg], capsys)
         assert code == 0
@@ -519,6 +519,17 @@ class TestEigsCommand:
         assert lines[0].endswith("fd_lambda,rel_deviation")
         rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
         assert all(float(r[5]) < 1e-3 for r in rows)
+
+    def test_fd_mesh_off_the_lattice_exits_2(self, tmp_path, capsys):
+        # the points 1, 2 and 3.5 lie off a mesh of 0.3: refused, not snapped
+        doc = json.loads(json.dumps(FREE_PI))
+        doc["system"]["positions"]["points"] = [0.0, 1.0, 2.0, 3.5]
+        doc["system"]["strengths"]["values"] = [2.0, -1.5, 0.0]
+        doc["params"].update({"n_points": 3, "oracle": "fd", "fd_h": 0.3})
+        code, out, err = run_cli(["eigs", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, out, err) == (2, "", "config error: lattice point x_1 = 1.0 is off "
+                                    "the FD mesh of fd_h = 0.3; choose an fd_h that "
+                                    "divides the gaps\n")
 
     def test_empty_range_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FREE_PI))
@@ -610,7 +621,7 @@ class TestEigsCommand:
         doc["system"]["positions"]["points"] = [0.0, 1.0, 3.0]
         doc["system"]["strengths"]["values"] = [5.0, 0.0]
         doc["params"].update({"n_points": 2, "lambda_range": [0.05, 30.0],
-                              "oracle": "fd", "fd_h": 3.0 / 4096})
+                              "oracle": "fd", "fd_h": 1.0 / 1024})
         code, out, _ = run_cli(["eigs", "--config", write_config(tmp_path, doc),
                                 "--format", "json"], capsys)
         assert code == 0

@@ -11,7 +11,6 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        essential_spectrum_probe, fd_oracle_eigenvalues,
                        truncated_eigenvalues)
 from pointspec import spectrum
-from pointspec.spectrum import _count_below
 from pointspec.transfer import DIRICHLET_START, propagate
 
 from conftest import factorial_system
@@ -31,6 +30,11 @@ def synthetic_exact_threshold(kind, a, n_points=60):
 
 
 SYNTH_CONFIG = ClassifyConfig(sparseness_threshold=20.0, strength_threshold=5.0)
+
+
+def shooting_count(system, n_max, lams):
+    """The shooting count at each energy, through the name the solve calls."""
+    return spectrum._count_below(*spectrum._shooting_cells(system, n_max), lams)
 
 
 class TestInterval:
@@ -319,7 +323,7 @@ class TestTruncatedEigenvalues:
         lat = SparseSet.explicit([0.0, 1.0, 3.0])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([5.0, 0.0]))
         sh = truncated_eigenvalues(sys, 2, (0.05, 30.0), tol=1e-12)
-        fd = fd_oracle_eigenvalues(sys, 2, 3.0 / 4096, 8)
+        fd = fd_oracle_eigenvalues(sys, 2, 1.0 / 1024, 8)
         inside = fd.values[(fd.values > 0.05) & (fd.values < 30.0)]
         k = min(len(inside), len(sh.values))
         assert k >= 4
@@ -402,7 +406,7 @@ class TestCountBelow:
             ref = np.sum(fd[None, :] <= lams[:, None], axis=1)
             # within 2e-3 of an FD eigenvalue the mesh error decides
             far = np.min(np.abs(fd[None, :] - lams[:, None]), axis=1) > 2e-3 * lams
-            assert np.array_equal(_count_below(sys, n, lams)[far], ref[far])
+            assert np.array_equal(shooting_count(sys, n, lams)[far], ref[far])
             checked += int(np.sum(far))
         assert checked > 1500
 
@@ -412,7 +416,7 @@ class TestCountBelow:
         k = np.sqrt(lams) * 2.5 / math.pi
         for kind, want in (("delta", np.floor(k)), ("delta_prime", np.floor(k + 0.5))):
             sys = SystemSpec(kind, lat, StrengthSequence.explicit([0.0, 0.0]))
-            assert np.array_equal(_count_below(sys, 2, lams), want)
+            assert np.array_equal(shooting_count(sys, 2, lams), want)
 
     def test_finds_roots_the_grid_scan_missed(self):
         # a sign-change scan of the closure value on the default grid finds
@@ -453,7 +457,7 @@ def eigenvalues_one_at_a_time(system, n_max, lam_range, grid_resolution=2000,
     if math.sqrt(lam_hi) * x_end / math.pi + n_max > 2.0**53:
         raise ValueError("eigenvalue count passes 2^53, beyond exact doubles")
     grid = np.linspace(lam_lo, lam_hi, grid_resolution + 1)
-    counts = spectrum._count_below(system, n_max, grid)
+    counts = shooting_count(system, n_max, grid)
     if (n_roots := counts[-1] - counts[0]) > grid_resolution:
         raise ValueError(f"{n_roots} eigenvalues in range, more than "
                          f"grid_resolution ({grid_resolution}); narrow the range")
@@ -462,7 +466,7 @@ def eigenvalues_one_at_a_time(system, n_max, lam_range, grid_resolution=2000,
     lo, hi = grid[cell], grid[cell + 1]
     while np.any(live := hi - lo > np.maximum(tol, np.spacing(hi))):
         mid = 0.5 * (lo[live] + hi[live])
-        left = spectrum._count_below(system, n_max, mid) >= js[live]
+        left = shooting_count(system, n_max, mid) >= js[live]
         hi[live] = np.where(left, mid, hi[live])
         lo[live] = np.where(left, lo[live], mid)
     roots, first = np.unique(0.5 * (lo + hi), return_index=True)
@@ -536,29 +540,36 @@ class TestCoarseGridAndMidpointTree:
 
     def test_count_calls_within_budget(self, monkeypatch):
         # the 27-root delta-prime truncation: one-at-a-time bisection counts
-        # 28 times, the coarse grid and the midpoint tree at most 10
+        # 28 times, the coarse grid and the midpoint tree 9 (27 trees of 4
+        # levels fill a call); a 3-root truncation takes 5-level trees: 7
         rng = np.random.default_rng(1)
         system = random_truncation(rng, "delta_prime", 32)
+        few = random_truncation(np.random.default_rng(1), "delta", 8)
         want = eigenvalues_one_at_a_time(system, 32, (0.5, 20.0))
-        calls = []
+        want_few = eigenvalues_one_at_a_time(few, 8, (0.5, 6.0))
+        calls, count_below = [], spectrum._count_below
 
-        def counted(system, n_max, lams):
-            calls.append(len(lams))
-            return _count_below(system, n_max, lams)
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return count_below(*args)
 
         monkeypatch.setattr(spectrum, "_count_below", counted)
         res = truncated_eigenvalues(system, 32, (0.5, 20.0))
-        assert len(calls) <= 10
+        assert 0 < len(calls) <= 9
         assert len(res) == 27 and np.array_equal(res.values, want.values)
+        calls.clear()
+        res = truncated_eigenvalues(few, 8, (0.5, 6.0))
+        assert 0 < len(calls) <= 7
+        assert len(res) == 3 and np.array_equal(res.values, want_few.values)
 
     def test_many_roots_count_no_more_energies(self, monkeypatch):
         # hundreds of brackets get one bisection step per call, as
         # one-at-a-time bisection does, and tens get shallow trees
-        energies = []
+        energies, count_below = [], spectrum._count_below
 
-        def counted(system, n_max, lams):
-            energies.append(len(lams))
-            return _count_below(system, n_max, lams)
+        def counted(*args):
+            energies.append(len(args[-1]))
+            return count_below(*args)
 
         monkeypatch.setattr(spectrum, "_count_below", counted)
         for kind in ("delta", "delta_prime"):
@@ -574,7 +585,7 @@ class TestCoarseGridAndMidpointTree:
             ours = sum(energies)
             energies.clear()
             eigenvalues_one_at_a_time(system, 32, (0.5, 2000.0))
-            assert len(res) > 250 and ours <= sum(energies)
+            assert len(res) > 250 and 0 < ours <= sum(energies)
 
 
 def fd_matrix_loop(system, n_max, h):
@@ -670,6 +681,28 @@ class TestFdOracle:
                 assert np.array_equal(
                     fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
 
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_upper_anywhere_on_the_grid(self, kind):
+        # with upper the grid is counted only up to its first point above
+        # upper, and on when the next eigenvalue lies past it (as it can mid
+        # spectrum, where eigenvalues are sparser than grid points): the
+        # values are the whole grid's either way
+        sys = SystemSpec(kind, SparseSet.explicit([0.0, 1.0, 2.5, 3.0]),
+                         StrengthSequence.explicit([-6.0, 2.0, 3.0]))
+        h = 3.0 / 600
+        _, size, (lowest, highest) = spectrum._fd_runs(sys, 3, h)
+        tol = 2.0 * np.finfo(float).eps * max(-lowest, highest)
+        grid = np.linspace(lowest - 8.0 * tol, highest + 8.0 * tol, spectrum._FD_GRID + 1)
+        past = 0
+        for g in (*grid[1:4], *grid[250:262], grid[-2]):
+            for upper in (np.nextafter(g, -np.inf), g, np.nextafter(g, np.inf)):
+                fd = fd_oracle_eigenvalues(sys, 3, h, upper=upper)
+                assert fd.values[-1] > upper or len(fd) == size
+                assert np.array_equal(
+                    fd.values, fd_oracle_eigenvalues(sys, 3, h, len(fd)).values)
+                past += fd.values[-1] > grid[np.searchsorted(grid, upper)]
+        assert past > 0
+
     def test_upper_below_the_spectrum(self):
         # every node carries alpha = 100: the matrix's Gershgorin bound is
         # far above upper = 20, and the list is the lowest eigenvalue alone
@@ -719,18 +752,22 @@ class TestFdOracle:
             fd_oracle_eigenvalues(sys, 3, 0.01, 4)
 
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
-    def test_points_snap_to_nearest_node(self, kind):
-        # at h = 0.3 the points 1, 2, 3.5 sit on the nodes 0.9, 2.1, 3.6 (an
-        # error of up to h/2 each, x_N included): the same matrix, no error
-        def matrix(points):
-            return _fd_tridiagonal(
-                SystemSpec(kind, SparseSet.explicit(points),
-                           StrengthSequence.explicit([2.0, -1.5, 0.0])), 3, 0.3)
+    def test_mesh_off_the_lattice_refused(self, kind):
+        # at h = 0.3 the points 1, 2, 3.5 lie off the mesh: the oracle
+        # refuses them rather than solve the truncation with its points
+        # moved to the nodes 0.9, 2.1, 3.6
+        def oracle(points, h):
+            system = SystemSpec(kind, SparseSet.explicit(points),
+                                StrengthSequence.explicit([2.0, -1.5, 0.0]))
+            return fd_oracle_eigenvalues(system, 3, h, upper=10.0)
 
-        d, e = matrix([0.0, 1.0, 2.0, 3.5])
-        on_d, on_e = matrix([0.0, 0.9, 2.1, 3.6])
-        assert d.tobytes() == on_d.tobytes()
-        assert e.tobytes() == on_e.tobytes()
+        with pytest.raises(ValueError, match=r"x_1 = 1\.0 is off the FD mesh of fd_h = 0\.3"):
+            oracle([0.0, 1.0, 2.0, 3.5], 0.3)
+        # x_N alone off its node by 1e-6 h is refused; within 1e-9 h counts as on it
+        with pytest.raises(ValueError, match="x_3 .* fd_h"):
+            oracle([0.0, 1.0, 2.0, 3.5 + 1e-6 / 64], 1 / 64)
+        assert np.array_equal(oracle([0.0, 1.0, 2.0, 3.5 + 1e-12 / 64], 1 / 64).values,
+                              oracle([0.0, 1.0, 2.0, 3.5], 1 / 64).values)
 
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_matrix_matches_node_loop(self, kind):
