@@ -39,7 +39,7 @@ import numpy as np
 from . import growth as growth_mod
 from .lattice import (MAX_INDEX, SparseSet, StrengthSequence, SystemSpec,
                       estimate_threshold)
-from .spectrum import (ClassifyConfig, classify, fd_oracle_eigenvalues,
+from .spectrum import (ClassifyConfig, classify, fd_oracle_nearest,
                        truncated_eigenvalues)
 from .transfer import PropagationOverflow, free_flow, propagate
 
@@ -387,15 +387,13 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bo
     params = {"n_points": n_max, "lambda_range": [float(rng[0]), float(rng[1])],
               "grid_resolution": resolution, "tol": tol, "oracle": oracle}
     if oracle == "fd":
-        fd = fd_oracle_eigenvalues(run.system, n_max, fd_h, upper=float(rng[1]))
         # each root's nearest FD eigenvalue, the first of equals
-        nearest = (np.argmin(np.abs(fd.values - lam[:, None]), axis=1) if len(lam)
-                   else np.zeros(0, np.int64))
-        fd_lam = fd.values[nearest]
+        fd_lam, fd_count = fd_oracle_nearest(run.system, n_max, fd_h, lam, float(rng[1]))
         columns += ["fd_lambda", "rel_deviation"]
         arrays += [fd_lam, np.abs(fd_lam - lam) / np.maximum(np.abs(lam), 1e-300)]
         params["fd_h"] = fd_h
-        params["fd_count"] = len(fd)  # how many FD eigenvalues were computed
+        # the FD eigenvalues at or below lambda_range[1], plus one
+        params["fd_count"] = fd_count
     rows = _table(columns, arrays)
     footers = []
     if eigs.warning:

@@ -20,7 +20,7 @@ from .growth import _verdict_from_scan
 from .lattice import (_TREND_LEN, DELTA, DELTA_PRIME, SystemSpec,
                       ThresholdEstimate, WindowScan, _check_window, _tail_trend,
                       _threshold_from_scan, window_scan)
-from .transfer import DIRICHLET_START, propagate
+from .transfer import propagate_ends
 
 CASE_I_DELTA = "case_i_delta"
 CASE_I_DELTA_PRIME = "case_i_delta_prime"
@@ -39,6 +39,10 @@ _FD_TREE_LEVELS = 9  # an FD count costs little per energy: up to 511 midpoints 
 _TINY = 1e-100  # least angle of a cell's or an FD run's map: keeps every map finite
 _FD_ROWS = 8  # FD count denominators held at once
 _FD_BLOCK = 64  # most distinct lengths whose maps are formed at once, and most kicks
+# half-width, relative, of the interval fd_oracle_nearest certifies about each
+# energy; a value within half of it is accepted.  The benchmark's 702 roots at
+# fd_h 1/128 lie within 2.2e-4 of their nearest FD eigenvalues
+_FD_NEAR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -505,7 +509,8 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     factorial truncations past n ~ 18).  Roots closer than ``tol`` share a
     bracket and are reported once; ``suspected_missed`` is the exact number
     of roots in the range that the list lacks.  More roots than grid cells
-    raise.
+    raise.  The residuals, the closure value at each root, come from one
+    propagation of all roots together (``propagate_ends``).
     """
     lam_lo, lam_hi = lam_range
     if not (0 < lam_lo < lam_hi):
@@ -543,11 +548,71 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     lo, hi = _bisect(count, js, grid[cell], grid[cell + 1], tol)
     roots, first = np.unique(0.5 * (lo + hi), return_index=True)
     col = 0 if system.kind == DELTA else 1  # psi(x_N) for delta, psi'(x_N) else
-    residuals = [abs(propagate(system, r, DIRICHLET_START, n_max)[-1][col])
-                 for r in roots.tolist()]
-    return EigenvalueList(values=roots, residuals=np.array(residuals),
+    residuals = np.abs(propagate_ends(system, roots, n_max)[:, col])
+    return EigenvalueList(values=roots, residuals=residuals,
                           bracket_widths=(hi - lo)[first],
                           suspected_missed=len(js) - len(roots))
+
+
+class _FdOracle:
+    """The FD matrix of ``fd_oracle_eigenvalues``, its tolerance and its grid.
+
+    Holds the mesh, the tolerance of the eigenvalues, and the isolation grid
+    with the counts taken on it.  The grid has ``_FD_GRID`` cells over bounds
+    on the whole spectrum, padded by far more than the count's rounding, so
+    no eigenvalue escapes it; its counts are taken from its low end as far as
+    the wanted eigenvalues need.  Where the count rises along the grid, each
+    cell is the whole grid's.
+    """
+
+    def __init__(self, system: SystemSpec, n_max: int, h: float):
+        self.mesh, self.size, (lowest, highest) = _fd_runs(system, n_max, h)
+        # 2 ulp ||T||, ||T|| the larger bound: a bisection on the assembled matrix
+        self.tol = 2.0 * np.finfo(float).eps * max(-lowest, highest)
+        self.grid = np.linspace(lowest - 8.0 * self.tol, highest + 8.0 * self.tol,
+                                _FD_GRID + 1)
+        self.grid_counts = None
+
+    def count(self, lams) -> np.ndarray:
+        return _fd_count_below(*self.mesh, lams)
+
+    def count_grid(self, upper: float | None, extra=()) -> np.ndarray:
+        """The counts at ``upper`` and ``extra``, from one call that also
+        counts the grid as far as its first point above ``upper`` (all of it
+        without ``upper``)."""
+        known = (_FD_GRID - 1 if upper is None
+                 else min(int(np.searchsorted(self.grid, upper)), _FD_GRID - 1))
+        counts = self.count(np.concatenate(
+            [self.grid[1:known + 1], [] if upper is None else [upper], extra]))
+        self.grid_counts = np.append(0, counts[:known])  # at grid[0], grid[1], ...
+        return counts[known:]
+
+    def cells(self, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The grid cell of each ascending js-th eigenvalue, counting the rest
+        of the grid when one passes the counts taken."""
+        if len(js) and self.grid_counts[-1] < js[-1] and len(self.grid_counts) <= _FD_GRID:
+            rest = self.count(self.grid[len(self.grid_counts):-1])
+            self.grid_counts = np.concatenate([self.grid_counts, rest, [self.size]])
+        cell = np.searchsorted(self.grid_counts, js) - 1
+        return self.grid[cell], self.grid[cell + 1]
+
+    def eigenvalues(self, js: np.ndarray, lo=None, hi=None) -> np.ndarray:
+        """The js-th eigenvalues, bisected from brackets on their bisection
+        paths from their grid cells (the cells themselves by default)."""
+        if lo is None:
+            lo, hi = self.cells(js)
+        lo, hi = _bisect(self.count, js, lo, hi, self.tol, _FD_TREE_LEVELS)
+        return 0.5 * (lo + hi)
+
+    def through(self, upper: float, at_upper: int) -> np.ndarray:
+        """Every eigenvalue at or below ``upper`` plus the next one (capped at
+        the size), ``at_upper`` the count at ``upper``."""
+        vals = self.eigenvalues(np.arange(1, min(at_upper + 1, self.size) + 1))
+        # a bisected eigenvalue can land at or below upper while the count there
+        # leaves it out; then the next one is still owed
+        while vals[-1] <= upper and len(vals) < self.size:
+            vals = np.append(vals, self.eigenvalues(np.array([len(vals) + 1])))
+        return vals
 
 
 def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
@@ -577,46 +642,82 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     every eigenvalue at or below ``upper`` plus the next one (capped at the
     matrix size), so negative and below-range eigenvalues cannot push the
     ones near ``upper`` out of the list: the last one lies above ``upper``.
-    The values equal those of ``count = len(result)``.
+    The values equal those of ``count = len(result)``.  Where only the
+    eigenvalues nearest some energies are wanted, ``fd_oracle_nearest``
+    bisects those alone.
     """
     if count is None and upper is None:
         raise ValueError("need count or upper")
     if count is not None and not count >= 1:
         raise ValueError("need count >= 1")
-    mesh, size, (lowest, highest) = _fd_runs(system, n_max, h)
-
-    def count_below(lams):
-        return _fd_count_below(*mesh, lams)
-
-    tol = 2.0 * np.finfo(float).eps * max(-lowest, highest)
-    # padded by far more than the count's rounding: no eigenvalue escapes
-    grid = np.linspace(lowest - 8.0 * tol, highest + 8.0 * tol, _FD_GRID + 1)
-    # the grid is counted from its low end, with upper only as far as the
-    # first point above it, and on when a wanted index passes those counts:
-    # where the count rises along the grid, each cell is the whole grid's
-    known = (_FD_GRID - 1 if upper is None
-             else min(int(np.searchsorted(grid, upper)), _FD_GRID - 1))
-    counts = count_below(np.append(grid[1:known + 1], [] if upper is None else upper))
-    grid_counts = np.append(0, counts[:known])  # at grid[0], grid[1], ...
-
-    def eigenvalues(js):
-        nonlocal grid_counts
-        if grid_counts[-1] < js[-1] and len(grid_counts) <= _FD_GRID:
-            rest = count_below(grid[len(grid_counts):-1])
-            grid_counts = np.concatenate([grid_counts, rest, [size]])
-        cell = np.searchsorted(grid_counts, js) - 1
-        lo, hi = _bisect(count_below, js, grid[cell], grid[cell + 1], tol,
-                         _FD_TREE_LEVELS)
-        return 0.5 * (lo + hi)
-
+    oracle = _FdOracle(system, n_max, h)
+    counts = oracle.count_grid(upper)
     if count is not None:
-        return EigenvalueList(values=eigenvalues(np.arange(1, min(count, size) + 1)))
-    vals = eigenvalues(np.arange(1, min(counts[-1] + 1, size) + 1))
-    # a bisected eigenvalue can land at or below upper while the count there
-    # leaves it out; then the next one is still owed
-    while vals[-1] <= upper and len(vals) < size:
-        vals = np.append(vals, eigenvalues(np.array([len(vals) + 1])))
-    return EigenvalueList(values=vals)
+        return EigenvalueList(values=oracle.eigenvalues(np.arange(1, min(count, oracle.size) + 1)))
+    return EigenvalueList(values=oracle.through(upper, counts[0]))
+
+
+def fd_oracle_nearest(system: SystemSpec, n_max: int, h: float, lams,
+                      upper: float) -> tuple[np.ndarray, int]:
+    """The FD eigenvalue nearest each energy, and the length of the ``upper`` list.
+
+    With ``fd = fd_oracle_eigenvalues(system, n_max, h, upper=upper)``,
+    returns ``fd.values[argmin |fd.values - lam|]`` per energy (the first
+    of equals) and ``len(fd)``, bit for bit, but bisects only the
+    eigenvalues it returns when it can certify which they are.  One count
+    call takes the grid, ``upper``, ``upper + 4 tol`` and each lam -+
+    ``_FD_NEAR`` |lam|.  The certificate holds when each such interval holds
+    one eigenvalue, the j-th, and none lies in (upper, upper + 4 tol]: then
+    the list's length is min(count(upper) + 1, size), and each j-th
+    eigenvalue is bisected from its grid cell along the path the full list
+    takes, its steps replayed without counting while their midpoints lie
+    outside the interval (``_replay``).  Where each value lies within
+    ``_FD_NEAR`` |lam| / 2 of its energy it is the nearest by a margin, and
+    is returned.  Otherwise the full list is bisected and searched, from
+    the mesh and grid counts already taken.
+    """
+    lams = np.asarray(lams, dtype=float)
+    oracle = _FdOracle(system, n_max, h)
+    radius = _FD_NEAR * np.abs(lams)
+    below, above = lams - radius, lams + radius
+    counts = oracle.count_grid(upper, np.concatenate([[upper + 4.0 * oracle.tol], below, above]))
+    at_upper, past_upper = counts[:2]
+    to_below, to_above = np.split(counts[2:], 2)
+    if past_upper == at_upper and np.all(to_above - to_below == 1):
+        js, first = np.unique(to_above, return_index=True)
+        lo, hi = _replay(*oracle.cells(js), below[first], above[first], oracle.tol)
+        values = oracle.eigenvalues(js, lo, hi)[np.searchsorted(js, to_above)]
+        if np.all(np.abs(values - lams) < 0.5 * radius):
+            return values, int(min(at_upper + 1, oracle.size))
+    fd = oracle.through(upper, at_upper)
+    return fd[np.argmin(np.abs(fd - lams[:, None]), axis=1)], len(fd)
+
+
+def _replay(lo: np.ndarray, hi: np.ndarray, below: np.ndarray, above: np.ndarray,
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bisection steps of ``_bisect`` from [lo, hi] that need no count.
+
+    Each bracket's root is the one eigenvalue in (below, above].  A count
+    that does not decrease away from eigenvalues puts a midpoint at or below
+    ``below`` under the root (it becomes lo) and one at or above ``above``
+    over it (it becomes hi).  Steps are replayed so, under ``_bisect``'s
+    stopping test, until a midpoint falls inside the interval: the brackets
+    are those ``_bisect`` reaches from [lo, hi], bit for bit.  A few brackets
+    of ~15 steps each: scalar steps cost less than array ones.
+    """
+    los, his = [], []
+    for a, b, left, right in zip(lo.tolist(), hi.tolist(), below.tolist(), above.tolist()):
+        while b - a > max(tol, math.ulp(abs(b))):  # np.spacing(|b|), as _bisect's test
+            mid = 0.5 * (a + b)
+            if mid <= left:
+                a = mid
+            elif mid >= right:
+                b = mid
+            else:
+                break
+        los.append(a)
+        his.append(b)
+    return np.array(los, dtype=float), np.array(his, dtype=float)
 
 
 def _fd_runs(system: SystemSpec, n_max: int, h: float):

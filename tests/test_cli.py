@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,6 +631,24 @@ class TestEigsCommand:
         fd = spectrum.fd_oracle_eigenvalues(*calls[0], count=100)
         assert json.loads(out)["params"]["fd_count"] == \
             int(np.sum(fd.values <= 30.0)) + 1
+
+    def test_fallback_lays_out_the_mesh_once(self, tmp_path, monkeypatch):
+        # shooting roots past the FD spectrum of a 3-row mesh: no root's
+        # nearest FD eigenvalue is certified, and the whole list is bisected
+        # on the mesh and counts the certificate took
+        import pointspec.spectrum as spectrum
+        calls, fallbacks = [], []
+        runs, through = spectrum._fd_runs, spectrum._FdOracle.through
+        monkeypatch.setattr(spectrum, "_fd_runs",
+                            lambda *args: calls.append(args) or runs(*args))
+        monkeypatch.setattr(spectrum._FdOracle, "through",
+                            lambda oracle, *args: fallbacks.append(args) or through(oracle, *args))
+        golden = Path(__file__).parent / "golden"
+        out = tmp_path / "out.csv"
+        assert main(["eigs", "--config", str(golden / "eigs_fallback.config.json"),
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1 and len(fallbacks) == 1
+        assert out.read_bytes() == (golden / "eigs_fallback.out.csv").read_bytes()
 
     def test_unresolved_roots_warning_footer(self, tmp_path, capsys):
         # a huge positive strength nearly decouples [0, 1] from [1, 3]: the

@@ -4,7 +4,7 @@ Each case runs a config from ``tests/golden/`` through ``cli.main`` and
 compares the written file byte for byte with the expected output beside it.
 After an intended output change, regenerate a golden with
 
-    python -m pointspec.cli COMMAND --config tests/golden/COMMAND.config.json \
+    python -m pointspec.cli COMMAND --config tests/golden/CONFIG \
         --out tests/golden/EXPECTED [--format json]
 
 and say in the change record which bytes moved and why.
@@ -23,23 +23,27 @@ from pointspec.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (command, expected output file, extra arguments)
+# (command, config file, expected output file, extra arguments); the eigs
+# ids start with "eigs", which CI's run with AVX-512 switched off selects
 CASES = [
-    ("classify", "classify.out.json", ()),
-    ("avalue", "avalue.out.json", ()),
-    ("growth", "growth.out.csv", ()),
-    ("growth", "growth.out.json", ("--format", "json")),
-    ("eigs", "eigs.out.csv", ()),  # with the FD oracle
-    ("propagate", "propagate.out.csv", ()),  # dense_per_interval = 2
+    ("classify", "classify.config.json", "classify.out.json", ()),
+    ("avalue", "avalue.config.json", "avalue.out.json", ()),
+    ("growth", "growth.config.json", "growth.out.csv", ()),
+    ("growth", "growth.config.json", "growth.out.json", ("--format", "json")),
+    ("eigs", "eigs.config.json", "eigs.out.csv", ()),  # with the FD oracle
+    # the FD oracle on a delta-prime truncation
+    ("eigs", "eigs_delta_prime.config.json", "eigs_delta_prime.out.csv", ()),
+    # shooting roots past the FD spectrum: the oracle bisects its whole list
+    ("eigs", "eigs_fallback.config.json", "eigs_fallback.out.csv", ()),
+    ("propagate", "propagate.config.json", "propagate.out.csv", ()),  # dense_per_interval = 2
 ]
 
 
-@pytest.mark.parametrize("command, expected, args",
-                         [pytest.param(*case, id=case[1]) for case in CASES])
-def test_output_bytes(command, expected, args, tmp_path):
+@pytest.mark.parametrize("command, config, expected, args",
+                         [pytest.param(*case, id=case[2]) for case in CASES])
+def test_output_bytes(command, config, expected, args, tmp_path):
     out = tmp_path / expected
-    code = main([command, "--config", str(GOLDEN / f"{command}.config.json"),
-                 "--out", str(out), *args])
+    code = main([command, "--config", str(GOLDEN / config), "--out", str(out), *args])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
 
@@ -49,19 +53,19 @@ NO_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None
 from pointspec.cli import main
-for command, out, args in json.loads(sys.argv[1]):
-    config = sys.argv[2] + "/" + command + ".config.json"
+for command, config, out, args in json.loads(sys.argv[1]):
+    config = sys.argv[2] + "/" + config
     if main([command, "--config", config, "--out", out, *args]) != 0:
         sys.exit(1)
 """
 
 
 def test_output_bytes_without_scipy(tmp_path):
-    cases = [(command, str(tmp_path / expected), list(args))
-             for command, expected, args in CASES]
+    cases = [(command, config, str(tmp_path / expected), list(args))
+             for command, config, expected, args in CASES]
     src = str(Path(pointspec.__file__).parents[1])
     subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(cases), str(GOLDEN)],
                    check=True, env={**os.environ, "PYTHONPATH": src})
-    for _, out, _ in cases:
+    for _, _, out, _ in cases:
         name = Path(out).name
         assert Path(out).read_bytes() == (GOLDEN / name).read_bytes(), name

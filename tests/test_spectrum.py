@@ -1,5 +1,6 @@
 import math
 from collections import defaultdict
+from pathlib import Path
 from sys import modules as loaded_modules
 
 import numpy as np
@@ -11,6 +12,7 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        essential_spectrum_probe, fd_oracle_eigenvalues,
                        truncated_eigenvalues)
 from pointspec import spectrum
+from pointspec.cli import main
 from pointspec.transfer import DIRICHLET_START, propagate
 
 from conftest import factorial_system
@@ -877,6 +879,95 @@ class TestFdCount:
         # the scheme's second-order error, lam^2 h^2 / 12, is below rounding
         want = np.array(want)
         assert np.all(np.abs(fd - want) <= want * (want * h * h / 12 + 4 * np.finfo(float).eps))
+
+
+def nearest_truncation(rng, kind):
+    """2-30 explicit points, gaps k/8 (k = 1..16), strengths uniform in [-20, 20]."""
+    n = int(rng.integers(2, 31))
+    gaps = rng.integers(1, 17, n) / 8
+    return n, SystemSpec(kind, SparseSet.explicit(np.concatenate([[0.0], np.cumsum(gaps)])),
+                         StrengthSequence.explicit(rng.uniform(-20.0, 20.0, n)))
+
+
+def full_list_nearest(system, n, h, lams, upper):
+    """What fd_oracle_nearest must equal: the whole list and its argmin."""
+    full = fd_oracle_eigenvalues(system, n, h, upper=upper).values
+    return full[np.argmin(np.abs(full - lams[:, None]), axis=1)], len(full)
+
+
+class TestFdOracleNearest:
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_equals_the_full_list(self, kind, monkeypatch):
+        # the certified brackets against the whole list searched, at the
+        # shooting roots and at random energies (beyond upper and the
+        # spectrum among them); the roots take both the certificate and
+        # the fallback
+        fallbacks = []
+        through = spectrum._FdOracle.through
+        monkeypatch.setattr(spectrum._FdOracle, "through",
+                            lambda oracle, *args: fallbacks.append(args) or through(oracle, *args))
+        rng = np.random.default_rng(43 if kind == "delta" else 44)
+        certified = 0
+        for _ in range(200):
+            n, system = nearest_truncation(rng, kind)
+            h = 1.0 / int(rng.choice([32, 64, 128, 256]))
+            upper = float(rng.uniform(2.0, 60.0))
+            roots = truncated_eigenvalues(system, n, (float(rng.uniform(0.01, 1.0)), upper)).values
+            for lams in (roots, rng.uniform(0.0, 3.0 * upper, 4)):
+                taken = len(fallbacks)
+                values, count = spectrum.fd_oracle_nearest(system, n, h, lams, upper)
+                certified += lams is roots and len(fallbacks) == taken
+                want, want_count = full_list_nearest(system, n, h, lams, upper)
+                assert values.tobytes() == want.tobytes()
+                assert count == want_count and type(count) is int
+        assert 50 <= certified < 200
+
+    def test_certifies_past_the_counted_grid(self, monkeypatch):
+        # an FD eigenvalue just above the first grid point above upper: its
+        # cell needs the rest of the grid counted, as the whole list's does
+        system = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
+                            StrengthSequence.explicit([3.0, 0.0]))
+        oracle = spectrum._FdOracle(system, 2, 1 / 16)
+        fd = fd_oracle_eigenvalues(system, 2, 1 / 16, count=oracle.size).values
+        below = oracle.grid[np.searchsorted(oracle.grid, fd) - 1]  # the grid point under each
+        k = np.argmin((fd - below) / fd)
+        lam, point = fd[k], below[k]
+        upper = float(np.nextafter(point, -np.inf))
+        assert upper < point < lam < upper * (1 + spectrum._FD_NEAR / 2)
+        grids = []
+        cells = spectrum._FdOracle.cells
+
+        def counted_cells(oracle, js):
+            grids.append(len(oracle.grid_counts))
+            found = cells(oracle, js)
+            grids.append(len(oracle.grid_counts))
+            return found
+        monkeypatch.setattr(spectrum._FdOracle, "cells", counted_cells)
+        monkeypatch.setattr(spectrum._FdOracle, "through", None)  # no fallback
+        values, count = spectrum.fd_oracle_nearest(system, 2, 1 / 16, [lam], upper)
+        assert grids[0] < grids[1] == len(oracle.grid)  # counted on past upper
+        monkeypatch.undo()
+        want, want_count = full_list_nearest(system, 2, 1 / 16, np.array([lam]), upper)
+        assert values.tobytes() == want.tobytes() and count == want_count
+
+    def test_no_energies(self):
+        system = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
+                            StrengthSequence.explicit([3.0, 0.0]))
+        values, count = spectrum.fd_oracle_nearest(system, 2, 1 / 64, [], 30.0)
+        assert len(values) == 0
+        assert count == len(fd_oracle_eigenvalues(system, 2, 1 / 64, upper=30.0))
+
+    def test_count_calls_on_the_golden_config(self, tmp_path, monkeypatch):
+        # tests/golden/eigs.config.json: the whole list took 9 count calls of
+        # 2725 energies; the certificate rides on the first call
+        energies = []
+        original = spectrum._fd_count_below
+        monkeypatch.setattr(spectrum, "_fd_count_below",
+                            lambda *args: energies.append(len(args[-1])) or original(*args))
+        config = Path(__file__).parent / "golden" / "eigs.config.json"
+        assert main(["eigs", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(energies) <= 8
+        assert sum(energies) <= 1724
 
 
 class TestEigenvalueList:
