@@ -1,12 +1,13 @@
 """Command-line surface: classify, avalue, growth, eigs, propagate.
 
 Configuration is a single JSON document (see README for the schema).  Each
-generator family has one key table (``POSITION_KEYS``, ``STRENGTH_KEYS``) and
-classify's thresholds are the fields of ``ClassifyConfig``: each drives the
-accepted keys, the parse and the echo.  ``NaN``, ``Infinity`` and array
-entries that are not numbers are configuration errors.  Every number, scalar
-or array entry, must be a finite double: ``1e400``, or an integer literal past
-the largest double, is a configuration error before anything is computed.
+command's ``params`` has one table of rows, ``PARAMS[command]``, and each
+generator family one in ``POSITION_ROWS`` or ``STRENGTH_ROWS``: each row's
+check and default drive the accepted keys, the parse and the echo.  ``NaN``,
+``Infinity`` and array entries that are not numbers are configuration errors.
+Every number, scalar or array entry, must be a finite double: ``1e400``, or an
+integer literal past the largest double, is a configuration error before
+anything is computed.
 Every output echoes the system and the resolved parameters, so results are
 reproducible from the file alone; outputs are deterministic (no timestamps)
 and written atomically.
@@ -18,10 +19,10 @@ process; the kernel's first table in a process must also repay its import,
 so it takes only tables of ``KERNEL_COLD_MIN_CELLS`` cells or more.
 
 Exit codes: 0 success, 2 configuration error (also an output file or stdout
-that cannot be written, and any ``ValueError`` or ``IndexError`` from the
-library), 3 numerical failure: under ``--strict`` a propagate overflow
-footer or eigs roots closer than ``tol`` reported once, and any other
-``OverflowError`` with or without it.
+that cannot be written, a request too large for memory, and any
+``ValueError`` or ``IndexError`` from the library), 3 numerical failure:
+under ``--strict`` a propagate overflow footer or eigs roots closer than
+``tol`` reported once, and any other ``OverflowError`` with or without it.
 """
 
 from __future__ import annotations
@@ -88,91 +89,117 @@ def _check_finite(v, where: str, entry: bool = False):
                               else f"{where} must be a finite double")
 
 
-def _number(d: dict, key: str, where: str, default=None, positive=False):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing {where}.{key}")
-        return default
-    v = d[key]
-    if not _is_number(v):
-        raise ConfigError(f"{where}.{key} must be a number")
-    if positive and not v > 0:
-        raise ConfigError(f"{where}.{key} must be positive")
-    return float(v)
+def _check(*rules, convert=lambda v: v):
+    """A row's check: ``convert(v)`` once ``v`` passes each ``(test, rule)``
+    in turn, else a ValueError whose text is the first rule it breaks."""
+    def check(v):
+        for test, rule in rules:
+            if not test(v):
+                raise ValueError(rule)
+        return convert(v)
+    return check
 
 
-def _integer(d: dict, key: str, where: str, default=None, minimum=None,
-             maximum=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing {where}.{key}")
-        return default
-    v = d[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{where}.{key} must be <= {maximum}")
-    return v
+def _integer(lo, hi=math.inf):
+    return _check((lambda v: _is_number(v) and isinstance(v, int), "must be an integer"),
+                  (lambda v: v >= lo, f"must be >= {lo}"),
+                  (lambda v: v <= hi, f"must be <= {hi}"))
 
 
-def _int_pair(d: dict, key: str, where: str, default=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing {where}.{key}")
-        return default
-    v = d[key]
-    if (not isinstance(v, list) or len(v) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in v)):
-        raise ConfigError(f"{where}.{key} must be a pair of integers")
-    return (v[0], v[1])
+def _numbers(v, length=None, kind=(int, float)) -> bool:
+    """A nonempty list of numbers of ``kind``, ``length`` of them if given."""
+    return (isinstance(v, list) and v != [] and len(v) == (length or len(v))
+            and all(_is_number(x) and isinstance(x, kind) for x in v))
 
 
-# Each generator's keys in parse and echo order.  A key in OPTIONAL_KEYS takes
-# the library's default when absent; every other key is required.
-POSITION_KEYS = {"factorial": ("max_index",), "power": ("c", "p", "max_index"),
-                 "exponential": ("c", "q", "r", "max_index"),
-                 "explicit": ("points",)}
-STRENGTH_KEYS = {"power": ("c", "p"), "constant": ("c",), "explicit": ("values",)}
-OPTIONAL_KEYS = {"max_index", "r"}
+_ANY = _check((_is_number, "must be a number"), convert=float)
+_POSITIVE = _check((_is_number, "must be a number"),
+                   (lambda v: v > 0, "must be positive"), convert=float)
+_ARRAY = _check((lambda v: isinstance(v, list) and v != [], "must be a nonempty array"),
+                (lambda v: all(map(_is_number, v)), "must hold only numbers"),
+                convert=tuple)
+_WINDOW = _check((lambda v: _numbers(v, 2, int), "must be a pair of integers"),
+                 convert=tuple)
+
+# Defaults that are no value: a REQUIRED key must be given, and a LIBRARY key
+# left out stays out of the parse, so the library's default holds.
+REQUIRED, LIBRARY = object(), object()
+
+# Each generator family's rows, after ``type``, in parse and echo order.
+_MAX_INDEX = (_integer(1, MAX_INDEX), LIBRARY)
+POSITION_ROWS = {
+    "factorial": {"max_index": _MAX_INDEX},
+    "power": {"c": (_POSITIVE, REQUIRED), "p": (_POSITIVE, REQUIRED),
+              "max_index": _MAX_INDEX},
+    "exponential": {"c": (_POSITIVE, REQUIRED), "q": (_POSITIVE, REQUIRED),
+                    "r": (_POSITIVE, LIBRARY), "max_index": _MAX_INDEX},
+    "explicit": {"points": (_ARRAY, REQUIRED)}}
+STRENGTH_ROWS = {
+    "power": {"c": (_ANY, REQUIRED), "p": (_ANY, REQUIRED)},
+    "constant": {"c": (_ANY, REQUIRED)},
+    "explicit": {"values": (_ARRAY, REQUIRED)}}
+
+# Each command's params rows, in parse and echo order.  The rules that span
+# keys (growth's window order, eigs' fd_h and oracle) are the commands' own.
+PARAMS = {
+    "classify": {
+        "window": (_WINDOW, (100, 10**6)),
+        "lambda0_grid": (_check((lambda v: v is None or _numbers(v) and min(v) > 0,
+                                 "must be an array of positive numbers")), None),
+        **{f.name: (_POSITIVE, f.default) for f in dataclasses.fields(ClassifyConfig)}},
+    "avalue": {"window": (_WINDOW, REQUIRED), "infinity_threshold": (_POSITIVE, 1e6)},
+    "growth": {"lambda0": (_POSITIVE, REQUIRED), "window": (_WINDOW, REQUIRED)},
+    "eigs": {
+        "n_points": (_integer(1), REQUIRED),
+        "lambda_range": (_check((lambda v: _numbers(v, 2) and 0 < v[0] < v[1],
+                                 "must be [lo, hi] with 0 < lo < hi"),
+                                convert=lambda v: tuple(map(float, v))), REQUIRED),
+        "grid_resolution": (_integer(2), 2000),
+        "tol": (_POSITIVE, 1e-10),
+        "oracle": (_check((lambda v: v in (None, "fd"), "must be null or 'fd'")), None),
+        "fd_h": (_POSITIVE, LIBRARY)},  # needed with the oracle
+    "propagate": {
+        "lambda": (_POSITIVE, REQUIRED),
+        "n_max": (_integer(1), REQUIRED),
+        "xi0": (_check((lambda v: _numbers(v, 2), "must be [psi, dpsi]")), [0.0, 1.0]),
+        "dense_per_interval": (_integer(0), 0)}}
+_OUTPUT_ROWS = {"format": (_check((lambda v: v in (None, "csv", "json"),
+                                   "must be 'csv' or 'json'")), None),
+                "path": (_check((lambda v: v is None or isinstance(v, str),
+                                 "must be a string")), None)}
 
 
-def _parse_generator(block, where: str, keys_by_type: dict, cls, positive: bool):
-    """Build ``cls`` from a generator block whose keys ``keys_by_type`` lists.
+def _parse_keys(block, rows: dict, where: str) -> dict:
+    """``block``'s keys through their rows' checks, defaults filled in, in row order."""
+    required = {key for key, (_, default) in rows.items() if default is REQUIRED}
+    _require_keys(block, set(rows), required, where)
+    parsed = {}
+    for key, (check, default) in rows.items():
+        if key in block:
+            try:
+                parsed[key] = check(block[key])
+            except ValueError as exc:
+                raise ConfigError(f"{where}.{key} {exc}") from None
+        elif default is not LIBRARY:
+            parsed[key] = default
+    return parsed
 
-    ``max_index`` is an integer in [1, ``MAX_INDEX``], ``points`` and
-    ``values`` nonempty arrays of numbers, and every other key a number,
-    positive if ``positive``.
-    """
+
+def _parse_generator(block, where: str, rows_by_type: dict, cls):
+    """Build ``cls`` from a generator block, whose ``type`` picks its rows."""
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigError(f"{where} must be an object with a 'type' field")
     kind = block["type"]
-    if not isinstance(kind, str) or kind not in keys_by_type:
-        raise ConfigError(f"{where}.type must be one of {'|'.join(keys_by_type)}, "
+    if not isinstance(kind, str) or kind not in rows_by_type:
+        raise ConfigError(f"{where}.type must be one of {'|'.join(rows_by_type)}, "
                           f"got {kind!r}")
-    keys = keys_by_type[kind]
-    _require_keys(block, {"type", *keys}, {"type", *keys} - OPTIONAL_KEYS, where)
-    values = {}
-    for key in [k for k in keys if k in block]:
-        if key == "max_index":
-            values[key] = _integer(block, key, where, minimum=1,
-                                   maximum=MAX_INDEX)
-        elif key in ("points", "values"):
-            array = block[key]
-            if not isinstance(array, list) or not array:
-                raise ConfigError(f"{where}.{key} must be a nonempty array")
-            if not all(map(_is_number, array)):
-                raise ConfigError(f"{where}.{key} must hold only numbers")
-            values[key] = tuple(array)
-        else:
-            values[key] = _number(block, key, where, positive=positive)
-    return cls(kind=kind, **values)
+    keys = {key: v for key, v in block.items() if key != "type"}
+    return cls(kind=kind, **_parse_keys(keys, rows_by_type[kind], where))
 
 
-def _generator_dict(generator, keys_by_type: dict) -> dict:
+def _generator_dict(generator, rows_by_type: dict) -> dict:
     out = {"type": generator.kind}
-    for key in keys_by_type[generator.kind]:
+    for key in rows_by_type[generator.kind]:
         value = getattr(generator, key)
         out[key] = list(value) if isinstance(value, tuple) else value
     return out
@@ -180,8 +207,8 @@ def _generator_dict(generator, keys_by_type: dict) -> dict:
 
 def _system_dict(system: SystemSpec) -> dict:
     return {"kind": system.kind,
-            "positions": _generator_dict(system.lattice, POSITION_KEYS),
-            "strengths": _generator_dict(system.strengths, STRENGTH_KEYS)}
+            "positions": _generator_dict(system.lattice, POSITION_ROWS),
+            "strengths": _generator_dict(system.strengths, STRENGTH_ROWS)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,23 +234,14 @@ def parse_config(doc: dict) -> RunConfig:
     system = SystemSpec(
         kind=kind,
         lattice=_parse_generator(sysblock["positions"], "system.positions",
-                                 POSITION_KEYS, SparseSet, positive=True),
+                                 POSITION_ROWS, SparseSet),
         strengths=_parse_generator(sysblock["strengths"], "system.strengths",
-                                   STRENGTH_KEYS, StrengthSequence, positive=False))
+                                   STRENGTH_ROWS, StrengthSequence))
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    fmt = path = None
-    if "output" in doc:
-        _require_keys(doc["output"], {"format", "path"}, set(), "output")
-        fmt = doc["output"].get("format")
-        if fmt is not None and fmt not in ("csv", "json"):
-            raise ConfigError("output.format must be 'csv' or 'json'")
-        path = doc["output"].get("path")
-        if path is not None and not isinstance(path, str):
-            raise ConfigError("output.path must be a string")
-    return RunConfig(system=system, params=params, output_format=fmt,
-                     output_path=path)
+    output = _parse_keys(doc.get("output", {}), _OUTPUT_ROWS, "output")
+    return RunConfig(system, params, output["format"], output["path"])
 
 
 def load_config(path: str) -> RunConfig:
@@ -268,25 +286,15 @@ def _threshold_dict(est) -> dict:
 
 
 def cmd_classify(run: RunConfig) -> dict:
-    p = run.params
-    thresholds = dataclasses.fields(ClassifyConfig)
-    _require_keys(p, {"window", "lambda0_grid", *(f.name for f in thresholds)},
-                  set(), "params")
-    config = ClassifyConfig(**{
-        f.name: _number(p, f.name, "params", f.default, positive=True)
-        for f in thresholds})
-    window = _int_pair(p, "window", "params", (100, 10**6))
-    grid = p.get("lambda0_grid")
-    if grid is not None and (not isinstance(grid, list) or not grid
-                             or not all(_is_number(g) and g > 0 for g in grid)):
-        raise ConfigError("params.lambda0_grid must be an array of positive numbers")
-    result = classify(run.system, window=window, lambda0_grid=grid,
-                      config=config)
+    params = _parse_keys(run.params, PARAMS["classify"], "params")
+    config = ClassifyConfig(**{key: v for key, v in params.items()
+                               if key not in ("window", "lambda0_grid")})
+    result = classify(run.system, window=params["window"],
+                      lambda0_grid=params["lambda0_grid"], config=config)
     return {
         "command": "classify",
         "system": _system_dict(run.system),
-        "params": _json_safe({"window": list(window), "lambda0_grid": grid,
-                              **dataclasses.asdict(config)}),
+        "params": _json_safe(params),
         "result": {
             "case": result.case,
             "threshold": _threshold_dict(result.threshold),
@@ -303,17 +311,13 @@ def cmd_classify(run: RunConfig) -> dict:
 
 
 def cmd_avalue(run: RunConfig) -> dict:
-    p = run.params
-    _require_keys(p, {"window", "infinity_threshold"}, {"window"}, "params")
-    window = _int_pair(p, "window", "params")
-    threshold = _number(p, "infinity_threshold", "params", 1e6, positive=True)
-    est = estimate_threshold(run.system, window[0], window[1],
-                             infinity_threshold=threshold)
+    params = _parse_keys(run.params, PARAMS["avalue"], "params")
+    (n_lo, n_hi), threshold = params.values()
+    est = estimate_threshold(run.system, n_lo, n_hi, infinity_threshold=threshold)
     return {
         "command": "avalue",
         "system": _system_dict(run.system),
-        "params": _json_safe({"window": list(window),
-                              "infinity_threshold": threshold}),
+        "params": _json_safe(params),
         "result": _threshold_dict(est),
     }
 
@@ -336,11 +340,8 @@ GROWTH_COLUMNS = ["n", "log_gap", "log_coupling_product", "dalembert_ratio",
 
 
 def cmd_growth(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bool]:
-    p = run.params
-    _require_keys(p, {"lambda0", "window"}, {"lambda0", "window"}, "params")
-    lam0 = _number(p, "lambda0", "params", positive=True)
-    window = _int_pair(p, "window", "params")
-    n_lo, n_hi = window
+    params = _parse_keys(run.params, PARAMS["growth"], "params")
+    lam0, (n_lo, n_hi) = params.values()
     if n_lo < 0 or n_hi <= n_lo:
         raise ConfigError("params.window must satisfy 0 <= start < end")
     prof = growth_mod.series_terms(run.system, lam0, n_hi)
@@ -352,7 +353,6 @@ def cmd_growth(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, 
                                    prof.log_gaps[n_lo:], prof.log_products[n_lo:],
                                    ratios, prof.terms[n_lo:]])
     footers = [f"# lambda0={lam0!r} window=[{n_lo},{n_hi}] kind={run.system.kind}"]
-    params = {"lambda0": lam0, "window": list(window)}
     return GROWTH_COLUMNS, rows, footers, params, False
 
 
@@ -361,37 +361,27 @@ EIGS_COLUMNS = ["index", "lambda", "residual", "bracket_width"]
 
 def cmd_eigs(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bool]:
     p = run.params
-    _require_keys(p, {"n_points", "lambda_range", "grid_resolution", "tol",
-                      "oracle", "fd_h"},
-                  {"n_points", "lambda_range"}, "params")
-    n_max = _integer(p, "n_points", "params", minimum=1)
-    rng = p.get("lambda_range")
-    if (not isinstance(rng, list) or len(rng) != 2
-            or not all(map(_is_number, rng))
-            or not 0 < rng[0] < rng[1]):
-        raise ConfigError("params.lambda_range must be [lo, hi] with 0 < lo < hi")
-    resolution = _integer(p, "grid_resolution", "params", 2000, minimum=2)
-    tol = _number(p, "tol", "params", 1e-10, positive=True)
-    oracle = p.get("oracle")
-    if oracle not in (None, "fd"):
-        raise ConfigError("params.oracle must be null or 'fd'")
-    if oracle is None and "fd_h" in p:
+    # an fd_h without the oracle is reported after the other keys, before its own check
+    orphan = p.get("oracle") is None and "fd_h" in p
+    params = _parse_keys({key: v for key, v in p.items() if key != "fd_h" or not orphan},
+                         PARAMS["eigs"], "params")
+    if orphan:
         raise ConfigError("params.fd_h needs params.oracle 'fd'")
-    fd_h = _number(p, "fd_h", "params", positive=True) if oracle == "fd" else None
-    eigs = truncated_eigenvalues(run.system, n_max, (float(rng[0]), float(rng[1])),
+    if params["oracle"] == "fd" and "fd_h" not in params:
+        raise ConfigError("missing params.fd_h")
+    n_max, rng, resolution, tol, *_ = params.values()
+    eigs = truncated_eigenvalues(run.system, n_max, rng,
                                  grid_resolution=resolution, tol=tol)
     lam = eigs.values
     columns = list(EIGS_COLUMNS)
     arrays = [np.arange(len(lam), dtype=np.int64), lam, eigs.residuals,
               eigs.bracket_widths]
-    params = {"n_points": n_max, "lambda_range": [float(rng[0]), float(rng[1])],
-              "grid_resolution": resolution, "tol": tol, "oracle": oracle}
-    if oracle == "fd":
+    if "fd_h" in params:
         # each root's nearest FD eigenvalue, the first of equals
-        fd_lam, fd_count = fd_oracle_nearest(run.system, n_max, fd_h, lam, float(rng[1]))
+        fd_lam, fd_count = fd_oracle_nearest(run.system, n_max, params["fd_h"],
+                                             lam, rng[1])
         columns += ["fd_lambda", "rel_deviation"]
         arrays += [fd_lam, np.abs(fd_lam - lam) / np.maximum(np.abs(lam), 1e-300)]
-        params["fd_h"] = fd_h
         # the FD eigenvalues at or below lambda_range[1], plus one
         params["fd_count"] = fd_count
     rows = _table(columns, arrays)
@@ -399,7 +389,8 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bo
     if eigs.warning:
         footers.append(f"# warning: suspected unresolved roots: "
                        f"{eigs.suspected_missed} (roots closer than tol)")
-    footers.append(f"# n_points={n_max} lambda_range=[{rng[0]!r},{rng[1]!r}] "
+    lo, hi = p["lambda_range"]  # as given, where the echo holds floats
+    footers.append(f"# n_points={n_max} lambda_range=[{lo!r},{hi!r}] "
                    f"grid_resolution={resolution} tol={tol!r}")
     return columns, rows, footers, params, eigs.warning
 
@@ -408,17 +399,8 @@ PROPAGATE_COLUMNS = ["n", "x", "re_psi", "re_dpsi", "log_norm_xi"]
 
 
 def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bool]:
-    p = run.params
-    _require_keys(p, {"lambda", "n_max", "xi0", "dense_per_interval"},
-                  {"lambda", "n_max"}, "params")
-    lam = _number(p, "lambda", "params", positive=True)
-    n_max = _integer(p, "n_max", "params", minimum=1)
-    xi0 = p.get("xi0", [0.0, 1.0])
-    if (not isinstance(xi0, list) or len(xi0) != 2
-            or not all(map(_is_number, xi0))):
-        raise ConfigError("params.xi0 must be [psi, dpsi]")
-    dense = _integer(p, "dense_per_interval", "params", 0, minimum=0)
-
+    params = _parse_keys(run.params, PARAMS["propagate"], "params")
+    lam, n_max, xi0, dense = params.values()
     try:
         vecs = propagate(run.system, lam, xi0, n_max)
         overflow_at = None
@@ -440,8 +422,6 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dic
         footers.append(f"#overflow at n={overflow_at}")
     footers.append(f"# lambda={lam!r} n_max={n_max} xi0={xi0!r} "
                    f"dense_per_interval={dense}")
-    params = {"lambda": lam, "n_max": n_max, "xi0": list(xi0),
-              "dense_per_interval": dense}
     return PROPAGATE_COLUMNS, rows, footers, params, overflow_at is not None
 
 
@@ -582,6 +562,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL if degraded and args.strict else EXIT_OK
     except (ConfigError, ValueError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # the remedy is a smaller request
+        print(f"config error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

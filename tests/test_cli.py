@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1112,3 +1113,49 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("index,lambda,residual,bracket_width")
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 8.00 GiB for an array"),
+         "config error: out of memory: Unable to allocate 8.00 GiB for an array\n"),
+        (MemoryError(), "config error: out of memory\n")])
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, error, message):
+        # a grid_resolution or dense_per_interval past the memory limit
+        # fails in numpy's allocation; the remedy is a smaller request
+        def raise_error(run):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_eigs", raise_error)
+        cfg = write_config(tmp_path, FREE_PI)
+        assert run_cli(["eigs", "--config", cfg], capsys) == (2, "", message)
+
+
+README = Path(__file__).parents[1] / "README.md"
+# a backquoted key and, if it has one, the text in parentheses after it
+README_KEY = re.compile(r"`([a-z][a-z0-9_]*)`(?: \(([^)]*)\))?")
+
+
+def readme_params_table() -> dict:
+    """README's per-command params table: command -> (required, optional)."""
+    text = README.read_text(encoding="utf-8").split("Per-command `params`:\n\n")[1]
+    lines = text.split("\n\n")[0].splitlines()[2:]  # less the header rows
+    cells = [[cell.strip() for cell in line.split("|")[1:-1]] for line in lines]
+    return {command: (required, optional) for command, required, optional in cells}
+
+
+@pytest.mark.parametrize("command", cli.PARAMS)
+def test_readme_params_table_matches_the_rows(command):
+    rows = cli.PARAMS[command]
+    required, optional = readme_params_table()[command]
+    named = README_KEY.findall(required) + README_KEY.findall(optional)
+    assert sorted(key for key, _ in named) == sorted(rows)
+    assert ({key for key, _ in README_KEY.findall(required)}
+            == {key for key, (_, default) in rows.items() if default is cli.REQUIRED})
+    for key, note in README_KEY.findall(optional):
+        default = rows[key][1]
+        if default is cli.LIBRARY:  # the note says what its absence means
+            continue
+        # the note starts with the default as JSON, then may explain it
+        stated, _ = json.JSONDecoder().raw_decode(note)
+        assert stated == (list(default) if isinstance(default, tuple) else default), key

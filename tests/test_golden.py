@@ -31,11 +31,15 @@ CASES = [
     ("growth", "growth.config.json", "growth.out.csv", ()),
     ("growth", "growth.config.json", "growth.out.json", ("--format", "json")),
     ("eigs", "eigs.config.json", "eigs.out.csv", ()),  # with the FD oracle
+    # the echoed params, fd_h and fd_count included
+    ("eigs", "eigs.config.json", "eigs.out.json", ("--format", "json")),
     # the FD oracle on a delta-prime truncation
     ("eigs", "eigs_delta_prime.config.json", "eigs_delta_prime.out.csv", ()),
     # shooting roots past the FD spectrum: the oracle bisects its whole list
     ("eigs", "eigs_fallback.config.json", "eigs_fallback.out.csv", ()),
     ("propagate", "propagate.config.json", "propagate.out.csv", ()),  # dense_per_interval = 2
+    # the echoed params, the default xi0 included
+    ("propagate", "propagate.config.json", "propagate.out.json", ("--format", "json")),
 ]
 
 
