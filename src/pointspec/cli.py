@@ -347,8 +347,8 @@ def cmd_growth(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, 
     prof = growth_mod.series_terms(run.system, lam0, n_hi)
     first = max(n_lo, 1)  # the ratio needs n >= 1
     log_ratios = growth_mod.log_dalembert_ratios(run.system, lam0, first, n_hi)
-    ratios = np.concatenate([np.full(first - n_lo, math.nan),
-                             np.exp(np.minimum(log_ratios, 700.0))])
+    with np.errstate(over="ignore"):  # inf past double range
+        ratios = np.concatenate([np.full(first - n_lo, math.nan), np.exp(log_ratios)])
     rows = _table(GROWTH_COLUMNS, [np.arange(n_lo, n_hi + 1, dtype=np.int64),
                                    prof.log_gaps[n_lo:], prof.log_products[n_lo:],
                                    ratios, prof.terms[n_lo:]])
@@ -381,7 +381,7 @@ def cmd_eigs(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bo
         fd_lam, fd_count = fd_oracle_nearest(run.system, n_max, params["fd_h"],
                                              lam, rng[1])
         columns += ["fd_lambda", "rel_deviation"]
-        arrays += [fd_lam, np.abs(fd_lam - lam) / np.maximum(np.abs(lam), 1e-300)]
+        arrays += [fd_lam, np.abs(fd_lam - lam) / lam]
         # the FD eigenvalues at or below lambda_range[1], plus one
         params["fd_count"] = fd_count
     rows = _table(columns, arrays)

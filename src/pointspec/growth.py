@@ -23,7 +23,9 @@ from .transfer import DIRICHLET_START, diagonalizer, operator_norm, propagate
 
 
 def _log_factors(system: SystemSpec, lam_eff: float, n_lo: int, n_hi: int) -> np.ndarray:
-    """log(1 + |alpha_i| / sqrt(lam_eff)) for i in [n_lo, n_hi]."""
+    """log(1 + |alpha_i| / sqrt(lam_eff)) for i in [n_lo, n_hi]; an alpha_i
+    past double range raises OverflowError."""
+    system.strengths._check_representable(n_lo, n_hi)
     alphas = system.strengths.alphas(n_lo, n_hi)
     return np.log1p(np.abs(alphas) / math.sqrt(lam_eff))
 

@@ -156,6 +156,19 @@ class SparseSet:
                 raise ValueError("p must be positive")
             if self.kind == "exponential" and (self.q <= 0 or self.r <= 0):
                 raise ValueError("q and r must be positive")
+            if self.kind in ("power", "exponential"):
+                self._check_gaps_representable()
+
+    def _check_gaps_representable(self):
+        """Refuse gaps that round to 0.  Gap n >= 1 has the factor
+        p log1p(1/n), or q ((n+1)^r - n^r), least at gap 1 or at gap
+        max_index - 1: the log gap must be above -inf at both."""
+        for n in sorted({1, self.max_index - 1}) if self.max_index > 1 else ():
+            with np.errstate(all="ignore"):
+                if self.log_gaps(n, n)[0] > -math.inf:
+                    continue
+            names = "p" if self.kind == "power" else "q and r"
+            raise ValueError(f"{names} too small: gap {n} rounds to 0")
 
     @classmethod
     def factorial(cls, max_index: int = 10**7) -> "SparseSet":
@@ -266,8 +279,7 @@ class SparseSet:
                             + _log_expm1(self.q * dr))
             out[~pos] = math.log(self.c) + self.q
             return out
-        pts = np.asarray(self.points[n_lo:n_hi + 2])
-        return np.log(pts[1:] - pts[:-1])
+        return np.log(self.gaps(n_lo, n_hi))
 
     def _check_ratio_range(self, n_lo: int, n_hi: int):
         if n_lo < 1:
@@ -294,8 +306,7 @@ class SparseSet:
         size = n_hi - n_lo + 1
         out = _result(out, size)
         if self.kind == "explicit":
-            pts = np.asarray(self.points[n_lo - 1:n_hi + 2])
-            log_gaps = np.log(pts[1:] - pts[:-1])
+            log_gaps = self.log_gaps(n_lo - 1, n_hi)
             return np.subtract(log_gaps[1:], log_gaps[:-1], out=out)
         if n_lo == 1:
             out[0] = np.diff(self.log_gaps(0, 1))[0]
@@ -373,6 +384,30 @@ class StrengthSequence:
             raise IndexError("invalid strength index range")
         if self.kind == "explicit" and n_hi > len(self.values):
             raise IndexError(f"strength index {n_hi} beyond explicit list")
+
+    def _check_representable(self, n_lo: int, n_hi: int):
+        """``_check_range``, then raise OverflowError naming the first n in
+        [n_lo, n_hi] whose alpha_n is past double range.  Only power
+        strengths with p > 0 get there, monotonically in n, from near
+        n = exp((ln max - ln|c|) / p): the search probes there first, then
+        bisects."""
+        self._check_range(n_lo, n_hi)
+
+        def past(n):  # alpha_n by the ufuncs of ``alphas``
+            with np.errstate(over="ignore"):
+                return not np.isfinite(self.c * np.power(np.array([n], float), self.p))[0]
+
+        if self.kind != "power" or self.c == 0 or not past(n_hi):
+            return
+        lo, hi = n_lo - 1, n_hi  # alpha_hi is past double range, alpha_lo not
+        guess = math.ceil(math.exp(min((_LOG_MAX_DOUBLE - math.log(abs(self.c)))
+                                       / self.p, _LOG_MAX_DOUBLE)))
+        probes = [guess - 1, guess]
+        while hi - lo > 1:
+            n = probes.pop() if probes else (lo + hi) // 2
+            if lo < n < hi:
+                lo, hi = (lo, n) if past(n) else (n, hi)
+        raise OverflowError(f"|alpha_n| is past double range from n={hi}")
 
     def alphas(self, n_lo: int, n_hi: int, *, out=None, work=None) -> np.ndarray:
         """alpha_n over inclusive range [n_lo, n_hi], n_lo >= 1.
@@ -503,7 +538,7 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
     trace.  Without ``settle`` every tail minimum is exact.
     """
     system.lattice._check_ratio_range(n_lo, n_hi)
-    system.strengths._check_range(n_lo, n_hi)
+    system.strengths._check_representable(n_lo, n_hi)
     scales = [math.sqrt(_effective_lambda(system, lam)) for lam in lams]
     tail_start = n_hi - max(2, int(math.ceil((n_hi - n_lo + 1) * tail_fraction))) + 1
     tail_lo = max(tail_start, n_lo)

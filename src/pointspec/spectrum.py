@@ -125,7 +125,8 @@ class ClassifyConfig:
 def _precondition_report(w: WindowScan, config: ClassifyConfig) -> dict:
     tail_len = max(2, min(len(w.log_sparse), _TREND_LEN))
     sparse_trend = _tail_trend(w.log_sparse, tail_len)
-    last_sparse = float(np.exp(min(w.log_sparse[-1], 700.0)))
+    with np.errstate(over="ignore"):  # inf past double range
+        last_sparse = float(np.exp(w.log_sparse[-1]))
     sparse_ok = (sparse_trend == "increasing"
                  and last_sparse > config.sparseness_threshold)
     abs_tail_trend = _tail_trend(w.abs_alphas, tail_len)
@@ -410,35 +411,28 @@ def _bisect_tree(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: n
     """Several bisection steps of every bracket from one call of ``count``.
 
     Halves every sub-bracket of each bracket ``levels`` times, each midpoint
-    formed as 0.5 * (a + b) from its own sub-bracket, and counts all the
-    midpoints in one call; roots that share a bracket share its tree.
-    ``levels`` is ``max_levels`` while the trees fit in ``_CALL_ENERGIES``
-    midpoints and shrinks as the brackets grow in number, down to one step
-    per call: there a deeper tree would multiply the energies that
-    one-at-a-time bisection counts.  Each root then walks down its tree
-    under the same stopping test as before every step: the brackets are
-    those of one-at-a-time bisection, bit for bit.  ``width`` is hi - lo.
+    0.5 * (a + b) of its own sub-bracket, and counts all the midpoints in one
+    call.  ``levels`` is ``max_levels`` while the trees fit in
+    ``_CALL_ENERGIES`` midpoints and shrinks as the brackets grow in number,
+    down to one step per call: there a deeper tree would multiply the
+    energies that one-at-a-time bisection counts.  Each root then walks down
+    its tree under the same stopping test as before every step: the brackets
+    are those of one-at-a-time bisection, bit for bit.  ``width`` is hi - lo.
     """
-    tree, lo_t, hi_t = None, lo, hi  # each root's tree, if roots share them, and their brackets
-    if not (new := (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])).all():
-        first = np.flatnonzero(np.concatenate(([True], new)))
-        tree, lo_t, hi_t = np.cumsum(np.concatenate(([0], new))), lo[first], hi[first]
     # a bracket wider than stop is live, and `needed` steps bring the widest
     # down to stop: a deeper tree would only add energies
     stop = max(tol, math.ulp(max(-lo.min(), hi.max())))
     needed = math.ceil(math.log2(width.max() / stop))
     levels = max(1, min(max_levels, needed,
-                        int(math.log2(_CALL_ENERGIES / len(lo_t) + 1))))
-    edges = np.empty((len(lo_t), 2**levels + 1))
-    edges[:, 0], edges[:, -1] = lo_t, hi_t
+                        int(math.log2(_CALL_ENERGIES / len(lo) + 1))))
+    edges = np.empty((len(lo), 2**levels + 1))
+    edges[:, 0], edges[:, -1] = lo, hi
     for level in range(levels - 1, -1, -1):  # each sub-bracket's midpoint, top down
         step = 2**level
         mid = edges[:, step::2 * step]
         np.add(edges[:, :-step:2 * step], edges[:, 2 * step::2 * step], out=mid)
         mid *= 0.5
-    counts = count(edges[:, 1:-1].ravel()).reshape(len(lo_t), -1)
-    if tree is not None:
-        edges, counts = edges[tree], counts[tree]
+    counts = count(edges[:, 1:-1].ravel()).reshape(len(lo), -1)
     rows = np.arange(len(js))
     if ((counts[:, 1:] >= counts[:, :-1]).all()
             and (edges[:, 2::2] - edges[:, :-2:2]).min() > stop):

@@ -9,7 +9,6 @@ exact and unrenormalized; explosive growth belongs to the log-domain code in
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -69,7 +68,7 @@ class PropagationOverflow(OverflowError):
 
 def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
               n_max: int = 0) -> np.ndarray:
-    """Boundary vectors xi_0 .. xi_{n_max}, shape (n_max+1, 2).
+    """Boundary vectors xi_0 .. xi_{n_max} from a real xi0, shape (n_max+1, 2).
 
     Step n is jump_matrix(kind, alpha_n) @ fundamental_matrix(lam, gap n-1);
     the entries of all steps come from one gaps and one alphas evaluation.
@@ -80,19 +79,20 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
     xi0 = np.asarray(xi0)
     if xi0.shape != (2,):
         raise ValueError("initial boundary vector must have two components")
+    if np.iscomplexobj(xi0):
+        raise ValueError("initial boundary vector must be real")
     if not np.any(xi0 != 0):
         raise ValueError("initial boundary vector must be nonzero")
-    dtype = np.result_type(xi0, float)
-    rows = [tuple(xi0.astype(dtype).tolist())]
+    rows = [tuple(xi0.astype(float).tolist())]
     if n_max > 0:
         m = _step_entries(system, math.sqrt(lam), n_max)
         v0, v1 = rows[0]
         for n, (m00, m01, m10, m11) in enumerate(zip(*(e.tolist() for e in m)), 1):
             v0, v1 = m00 * v0 + m01 * v1, m10 * v0 + m11 * v1
-            if not (cmath.isfinite(v0) and cmath.isfinite(v1)):
-                raise PropagationOverflow(n, np.array(rows, dtype=dtype))
+            if not (math.isfinite(v0) and math.isfinite(v1)):
+                raise PropagationOverflow(n, np.array(rows))
             rows.append((v0, v1))
-    return np.array(rows, dtype=dtype)
+    return np.array(rows)
 
 
 def propagate_ends(system: SystemSpec, lams, n_max: int) -> np.ndarray:

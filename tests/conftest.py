@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def pytest_collection_modifyitems(items):
     except ImportError:
         for item in needs:
             item.add_marker(pytest.mark.skip(reason="scipy.linalg is not installed"))
+
+
+@pytest.fixture(autouse=True)
+def runtime_warnings_fail():
+    """A RuntimeWarning (numpy's overflow, divide by zero, invalid value)
+    fails the test: where a non-finite value is intended, the code says so
+    with ``np.errstate``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
 
 
 @pytest.fixture

@@ -327,6 +327,13 @@ CONFIG_ERRORS = [
         FACTORIAL_QUARTER, ("system", "positions", "max_index"), 10**30),
         ("params", "window"), [1, 10**30 - 1])),
      "system.positions.max_index must be <= 9007199254740992"),
+    # gaps that round to 0: p log1p(1/n), or q ((n+1)^r - n^r), is 0 at n = 10^7 - 1
+    ("avalue", json.dumps(edited(FACTORIAL_QUARTER, ("system", "positions"),
+                                 {"type": "power", "c": 1.0, "p": 1e-320})),
+     "p too small: gap 9999999 rounds to 0"),
+    ("avalue", json.dumps(edited(FACTORIAL_QUARTER, ("system", "positions"),
+                                 {"type": "exponential", "c": 1.0, "q": 1.0, "r": 1e-320})),
+     "q and r too small: gap 9999999 rounds to 0"),
 ]
 
 
@@ -336,7 +343,8 @@ CONFIG_ERRORS = [
                               "unreadable", "not_json", "n_points_integer",
                               "n_points_minimum", "growth_window", "oracle",
                               "fd_h_without_oracle", "max_index_indices_collide",
-                              "max_index_blocks_past_a_list"])
+                              "max_index_blocks_past_a_list", "power_gaps_round_to_0",
+                              "exponential_gaps_round_to_0"])
 def test_config_error_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "config.json"
     if text is not None:
@@ -481,6 +489,60 @@ class TestGrowthCommand:
         rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
         assert rows[0][3] == "nan"
         assert all(math.isfinite(float(r[3])) for r in rows[1:])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# ln(gap(n) / gap(n-1)) is about 2n + 1 on this lattice, past double range from n = 355
+STEEP_EXPONENTIAL = {
+    "system": {"kind": "delta",
+               "positions": {"type": "exponential", "c": 1, "q": 1, "r": 2,
+                             "max_index": 1000},
+               "strengths": {"type": "constant", "c": 1}}}
+
+
+def golden_config(name, path, value):
+    return edited(json.loads((GOLDEN / f"{name}.config.json").read_text()), path, value)
+
+
+class TestDoubleRange:
+    """Ratios past double range print as inf, and strengths past it exit 3
+    before any output (gaps that round to 0 exit 2: ``CONFIG_ERRORS``)."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_growth_ratio_past_double_range_is_inf(self, tmp_path, capsys, fmt):
+        doc = {**STEEP_EXPONENTIAL, "params": {"lambda0": 1, "window": [395, 400]}}
+        code, out, err = run_cli(["growth", "--config", write_config(tmp_path, doc),
+                                  "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            ratios = [l.split(",")[3] for l in out.splitlines()[1:] if l[0] != "#"]
+        else:
+            ratios = [row[3] for row in json.loads(out)["rows"]]
+        assert ratios == ["inf"] * 6
+
+    def test_classify_sparseness_ratio_past_double_range_is_inf(self, tmp_path, capsys):
+        doc = {**STEEP_EXPONENTIAL, "params": {"window": [300, 400]}}
+        code, out, err = run_cli(["classify", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["threshold"]["last_ratio"] == "inf"
+        assert result["diagnostics"]["last_sparseness_ratio"] == "inf"
+
+    @pytest.mark.parametrize("command, doc, n", [
+        ("classify", golden_config("classify", ("system", "strengths", "p"), 1e300), 100),
+        ("avalue", golden_config("avalue", ("system", "strengths", "p"), 1e300), 10),
+        ("growth", {"system": {"kind": "delta",
+                               "positions": {"type": "power", "c": 1, "p": 1.5},
+                               "strengths": {"type": "power", "c": 1, "p": 400}},
+                    "params": {"lambda0": 1, "window": [1, 10]}}, 6)])
+    def test_strengths_past_double_range_exit_3(self, tmp_path, capsys, command, doc, n):
+        target = tmp_path / "out"
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, doc),
+                                  "--out", str(target)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"numerical failure: |alpha_n| is past double range from n={n}\n"
+        assert not target.exists()
 
 
 class TestEigsCommand:

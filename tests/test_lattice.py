@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -154,6 +155,32 @@ class TestSparseSet:
             with pytest.raises(ValueError, match="max_index"):
                 kind(2**53 + 1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="hexagonal"), "unknown lattice kind 'hexagonal'"),
+        (dict(kind="explicit", points=()), "explicit lattice needs at least one point"),
+        (dict(kind="power", c=0.0, p=1.0), "c must be positive"),
+        (dict(kind="exponential", c=-1.0, q=1.0), "c must be positive"),
+        (dict(kind="power", c=1.0, p=0.0), "p must be positive"),
+        (dict(kind="exponential", c=1.0, q=0.0), "q and r must be positive"),
+        (dict(kind="exponential", c=1.0, q=1.0, r=-1.0), "q and r must be positive"),
+        # p log1p(1/n), or q ((n+1)^r - n^r), rounds to 0 at one end
+        (dict(kind="power", c=1.0, p=1e-320), "p too small: gap 9999999 rounds to 0"),
+        (dict(kind="exponential", c=1.0, q=1.0, r=1e-320),
+         "q and r too small: gap 9999999 rounds to 0"),
+        (dict(kind="exponential", c=1.0, q=5e-324, r=0.5),
+         "q and r too small: gap 1 rounds to 0"),
+    ])
+    def test_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SparseSet(**kwargs)
+
+    def test_smallest_representable_gaps_accepted(self):
+        lat = SparseSet.power(1.0, 1e-300)
+        assert np.isfinite(lat.log_gaps(1, 1)).all()
+        assert np.isfinite(lat.log_gaps(lat.max_index - 1, lat.max_index - 1)).all()
+        # one gap, gap 0, has no factor to round away
+        assert SparseSet.power(1.0, 1e-320, max_index=1).gap(0) == 1.0
+
     def test_gaps_range_errors(self):
         lat = SparseSet.explicit([0.0, 1.0, 3.0])
         assert lat.gaps(0, 1).tolist() == [1.0, 2.0]
@@ -271,6 +298,40 @@ class TestStrengthSequence:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             StrengthSequence.explicit([1.0, math.inf])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="linear"), "unknown strength kind 'linear'"),
+        (dict(kind="explicit", values=()), "explicit strengths need at least one value"),
+        (dict(kind="explicit", values=(1.0, math.nan)), "strengths must be finite"),
+        (dict(kind="power", c=math.inf, p=0.5), "strength parameters must be finite"),
+        (dict(kind="power", c=1.0, p=math.nan), "strength parameters must be finite"),
+        (dict(kind="constant", c=-math.inf), "strength parameters must be finite"),
+    ])
+    def test_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StrengthSequence(**kwargs)
+
+    @pytest.mark.parametrize("c, p, window, first", [
+        (1.0, 400.0, (1, 10), 6),  # 6^400 > max double > 5^400
+        (1.0, 400.0, (8, 10), 8),  # the window's first index
+        (-2.0, 1e300, (1, 10**6), 2),
+        (1.0, 44.6, (1, 10**7), 8157193),
+        (1.0, 19.5, (1, 2**53), 6425902493307526),
+    ])
+    def test_first_strength_past_double_range(self, c, p, window, first):
+        strengths = StrengthSequence.power(c, p)
+        message = f"|alpha_n| is past double range from n={first}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            strengths._check_representable(*window)
+        with np.errstate(over="ignore"):
+            alphas = strengths.alphas(max(window[0], first - 1), first)
+        assert np.isinf(alphas[-1]) and np.isfinite(alphas[:-1]).all()
+
+    @pytest.mark.parametrize("strengths", [
+        StrengthSequence.power(1.0, 44.0), StrengthSequence.power(0.0, 1e300),
+        StrengthSequence.power(1e308, -1.0), StrengthSequence.constant(1e308)])
+    def test_strengths_within_double_range_pass(self, strengths):
+        strengths._check_representable(1, 10**7)
 
     def test_integer_constant_gives_float_strengths(self):
         alphas = StrengthSequence.constant(2).alphas(1, 3)

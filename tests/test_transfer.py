@@ -141,6 +141,20 @@ class TestPropagate:
         assert np.array_equal(info.value.vectors,
                               propagate(sys, 1.0, (0.0, 1.0), 1))
 
+    def test_complex_start_refused(self):
+        sys = SystemSpec("delta", SparseSet.factorial(),
+                         StrengthSequence.constant(1.0))
+        for xi0 in ((0.0, 1j), np.array([1.0, 0.0], dtype=complex)):
+            with pytest.raises(ValueError, match="must be real"):
+                propagate(sys, 2.0, xi0, 3)
+
+    def test_integer_start_steps_float64_rows(self):
+        sys = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
+                         StrengthSequence.explicit([0.5, -1.0]))
+        vecs = propagate(sys, 2.0, (0, 1), 2)
+        assert vecs.dtype == np.float64
+        assert np.array_equal(vecs, propagate(sys, 2.0, (0.0, 1.0), 2))
+
     def test_zero_steps_returns_start(self):
         sys = SystemSpec("delta", SparseSet.factorial(),
                          StrengthSequence.constant(1.0))
