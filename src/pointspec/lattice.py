@@ -418,11 +418,11 @@ class StrengthSequence:
         self._check_range(n_lo, n_hi)
         size = n_hi - n_lo + 1
         out = _result(out, size)
-        if self.kind == "power":
+        if self.kind == "power" and self.c != 0:
             ns = (work or _Workspace(size)).indices(n_lo, size, out)
             np.power(ns, self.p, out=out)
             return np.multiply(self.c, out, out=out)
-        if self.kind == "constant":
+        if self.kind != "explicit":  # constant, or power with c = 0 for any p
             out.fill(self.c)
             return out
         out[:] = self.values[n_lo - 1:n_hi]
@@ -700,7 +700,8 @@ def threshold_ratio(system: SystemSpec, n: int) -> float:
 
 
 def _tail_trend(values: np.ndarray, tail_len: int, slop: float = 1e-14) -> str:
-    d = np.diff(values[-tail_len:])
+    with np.errstate(invalid="ignore"):  # inf - inf: nan, read as mixed
+        d = np.diff(values[-tail_len:])
     if len(d) == 0 or np.any(np.isnan(d)):
         return "mixed"
     if np.all(np.abs(d) <= slop):

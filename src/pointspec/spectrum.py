@@ -20,7 +20,6 @@ from .growth import _verdict_from_scan
 from .lattice import (_TREND_LEN, DELTA, DELTA_PRIME, SystemSpec,
                       ThresholdEstimate, WindowScan, _check_window, _tail_trend,
                       _threshold_from_scan, window_scan)
-from .transfer import propagate_ends
 
 CASE_I_DELTA = "case_i_delta"
 CASE_I_DELTA_PRIME = "case_i_delta_prime"
@@ -353,8 +352,9 @@ def _shooting_cells(system: SystemSpec, n_max: int):
     return blocks, system.kind == DELTA_PRIME
 
 
-def _count_below(blocks: list, delta_prime: bool, lams) -> np.ndarray:
-    """Eigenvalues at or below each energy of a truncation (``_shooting_cells``).
+def _count_below(blocks: list, delta_prime: bool, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues at or below each energy of a truncation (``_shooting_cells``),
+    and u = cot(phi) at x_N.
 
     Follows u = cot(phi), phi the Prufer angle of (sqrt(lam) psi, psi'), for
     all energies at once; for delta-prime it follows psi', on which each
@@ -369,6 +369,9 @@ def _count_below(blocks: list, delta_prime: bool, lams) -> np.ndarray:
     maximum (u = 0).  By oscillation theory the delta count is every
     eigenvalue <= lam, negative ones included, and the delta-prime count
     every positive one; differences between energies are exact for both.
+    Both closures are sin(phi(x_N)) = 0 (psi = 0 for delta, psi' = 0 for
+    delta-prime), so |sin phi(x_N)| = 1 / hypot(1, u) measures how far an
+    energy is from closing.
 
     The cells' maps are formed once per distinct gap of a block, and the
     kicks ``_FD_BLOCK`` cells at a time, so memory stays O(energies x
@@ -403,7 +406,7 @@ def _count_below(blocks: list, delta_prime: bool, lams) -> np.ndarray:
                     u -= 1.0
                     u /= den
                 count += np.add.reduce(dens <= 0.0, axis=0)
-    return count.astype(np.int64)
+    return count.astype(np.int64), u
 
 
 def _bisect_tree(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: np.ndarray,
@@ -503,8 +506,10 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     factorial truncations past n ~ 18).  Roots closer than ``tol`` share a
     bracket and are reported once; ``suspected_missed`` is the exact number
     of roots in the range that the list lacks.  More roots than grid cells
-    raise.  The residuals, the closure value at each root, come from one
-    propagation of all roots together (``propagate_ends``).
+    raise.  The residual at each root is |sin phi(x_N)|, in [0, 1], taken
+    from the shooting count at the root (one more count of all the roots
+    together): it cannot overflow, and a value near 1 means the end angle
+    moves by O(1) inside the root's bracket.
     """
     lam_lo, lam_hi = lam_range
     if not (0 < lam_lo < lam_hi):
@@ -521,7 +526,7 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     cells = _shooting_cells(system, n_max)
 
     def count(lams):
-        return _count_below(*cells, lams)
+        return _count_below(*cells, lams)[0]
 
     grid = np.linspace(lam_lo, lam_hi, grid_resolution + 1)
     coarse = np.r_[0:grid_resolution:_GRID_STRIDE, grid_resolution]
@@ -541,9 +546,8 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
     cell = np.searchsorted(counts, js) - 1
     lo, hi = _bisect(count, js, grid[cell], grid[cell + 1], tol)
     roots, first = np.unique(0.5 * (lo + hi), return_index=True)
-    col = 0 if system.kind == DELTA else 1  # psi(x_N) for delta, psi'(x_N) else
-    residuals = np.abs(propagate_ends(system, roots, n_max)[:, col])
-    return EigenvalueList(values=roots, residuals=residuals,
+    u_end = _count_below(*cells, roots)[1]
+    return EigenvalueList(values=roots, residuals=1.0 / np.hypot(1.0, u_end),
                           bracket_widths=(hi - lo)[first],
                           suspected_missed=len(js) - len(roots))
 

@@ -17,7 +17,6 @@ import numpy as np
 from .lattice import DELTA, DELTA_PRIME, KINDS, SystemSpec
 
 DIRICHLET_START = (0.0, 1.0)  # psi(0) = 0 normalization
-_ENDS_BLOCK = 1 << 16  # most (cell, energy) entries propagate_ends forms at once
 
 
 def _check_lambda(lam: float):
@@ -85,7 +84,16 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
         raise ValueError("initial boundary vector must be nonzero")
     rows = [tuple(xi0.astype(float).tolist())]
     if n_max > 0:
-        m = _step_entries(system, math.sqrt(lam), n_max)
+        rt = math.sqrt(lam)
+        a = system.strengths.alphas(1, n_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = system.lattice.gaps(0, n_max - 1) * rt
+            f00, s = np.cos(phase), np.sin(phase)
+            f01, f10, f11 = s / rt, -rt * s, f00  # free propagator
+            if system.kind == DELTA:  # jump [[1, 0], [a, 1]]
+                m = f00, f01, a * f00 + f10, a * f01 + f11
+            else:  # jump [[1, a], [0, 1]]
+                m = f00 + a * f10, f01 + a * f11, f10, f11
         v0, v1 = rows[0]
         for n, (m00, m01, m10, m11) in enumerate(zip(*(e.tolist() for e in m)), 1):
             v0, v1 = m00 * v0 + m01 * v1, m10 * v0 + m11 * v1
@@ -93,56 +101,6 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
                 raise PropagationOverflow(n, np.array(rows))
             rows.append((v0, v1))
     return np.array(rows)
-
-
-def propagate_ends(system: SystemSpec, lams, n_max: int) -> np.ndarray:
-    """xi_{n_max} of ``propagate(system, lam, DIRICHLET_START, n_max)`` for
-    every energy, shape (len(lams), 2), bit for bit.
-
-    Steps all energies together, the cells' entries as (cells x energies)
-    arrays formed ``_ENDS_BLOCK`` elements at a time, with the same
-    elementwise operations as ``propagate``.  Where some energy's chain
-    leaves double range, ``propagate`` is run at the first such energy, and
-    raises its ``PropagationOverflow``.
-    """
-    lams = np.asarray(lams, dtype=float)
-    for lam in lams.tolist():
-        _check_lambda(lam)
-    ends = np.empty((len(lams), 2))
-    ends[:] = DIRICHLET_START
-    width = max(1, _ENDS_BLOCK // max(n_max, 1))  # energies stepped at once
-    for lo in range(0, len(lams) if n_max > 0 else 0, width):
-        m = _step_entries(system, np.sqrt(lams[lo:lo + width]), n_max)
-        v0, v1 = ends[lo:lo + width].T.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m00, m01, m10, m11 in zip(*m):
-                v0, v1 = m00 * v0 + m01 * v1, m10 * v0 + m11 * v1
-        ends[lo:lo + width, 0], ends[lo:lo + width, 1] = v0, v1
-    # a vector that leaves double range never comes back: inf and nan persist
-    if not np.isfinite(ends).all():
-        lam = lams[np.flatnonzero(~np.isfinite(ends).all(axis=1))[0]]
-        propagate(system, float(lam), DIRICHLET_START, n_max)
-    return ends
-
-
-def _step_entries(system: SystemSpec, rt, n_max: int) -> tuple:
-    """Entries (m00, m01, m10, m11) of steps 1..n_max at sqrt energy ``rt``.
-
-    Step n is jump_matrix(kind, alpha_n) @ fundamental_matrix(lam, gap
-    n-1); each entry is an array over the steps, with a column per energy
-    where ``rt`` is an array, from one gaps and one alphas evaluation.
-    """
-    a = system.strengths.alphas(1, n_max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = system.lattice.gaps(0, n_max - 1)
-        if np.ndim(rt):
-            a, gaps = a[:, None], gaps[:, None]
-        phase = gaps * rt
-        f00, s = np.cos(phase), np.sin(phase)
-        f01, f10, f11 = s / rt, -rt * s, f00  # free propagator
-        if system.kind == DELTA:  # jump [[1, 0], [a, 1]]
-            return f00, f01, a * f00 + f10, a * f01 + f11
-        return f00 + a * f10, f01 + a * f11, f10, f11  # jump [[1, a], [0, 1]]
 
 
 def free_flow(lam: float, d, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

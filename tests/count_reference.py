@@ -7,7 +7,7 @@ the definition it is tested against: per cell, whole half-turns from
 ``divmod`` and the interaction through ``arctan2``.  ``mp_count_below`` steps
 the same lifted angle in mpmath, from the exact values of the same double
 gaps, strengths and energy, so its count is the exact count of the
-truncation those doubles describe.
+truncation those doubles describe, and its end angle that truncation's.
 """
 
 import math
@@ -41,8 +41,10 @@ def angle_count_below(system: SystemSpec, n_max: int, lams) -> np.ndarray:
     return count
 
 
-def mp_count_below(system: SystemSpec, n_max: int, lam: float, dps: int = 60) -> int:
-    """The count at one energy from the lifted Prufer angle in ``dps`` digits."""
+def mp_count_below(system: SystemSpec, n_max: int, lam: float,
+                   dps: int = 60) -> tuple[int, mpmath.mpf]:
+    """The count at one energy from the lifted Prufer angle in ``dps`` digits,
+    and that angle at x_N."""
     gaps = system.lattice.gaps(0, n_max - 1).tolist()
     alphas = system.strengths.alphas(1, n_max).tolist()
     with mpmath.workdps(dps):
@@ -58,4 +60,4 @@ def mp_count_below(system: SystemSpec, n_max: int, lam: float, dps: int = 60) ->
                 if rest != 0:
                     u = mpmath.cot(rest) + mpmath.mpf(a) * beta
                     phi = turns * pi + mpmath.acot(u) % pi
-        return int(mpmath.floor(phi / pi))
+        return int(mpmath.floor(phi / pi)), phi

@@ -544,6 +544,28 @@ class TestDoubleRange:
         assert err == f"numerical failure: |alpha_n| is past double range from n={n}\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize("p", [1, 1e300])
+    @pytest.mark.parametrize("command", ["avalue", "classify", "growth"])
+    def test_zero_power_strengths_for_any_p(self, tmp_path, capsys, command, p):
+        # alpha_n = 0 n^p is 0 even where n^p is past double range: the
+        # output is that of p = 1, bar the echoed p
+        outs = []
+        for q in (p, 1):
+            doc = golden_config(command, ("system", "strengths"),
+                                {"type": "power", "c": 0, "p": q})
+            code, out, err = run_cli([command, "--config", write_config(tmp_path, doc)],
+                                     capsys)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        if command == "growth":
+            assert outs[0] == outs[1]
+            return
+        got, want = map(json.loads, outs)
+        assert got["system"]["strengths"].pop("p") == p
+        want["system"]["strengths"].pop("p")
+        result = got["result"]
+        assert got == want and result.get("threshold", result)["estimate"] == "inf"
+
 
 class TestEigsCommand:
     def test_free_system_first_root(self, tmp_path, capsys):
@@ -649,6 +671,20 @@ class TestEigsCommand:
                                  capsys)
         assert (code, out) == (3, "")
         assert err == "numerical failure: truncation endpoint beyond double range\n"
+
+    def test_long_truncation_residuals_stay_in_unit_range(self, tmp_path, capsys):
+        # the solution grows past double range near n = 350 here; the
+        # residual is |sin phi(x_N)| and cannot overflow with it
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "power", "c": 1, "p": 1.5},
+                          "strengths": {"type": "power", "c": 1, "p": 0.5}},
+               "params": {"n_points": 360, "lambda_range": [0.5, 0.6]}}
+        code, out, err = run_cli(["eigs", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+        residuals = [float(r[2]) for r in rows]
+        assert len(residuals) > 0 and all(0.0 <= r <= 1.0 for r in residuals)
 
     def test_default_fd_count_reaches_past_range(self, tmp_path, capsys):
         # attractive couplings put FD eigenvalues below zero and below the

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pointspec import (SparseSet, StrengthSequence, SystemSpec, diagonalizer,
-                       lower_bound_check, propagate, series_terms,
+from pointspec import (GrowthProfile, SparseSet, StrengthSequence, SystemSpec,
+                       diagonalizer, lower_bound_check, propagate, series_terms,
                        series_verdict, step_matrix)
 from pointspec.growth import log_dalembert_ratios
 
@@ -180,3 +180,18 @@ class TestTildePropagationConsistency:
                                    rtol=1e-9, atol=1e-9 * np.abs(ref).max())
                 assert np.linalg.norm(u @ tilde) == pytest.approx(
                     np.linalg.norm(ref), rel=1e-9)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((np.zeros(3), np.zeros(2), np.zeros(3)), "profile arrays must have equal length"),
+    ((np.zeros(2), np.array([1.0, 2.0]), np.zeros(2)), "empty product must have zero log"),
+], ids=["lengths", "empty_product"])
+def test_refusals(fields, message):
+    with pytest.raises(ValueError) as info:
+        GrowthProfile(1.0, *fields)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_lower_bound_check_without_steps():
+    res = lower_bound_check(factorial_system("delta", 0.5), 1.0, 0)
+    assert (res.min_slack, res.passed) == (math.inf, True)

@@ -491,3 +491,28 @@ class TestEstimateThreshold:
                                           SparseSet.explicit([0.0, 1.0, 3.0]),
                                           StrengthSequence.constant(1.0)),
                                1, 5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: threshold_ratio(factorial_system("delta", 0.5), 0), IndexError,
+     "threshold ratio needs n >= 1"),
+    (lambda: SparseSet.factorial().log_gaps(5, 4), ValueError, "empty index range"),
+    (lambda: SparseSet.power(1.0, 2.0).log_gaps(5, 4), ValueError, "empty index range"),
+    (lambda: SparseSet.factorial().log_gap_ratios(5, 4), ValueError, "empty index range"),
+    (lambda: SparseSet.exponential(1.0, 0.5).log_gap_ratios(5, 4), ValueError,
+     "empty index range"),
+], ids=["threshold_ratio", "log_gaps-factorial", "log_gaps-power", "log_gap_ratios-factorial",
+        "log_gap_ratios-exponential"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("lattice", [SparseSet.power(1.0, 200.0, max_index=100),
+                                     SparseSet.exponential(1.0, 1.0, 200.0, max_index=100)],
+                         ids=["power", "exponential"])
+def test_position_past_double_range_is_inf(lattice):
+    # 99^200 overflows a Python float: position catches it and returns inf
+    assert lattice.position(99) == math.inf
+    assert lattice.position(1) < math.inf

@@ -3,6 +3,7 @@ from collections import defaultdict
 from pathlib import Path
 from sys import modules as loaded_modules
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,9 +14,9 @@ from pointspec import (ClassifyConfig, EigenvalueList, Interval, SparseSet,
                        truncated_eigenvalues)
 from pointspec import spectrum
 from pointspec.cli import main
-from pointspec.transfer import DIRICHLET_START, propagate
 
 from conftest import factorial_system
+from count_reference import mp_count_below
 from fd_reference import _fd_tridiagonal, _sturm_count
 
 
@@ -36,7 +37,7 @@ SYNTH_CONFIG = ClassifyConfig(sparseness_threshold=20.0, strength_threshold=5.0)
 
 def shooting_count(system, n_max, lams):
     """The shooting count at each energy, through the name the solve calls."""
-    return spectrum._count_below(*spectrum._shooting_cells(system, n_max), lams)
+    return spectrum._count_below(*spectrum._shooting_cells(system, n_max), lams)[0]
 
 
 class TestInterval:
@@ -320,6 +321,7 @@ class TestTruncatedEigenvalues:
         res = truncated_eigenvalues(sys, 1, (0.1, 10.0), tol=1e-12)
         assert np.allclose(res.values, [0.25, 2.25, 6.25], atol=1e-8)
         assert res.suspected_missed == 0
+        assert np.all(res.residuals < 1e-8)
 
     def test_matches_fd_oracle_on_small_delta_system(self):
         lat = SparseSet.explicit([0.0, 1.0, 3.0])
@@ -445,7 +447,10 @@ class TestCountBelow:
 
 def eigenvalues_one_at_a_time(system, n_max, lam_range, grid_resolution=2000,
                               tol=1e-10):
-    """Reference solver: the count on every grid point, one midpoint per round."""
+    """Reference solver: the count on every grid point, one midpoint per round.
+
+    Makes no residuals: ``TestResiduals`` checks those against mpmath.
+    """
     lam_lo, lam_hi = lam_range
     if not (0 < lam_lo < lam_hi):
         raise ValueError("energy range must satisfy 0 < lo < hi")
@@ -472,11 +477,7 @@ def eigenvalues_one_at_a_time(system, n_max, lam_range, grid_resolution=2000,
         hi[live] = np.where(left, mid, hi[live])
         lo[live] = np.where(left, lo[live], mid)
     roots, first = np.unique(0.5 * (lo + hi), return_index=True)
-    col = 0 if system.kind == "delta" else 1
-    residuals = [abs(propagate(system, r, DIRICHLET_START, n_max)[-1][col])
-                 for r in roots.tolist()]
-    return EigenvalueList(values=roots, residuals=np.array(residuals),
-                          bracket_widths=(hi - lo)[first],
+    return EigenvalueList(values=roots, bracket_widths=(hi - lo)[first],
                           suspected_missed=len(js) - len(roots))
 
 
@@ -485,7 +486,7 @@ def solve_or_error(solver, *args):
         res = solver(*args)
     except (ValueError, OverflowError) as err:
         return type(err), str(err)
-    return (res.values, res.residuals, res.bracket_widths, res.suspected_missed)
+    return (res.values, res.bracket_widths, res.suspected_missed)
 
 
 def assert_same_outcome(args):
@@ -496,6 +497,32 @@ def assert_same_outcome(args):
         return False
     assert all(np.array_equal(g, w) for g, w in zip(got, want)), args[2:]
     return True
+
+
+def count_calls(monkeypatch) -> dict:
+    """Record the energies of every ``_count_below`` call under "all", and
+    under "solve" those made until ``_bisect`` last returned."""
+    calls = {"all": [], "solve": []}
+    count_below, bisect = spectrum._count_below, spectrum._bisect
+
+    def counted(*args):
+        calls["all"].append(np.array(args[-1]))
+        return count_below(*args)
+
+    def bisected(*args, **kwargs):
+        brackets = bisect(*args, **kwargs)
+        calls["solve"] = list(calls["all"])
+        return brackets
+
+    monkeypatch.setattr(spectrum, "_count_below", counted)
+    monkeypatch.setattr(spectrum, "_bisect", bisected)
+    return calls
+
+
+def after_the_solve(calls, res) -> bool:
+    """Exactly one count call followed the solve, at the printed roots."""
+    rest = calls["all"][len(calls["solve"]):]
+    return len(rest) == 1 and np.array_equal(rest[0], res.values)
 
 
 class TestCoarseGridAndMidpointTree:
@@ -543,37 +570,25 @@ class TestCoarseGridAndMidpointTree:
     def test_count_calls_within_budget(self, monkeypatch):
         # the 27-root delta-prime truncation: one-at-a-time bisection counts
         # 28 times, the coarse grid and the midpoint tree 9 (27 trees of 4
-        # levels fill a call); a 3-root truncation takes 5-level trees: 7
+        # levels fill a call); a 3-root truncation takes 5-level trees: 7.
+        # One more call, at the roots, gives the residuals
         rng = np.random.default_rng(1)
         system = random_truncation(rng, "delta_prime", 32)
         few = random_truncation(np.random.default_rng(1), "delta", 8)
         want = eigenvalues_one_at_a_time(system, 32, (0.5, 20.0))
         want_few = eigenvalues_one_at_a_time(few, 8, (0.5, 6.0))
-        calls, count_below = [], spectrum._count_below
-
-        def counted(*args):
-            calls.append(len(args[-1]))
-            return count_below(*args)
-
-        monkeypatch.setattr(spectrum, "_count_below", counted)
+        calls = count_calls(monkeypatch)
         res = truncated_eigenvalues(system, 32, (0.5, 20.0))
-        assert 0 < len(calls) <= 9
+        assert 0 < len(calls["solve"]) <= 9 and after_the_solve(calls, res)
         assert len(res) == 27 and np.array_equal(res.values, want.values)
-        calls.clear()
+        calls = count_calls(monkeypatch)
         res = truncated_eigenvalues(few, 8, (0.5, 6.0))
-        assert 0 < len(calls) <= 7
+        assert 0 < len(calls["solve"]) <= 7 and after_the_solve(calls, res)
         assert len(res) == 3 and np.array_equal(res.values, want_few.values)
 
     def test_many_roots_count_no_more_energies(self, monkeypatch):
         # hundreds of brackets get one bisection step per call, as
         # one-at-a-time bisection does, and tens get shallow trees
-        energies, count_below = [], spectrum._count_below
-
-        def counted(*args):
-            energies.append(len(args[-1]))
-            return count_below(*args)
-
-        monkeypatch.setattr(spectrum, "_count_below", counted)
         for kind in ("delta", "delta_prime"):
             system = random_truncation(np.random.default_rng(2032), kind, 32)
             for hi in (60.0, 200.0, 2000.0):
@@ -582,12 +597,33 @@ class TestCoarseGridAndMidpointTree:
                 # and some just below: they stop a step apart
                 tol = (hi - 0.5) / 2000 / 8
                 assert assert_same_outcome((system, 32, (0.5, hi), 2000, tol))
-            energies.clear()
+            calls = count_calls(monkeypatch)
             res = truncated_eigenvalues(system, 32, (0.5, 2000.0))
-            ours = sum(energies)
-            energies.clear()
+            assert after_the_solve(calls, res)
+            ours = sum(map(len, calls["solve"]))
+            calls = count_calls(monkeypatch)
             eigenvalues_one_at_a_time(system, 32, (0.5, 2000.0))
-            assert len(res) > 250 and 0 < ours <= sum(energies)
+            assert len(res) > 250 and 0 < ours <= sum(map(len, calls["all"]))
+
+
+class TestResiduals:
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_end_angle_matches_mpmath(self, kind):
+        # truncations shaped like the benchmark's: |sin phi(x_N)| at each
+        # printed root against a 60-digit chain over the same double gaps
+        rng = np.random.default_rng(71 if kind == "delta" else 72)
+        roots = 0
+        for _ in range(16):
+            n = int(rng.integers(8, 33))
+            system = random_truncation(rng, kind, n)
+            lo = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
+            res = truncated_eigenvalues(system, n, (lo, float(rng.uniform(5.0, 20.0))))
+            assert np.all((res.residuals >= 0.0) & (res.residuals <= 1.0))
+            for lam, residual in zip(res.values.tolist(), res.residuals.tolist()):
+                end = mp_count_below(system, n, lam)[1]
+                assert abs(residual - float(abs(mpmath.sin(end)))) < 1e-4, (n, lam)
+            roots += len(res)
+        assert roots > 100
 
 
 def fd_matrix_loop(system, n_max, h):
@@ -974,3 +1010,16 @@ class TestEigenvalueList:
     def test_must_be_ascending(self):
         with pytest.raises(ValueError):
             EigenvalueList(values=np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fd_oracle_eigenvalues(factorial_system("delta", 0.5), 3, 0.0, upper=10.0),
+     ValueError, "need positive mesh size"),
+    (lambda: fd_oracle_eigenvalues(factorial_system("delta", 0.5), 171, 0.25, upper=10.0),
+     OverflowError, "truncation endpoint beyond double range"),
+    (lambda: dirichlet_eigenvalues(0.0, 3), ValueError, "interval length must be positive"),
+], ids=["fd_mesh_size", "fd_endpoint", "dirichlet_length"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

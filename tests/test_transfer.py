@@ -7,8 +7,7 @@ from pointspec import (SparseSet, StrengthSequence, SystemSpec, diagonalizer,
                        fundamental_matrix, inverse_step_diagonalized,
                        jump_matrix, operator_norm, propagate, sample_solution,
                        step_matrix)
-from pointspec import transfer
-from pointspec.transfer import PropagationOverflow, free_flow, propagate_ends
+from pointspec.transfer import PropagationOverflow, free_flow
 
 from conftest import random_small_system
 
@@ -223,63 +222,6 @@ class TestPropagate:
             propagate(sys, 1.0, (0.0, 0.0), 1)
 
 
-def ends_truncation(rng, kind, scale):
-    """Random explicit truncation: 1-40 gaps in (0, 4], strengths up to 10^scale."""
-    n = int(rng.integers(1, 41))
-    points = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 4.0, n))])
-    alphas = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, scale, n)
-    return n, SystemSpec(kind, SparseSet.explicit(points), StrengthSequence.explicit(alphas))
-
-
-class TestPropagateEnds:
-    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
-    @pytest.mark.parametrize("block", [transfer._ENDS_BLOCK, 7])
-    def test_equals_propagate_bit_for_bit(self, kind, block, monkeypatch):
-        # block 7 steps a few energies at a time, one at a time for long chains
-        monkeypatch.setattr(transfer, "_ENDS_BLOCK", block)
-        rng = np.random.default_rng(61 if kind == "delta" else 62)
-        for _ in range(60):
-            n, sys = ends_truncation(rng, kind, 1.0)
-            lams = np.sort(10.0 ** rng.uniform(-4.0, 4.0, int(rng.integers(0, 30))))
-            ends = propagate_ends(sys, lams, n)
-            want = [propagate(sys, lam, (0.0, 1.0), n)[-1] for lam in lams.tolist()]
-            assert ends.shape == (len(lams), 2)
-            assert ends.tobytes() == np.array(want).reshape(-1, 2).tobytes()
-
-    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
-    def test_overflow_raises_as_the_first_energy_does(self, kind):
-        # strengths up to 1e20: some chains leave double range and some do
-        # not; the first energy whose chain does, in the order given, raises
-        # propagate's own PropagationOverflow
-        rng = np.random.default_rng(63 if kind == "delta" else 64)
-        mixed = 0
-        for _ in range(60):
-            n, sys = ends_truncation(rng, kind, 20.0)
-            lams = 10.0 ** rng.uniform(-4.0, 4.0, 12)
-            first = None
-            for lam in lams.tolist():
-                try:
-                    propagate(sys, lam, (0.0, 1.0), n)
-                except PropagationOverflow as exc:
-                    first = exc
-                    break
-            if first is None:
-                assert np.isfinite(propagate_ends(sys, lams, n)).all()
-                continue
-            mixed += lam != lams[0]
-            with pytest.raises(PropagationOverflow) as info:
-                propagate_ends(sys, lams, n)
-            assert str(info.value) == str(first) and info.value.n == first.n
-            assert info.value.vectors.tobytes() == first.vectors.tobytes()
-        assert mixed >= 2  # not the first energy
-
-    def test_rejects_nonpositive_energy(self):
-        sys = SystemSpec("delta", SparseSet.explicit([0.0, 1.0]),
-                         StrengthSequence.explicit([1.0]))
-        with pytest.raises(ValueError):
-            propagate_ends(sys, [1.0, 0.0], 1)
-
-
 class TestDiagonalizer:
     def test_inverse_pair(self, rng):
         for lam in rng.uniform(0.05, 80, 25):
@@ -433,3 +375,31 @@ class TestSampleSolution:
         second = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / h**2
         residual = np.abs(second + lam * psi[1:-1])
         assert residual.max() < 1e-4 * max(np.abs(psi).max(), 1.0)
+
+
+UNIT = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.0]),
+                  StrengthSequence.explicit([1.0, -1.0]))
+FACTORIAL = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.constant(1.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: step_matrix(UNIT, 1.0, 0), IndexError, "step index must be >= 1"),
+    (lambda: propagate(UNIT, 1.0, (0.0, 1.0, 0.0), 2), ValueError,
+     "initial boundary vector must have two components"),
+    (lambda: inverse_step_diagonalized("delta_triple", 1.0, 1.0, 1.0), ValueError,
+     "kind must be one of ('delta', 'delta_prime'), got 'delta_triple'"),
+    (lambda: sample_solution(UNIT, 1.0, grid=[]), ValueError,
+     "grid must be a nonempty 1-d array of positions"),
+    (lambda: sample_solution(UNIT, 1.0, grid=[[0.5]]), ValueError,
+     "grid must be a nonempty 1-d array of positions"),
+    (lambda: sample_solution(UNIT, 1.0, grid=[0.5, -0.5]), ValueError,
+     "grid positions must be nonnegative"),
+    # x_170 = 170! < 1e308 < x_171, which is past double range
+    (lambda: sample_solution(FACTORIAL, 1.0, grid=[1e308]), OverflowError,
+     "lattice position overflow inside sampling range"),
+], ids=["step_matrix", "propagate", "inverse_step_diagonalized", "sample_solution-empty",
+        "sample_solution-2d", "sample_solution-negative", "sample_solution-overflow"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
