@@ -343,8 +343,10 @@ def _shooting_cells(system: SystemSpec, n_max: int):
     Reads the gaps and strengths once, for every count of a solve.  Returns
     the cells in ``_distinct_blocks``, each kick the strength at the node
     the cell starts from (0 at x_0; the interaction at x_N is inert under
-    the closure), and whether the kind is delta-prime.
+    the closure), and whether the kind is delta-prime.  Strengths past
+    double range raise OverflowError.
     """
+    system.strengths._check_representable(1, n_max)
     gaps = system.lattice.gaps(0, n_max - 1).tolist()
     alphas = system.strengths.alphas(1, n_max)[:-1].tolist()
     blocks = [(lengths, weights, cells, np.array(kicks)) for lengths, weights, cells, kicks
@@ -371,7 +373,8 @@ def _count_below(blocks: list, delta_prime: bool, lams) -> tuple[np.ndarray, np.
     every positive one; differences between energies are exact for both.
     Both closures are sin(phi(x_N)) = 0 (psi = 0 for delta, psi' = 0 for
     delta-prime), so |sin phi(x_N)| = 1 / hypot(1, u) measures how far an
-    energy is from closing.
+    energy is from closing.  A kick or a map past double range raises
+    OverflowError.
 
     The cells' maps are formed once per distinct gap of a block, and the
     kicks ``_FD_BLOCK`` cells at a time, so memory stays O(energies x
@@ -406,6 +409,8 @@ def _count_below(blocks: list, delta_prime: bool, lams) -> tuple[np.ndarray, np.
                     u -= 1.0
                     u /= den
                 count += np.add.reduce(dens <= 0.0, axis=0)
+    if np.isnan(u).any():  # NaN sticks, and misses every crossing after it
+        raise OverflowError("Prufer cotangent passed double range")
     return count.astype(np.int64), u
 
 

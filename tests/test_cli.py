@@ -672,6 +672,25 @@ class TestEigsCommand:
         assert (code, out) == (3, "")
         assert err == "numerical failure: truncation endpoint beyond double range\n"
 
+    @pytest.mark.parametrize("kind, strengths, message", [
+        ("delta", {"type": "power", "c": 1, "p": 1e300},
+         "|alpha_n| is past double range from n=2"),
+        # alpha / sqrt(lam) and -sqrt(lam) alpha pass double range in the range
+        ("delta", {"type": "explicit", "values": [1.0, 1e308, 1.0, 1.0]},
+         "Prufer cotangent passed double range"),
+        ("delta_prime", {"type": "explicit", "values": [1.0, 1e308, 1.0, 1.0]},
+         "Prufer cotangent passed double range"),
+    ], ids=["power", "explicit-delta", "explicit-delta_prime"])
+    def test_strengths_past_double_range_exit_3(self, tmp_path, capsys, kind,
+                                                strengths, message):
+        doc = {"system": {"kind": kind,
+                          "positions": {"type": "explicit", "points": [1.0, 2.0, 3.0, 4.0]},
+                          "strengths": strengths},
+               "params": {"n_points": 4, "lambda_range": [0.25, 10.0]}}
+        code, out, err = run_cli(["eigs", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
     def test_long_truncation_residuals_stay_in_unit_range(self, tmp_path, capsys):
         # the solution grows past double range near n = 350 here; the
         # residual is |sin phi(x_N)| and cannot overflow with it

@@ -625,6 +625,18 @@ class TestResiduals:
             roots += len(res)
         assert roots > 100
 
+    @pytest.mark.parametrize("n", [345, 360])
+    def test_long_truncation_matches_mpmath(self, n):
+        # psi grows past 1e300 near n = 345 here, and past double range
+        # before 360; the end angle keeps its digits (measured: 2.8e-15 at
+        # 345, 8.2e-14 at 360 on every root)
+        system = SystemSpec("delta", SparseSet.power(1.0, 1.5), StrengthSequence.power(1.0, 0.5))
+        res = truncated_eigenvalues(system, n, (0.5, 0.6))
+        assert len(res) > 100
+        for lam, residual in zip(res.values[::8].tolist(), res.residuals[::8].tolist()):
+            end = mp_count_below(system, n, lam)[1]
+            assert abs(residual - float(abs(mpmath.sin(end)))) < 1e-12, lam
+
 
 def fd_matrix_loop(system, n_max, h):
     """Reference FD assembly, one mesh node at a time."""
