@@ -437,14 +437,16 @@ BLOCK_ROWS = 4096
 # calling thread, once the kernel is loaded in the process; a table that
 # would be the kernel's first use takes it only from KERNEL_COLD_MIN_CELLS
 # cells, where it also repays the kernel's import and first call.  On a
-# 2-vCPU VM, warm: per-cell repr costs 0.5-0.7 us a cell, the kernel ~0.35 ms
-# a call plus ~0.23 us a cell, and the two break even near 1500 cells.
-# Cold: repr ~1 us a cell; the kernel ~0.5 us a cell plus its import (~5 ms,
-# compiled from source), ~3 us for each constants column a table reads (~30
-# for a power chain, ~700 for a dense factorial chain) and its first call's
-# set-up, and the two break even near 13 000 cells for power chains and
-# 18 000 for factorial ones.
-KERNEL_MIN_CELLS = 1_500
+# 2-vCPU VM, warm: per-cell repr costs 0.6-1.0 us a cell, the kernel
+# ~0.65-0.9 ms a call plus ~0.3 us a cell on propagate tables (~0.12 us on
+# growth blocks), and on the table workload's propagate tables the kernel
+# wins on half of them from ~1400 cells.
+# Cold: repr ~1 us a cell; the kernel its import (~5 ms, compiled from
+# source), ~5 us for each constants column a table reads (~30 for a power
+# chain, 500-1000 for a dense factorial chain) and its first call's set-up,
+# and the two break even near 12 000 cells for power chains and 20 000 for
+# factorial ones.
+KERNEL_MIN_CELLS = 1_400
 KERNEL_COLD_MIN_CELLS = 15_000
 _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 

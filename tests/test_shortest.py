@@ -133,6 +133,18 @@ def test_several_columns_and_other_dtypes():
                               zip(ints.tolist(), floats.tolist(), narrow.tolist()))
 
 
+def test_low_words_decide_where_high_words_tie():
+    # the 128-bit comparison reads the low words only where the high words
+    # are equal, a case no double in the other tests reaches
+    column = np.arange(5)
+    b_hi = np.full(5, 5, np.uint64)
+    b_lo = np.full(5, 10, np.uint64)
+    hi = np.array([4, 5, 5, 5, 6], np.uint64)
+    lo = np.array([99, 9, 10, 11, 0], np.uint64)
+    below = _shortest._below(hi, lo, b_hi, b_lo, column, np.empty(5, np.uint64))
+    assert below.tolist() == [True, True, False, False, False]
+
+
 def test_stacked_columns_give_each_columns_cells():
     # one kernel call over columns end to end gives the slots of one call per
     # column, whatever the other columns hold
@@ -146,6 +158,56 @@ def test_stacked_columns_give_each_columns_cells():
         assert np.array_equal(
             _shortest._float_cells([np.concatenate(columns)], quote), alone)
         assert np.array_equal(_shortest._float_cells(columns, quote), alone)
+
+
+def rows_repr(columns, quote):
+    """The text ``rows_text`` must give for ``columns``, cell by cell from repr."""
+    cells = [[repr(v) for v in c.tolist()] for c in columns]
+    if quote:
+        cells = [[QUOTED.get(t, t) for t in c] for c in cells]
+    return "\n".join(map(",".join, zip(*cells)))
+
+
+FLOAT_OUTLIERS = [1234567890123456.0, 1e16, 0.0001234, 1.5e-05, 1.5e-300,
+                  -0.0, math.nan, -math.inf]
+
+
+@pytest.mark.parametrize("quote", [False, True])
+def test_single_float_outliers(quote):
+    # four float columns whose cells each share one layout (short fixed
+    # numbers, the third negative, the last below 1) beside an int column;
+    # each outlier in turn takes the first, a middle or the last row of one
+    # column, whose slots must come from its own cells and no other column's
+    n = 257
+    ints = np.arange(n, dtype=np.int64)
+    base = [100000.0 + ints / 4, 10.0 + ints / 8, -1000.0 - ints / 2,
+            0.25 + ints / 2048]
+    assert _shortest.rows_text(base + [ints], ",", "\n", quote) == rows_repr(
+        base + [ints], quote)
+    for value in FLOAT_OUTLIERS:
+        for j in range(len(base)):
+            for row in (0, n // 2, n - 1):
+                columns = [c.copy() for c in base] + [ints]
+                columns[j][row] = value
+                text = _shortest.rows_text(columns, ",", "\n", quote)
+                assert text == rows_repr(columns, quote), (value, j, row)
+
+
+def test_single_int_outliers():
+    # a column of small values with -2^63 or a 19-digit value in one row,
+    # beside a float column and another small int column
+    n = 300
+    small = np.arange(n, dtype=np.int64)
+    floats = np.linspace(1.0, 2.0, n)
+    for value in (-2**63, 1234567890123456789):
+        for row in (0, n // 2, n - 1):
+            column = small.copy()
+            column[row] = value
+            for columns in ([column, floats, small], [small, column],
+                            [floats, column]):
+                for quote in (False, True):
+                    text = _shortest.rows_text(columns, ",", "\n", quote)
+                    assert text == rows_repr(columns, quote), (value, row)
 
 
 def test_kernel_scratch_per_value():
