@@ -36,11 +36,13 @@ Each column's slots follow from its extent (signs, its least and greatest
 point, its most digits shown, its exponents), so joining copies only the
 slots some cell of the column fills, and an int64 column has only as many
 digit slots as its widest value.  Digits come out two at a time, from the
-low bytes of uint32 quotients by 100, in uint8 arithmetic.  Measured on a 2-vCPU
-VM, a 4096-row growth block (four float64 columns and one int64 column,
-20 480 cells) renders in 2.5-3.9 ms, against 3.8-5.3 ms before these
-passes were cut; a table of a few hundred rows costs ~0.6-0.9 ms a call
-whatever its size.
+low bytes of uint32 quotients by 100, in uint8 arithmetic.
+
+Measured on a 2-vCPU VM, a 4096-row growth block (four float64 columns and
+one int64 column, 20 480 cells) renders in 2.2 ms against 3.3 ms before
+these passes were cut (medians of 40 interleaved pairs in one process); a
+call also costs ~0.45-0.9 ms whatever its size, so small tables take
+``repr``.
 """
 
 from __future__ import annotations
@@ -373,8 +375,10 @@ def _float_cells(columns, quote: bool, used=None) -> np.ndarray:
     frame = kernel[4:].view(np.uint8).reshape(-1)[:_FLOAT_SLOTS * n]
     frame = frame.reshape(_FLOAT_SLOTS, n)
 
-    # digits of each: from t = floor(bits log10 2), t + 1 unless below 10^t
-    # (bits from the double of digits >> 4, which is exact)
+    # digits of each: with t = floor(bits 1233 / 2^12), t + 1 unless below
+    # 10^t; bits, its bit length, from the exponent of the double of
+    # digits >> 4, exact below 2^53 (the digits of a finite double are
+    # below 10^17; those of zeros, nan and inf are meaningless anyway)
     bits = np.right_shift(digits, _U(4), out=n_d.view(np.uint64))
     np.copyto(shown.view(np.float64), bits, casting="unsafe")
     np.right_shift(shown, 52, out=n_d)  # the biased exponent, or 0

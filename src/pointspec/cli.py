@@ -437,13 +437,13 @@ BLOCK_ROWS = 4096
 # calling thread, once the kernel is loaded in the process; a table that
 # would be the kernel's first use takes it only from KERNEL_COLD_MIN_CELLS
 # cells, where it also repays the kernel's import and first call.  On a
-# 2-vCPU VM, warm: per-cell repr costs 0.6-1.0 us a cell, the kernel
-# ~0.65-0.9 ms a call plus ~0.3 us a cell on propagate tables (~0.12 us on
-# growth blocks), and on the table workload's propagate tables the kernel
-# wins on half of them from ~1400 cells.
+# 2-vCPU VM, warm: per-cell repr costs 0.5-0.9 us a cell, the kernel
+# ~0.45-0.9 ms a call plus ~0.2-0.3 us a cell on propagate tables (~0.1 us
+# on growth blocks), and on the table workload's propagate tables it wins
+# on half of them from ~1400 cells.
 # Cold: repr ~1 us a cell; the kernel its import (~5 ms, compiled from
-# source), ~5 us for each constants column a table reads (~30 for a power
-# chain, 500-1000 for a dense factorial chain) and its first call's set-up,
+# source), ~5-10 us for each constants column a table reads (~20 for a
+# power chain, 200-800 for a factorial chain) and its first call's set-up,
 # and the two break even near 12 000 cells for power chains and 20 000 for
 # factorial ones.
 KERNEL_MIN_CELLS = 1_400
