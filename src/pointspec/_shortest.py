@@ -38,10 +38,9 @@ slots some cell of the column fills, and an int64 column has only as many
 digit slots as its widest value.  Digits come out two at a time, from the
 low bytes of uint32 quotients by 100, in uint8 arithmetic.
 
-Measured on a 2-vCPU VM, a 4096-row growth block (four float64 columns and
-one int64 column, 20 480 cells) renders in 2.2 ms against 3.3 ms before
-these passes were cut (medians of 40 interleaved pairs in one process); a
-call also costs ~0.45-0.9 ms whatever its size, so small tables take
+Measured on a 2-vCPU VM (``BENCH_27.json``), a 4096-row growth block (four
+float64 columns and one int64 column, 20 480 cells) renders in ~2.2 ms,
+and a call also costs ~0.45-0.9 ms whatever its size, so small tables take
 ``repr``.
 """
 
