@@ -163,10 +163,6 @@ PARAMS = {
         "n_max": (_integer(1), REQUIRED),
         "xi0": (_check((lambda v: _numbers(v, 2), "must be [psi, dpsi]")), [0.0, 1.0]),
         "dense_per_interval": (_integer(0), 0)}}
-_OUTPUT_ROWS = {"format": (_check((lambda v: v in (None, "csv", "json"),
-                                   "must be 'csv' or 'json'")), None),
-                "path": (_check((lambda v: v is None or isinstance(v, str),
-                                 "must be a string")), None)}
 
 
 def _parse_keys(block, rows: dict, where: str) -> dict:
@@ -217,12 +213,10 @@ class RunConfig:
 
     system: SystemSpec
     params: dict
-    output_format: str | None
-    output_path: str | None
 
 
 def parse_config(doc: dict) -> RunConfig:
-    _require_keys(doc, {"system", "params", "output"}, {"system"}, "config")
+    _require_keys(doc, {"system", "params"}, {"system"}, "config")
     _check_finite(doc, "")
     sysblock = doc["system"]
     _require_keys(sysblock, {"kind", "positions", "strengths"},
@@ -240,8 +234,7 @@ def parse_config(doc: dict) -> RunConfig:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    output = _parse_keys(doc.get("output", {}), _OUTPUT_ROWS, "output")
-    return RunConfig(system, params, output["format"], output["path"])
+    return RunConfig(system, params)
 
 
 def load_config(path: str) -> RunConfig:
@@ -543,24 +536,21 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         run = load_config(args.config)
-        fmt = args.format or run.output_format
-        path = args.out if args.out is not None else run.output_path
-
         # built per call, so a cmd_* replaced on the module is the one that runs
         documents = {"classify": cmd_classify, "avalue": cmd_avalue}
         tables = {"growth": cmd_growth, "eigs": cmd_eigs, "propagate": cmd_propagate}
         if args.command in documents:
-            if fmt == "csv":
+            if args.format == "csv":
                 raise ConfigError(f"{args.command} emits JSON only")
-            _write_output(_render_json(documents[args.command](run)), path)
+            _write_output(_render_json(documents[args.command](run)), args.out)
             return EXIT_OK
 
         columns, rows, footers, params, degraded = tables[args.command](run)
-        if fmt in (None, "csv"):
+        if args.format in (None, "csv"):
             text = _render_csv(columns, rows, footers)
         else:
             text = _table_json(args.command, run, columns, rows, footers, params)
-        _write_output(text, path)
+        _write_output(text, args.out)
         return EXIT_NUMERICAL if degraded and args.strict else EXIT_OK
     except (ConfigError, ValueError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -187,10 +187,13 @@ class SparseSet:
     def explicit(cls, points) -> "SparseSet":
         return cls(kind="explicit", points=tuple(points))
 
-    def _check_gap_index(self, n: int):
-        if not 0 <= n <= self.max_index - 1:
-            raise IndexError(
-                f"gap index {n} outside [0, {self.max_index - 1}]")
+    def _check_gap_range(self, n_lo: int, n_hi: int):
+        """Refuse a range [n_lo, n_hi] that is empty or leaves [0, max_index - 1]."""
+        for n in (n_lo, n_hi):
+            if not 0 <= n <= self.max_index - 1:
+                raise IndexError(f"gap index {n} outside [0, {self.max_index - 1}]")
+        if n_hi < n_lo:
+            raise ValueError("empty index range")
 
     def position(self, n: int) -> float:
         """x_n as a double, +inf when not representable."""
@@ -201,18 +204,15 @@ class SparseSet:
         if self.kind == "factorial":
             return (float(_FACTORIAL_POSITIONS[n]) if n < len(_FACTORIAL_POSITIONS)
                     else math.inf)
-        if self.kind == "power":
-            try:
+        if self.kind == "explicit":
+            return self.points[n]
+        try:
+            if self.kind == "power":
                 return self.c * float(n) ** self.p
-            except OverflowError:
-                return math.inf
-        if self.kind == "exponential":
-            try:
-                e = self.q * float(n) ** self.r
-            except OverflowError:
-                return math.inf
-            return math.inf if e > _LOG_MAX_DOUBLE else self.c * math.exp(e)
-        return self.points[n]
+            e = self.q * float(n) ** self.r
+        except OverflowError:
+            return math.inf
+        return math.inf if e > _LOG_MAX_DOUBLE else self.c * math.exp(e)
 
     def positions(self, n_max: int) -> np.ndarray:
         """x_0 .. x_{n_max} as an array (entries may be +inf).
@@ -238,10 +238,7 @@ class SparseSet:
         +inf marks a gap beyond double range.  Factorial and explicit gaps
         are exact; the other generators exponentiate ``log_gaps``.
         """
-        self._check_gap_index(n_lo)
-        self._check_gap_index(n_hi)
-        if n_hi < n_lo:
-            raise ValueError("empty index range")
+        self._check_gap_range(n_lo, n_hi)
         if self.kind == "factorial":
             ns = np.arange(n_lo, n_hi + 1)
             return np.where(ns < 170, _FACTORIAL_GAPS[np.minimum(ns, 169)], math.inf)
@@ -252,41 +249,33 @@ class SparseSet:
 
     def log_gaps(self, n_lo: int, n_hi: int) -> np.ndarray:
         """Vectorized ln(gap) over inclusive index range [n_lo, n_hi]."""
-        self._check_gap_index(n_lo)
-        self._check_gap_index(n_hi)
-        if n_hi < n_lo:
-            raise ValueError("empty index range")
+        self._check_gap_range(n_lo, n_hi)
         if self.kind == "factorial":
             return _factorial_log_gaps(n_lo, n_hi)
+        if self.kind == "explicit":
+            return np.log(self.gaps(n_lo, n_hi))
         ns = np.arange(n_lo, n_hi + 1, dtype=float)
+        out = np.empty_like(ns)
+        pos = ns >= 1
+        npos = ns[pos]
         if self.kind == "power":
             # gap(n) = c * n^p * ((1 + 1/n)^p - 1)
-            out = np.empty_like(ns)
-            pos = ns >= 1
-            npos = ns[pos]
             out[pos] = (math.log(self.c) + self.p * np.log(npos)
                         + _log_expm1(self.p * np.log1p(1.0 / npos)))
             out[~pos] = math.log(self.c)
             return out
-        if self.kind == "exponential":
-            # gap(n) = c * exp(q n^r) * (exp(q dr) - 1), dr = (n+1)^r - n^r
-            out = np.empty_like(ns)
-            pos = ns >= 1
-            npos = ns[pos]
-            with np.errstate(over="ignore"):
-                dr = npos ** self.r * np.expm1(self.r * np.log1p(1.0 / npos))
-                out[pos] = (math.log(self.c) + self.q * npos ** self.r
-                            + _log_expm1(self.q * dr))
-            out[~pos] = math.log(self.c) + self.q
-            return out
-        return np.log(self.gaps(n_lo, n_hi))
+        # exponential: gap(n) = c * exp(q n^r) * (exp(q dr) - 1), dr = (n+1)^r - n^r
+        with np.errstate(over="ignore"):
+            dr = npos ** self.r * np.expm1(self.r * np.log1p(1.0 / npos))
+            out[pos] = (math.log(self.c) + self.q * npos ** self.r
+                        + _log_expm1(self.q * dr))
+        out[~pos] = math.log(self.c) + self.q
+        return out
 
     def _check_ratio_range(self, n_lo: int, n_hi: int):
         if n_lo < 1:
             raise IndexError("gap ratios need n >= 1")
-        self._check_gap_index(n_hi)
-        if n_hi < n_lo:
-            raise ValueError("empty index range")
+        self._check_gap_range(n_lo, n_hi)
 
     def log_gap_ratios(self, n_lo: int, n_hi: int, *, out=None,
                        work=None) -> np.ndarray:
@@ -484,10 +473,14 @@ _TREND_LEN = 25  # tail entries behind the trend diagnostics
 _TAIL_SLOP = 1e-12  # a ratio tail may step down this much and stay nondecreasing
 
 
+def _check_lambda(lam: float):
+    if not lam > 0:
+        raise ValueError(f"energy must be positive, got {lam}")
+
+
 def _effective_lambda(system: SystemSpec, lam0: float) -> float:
     """The energy a kind's coupling factors read: lam0 for delta, 1/lam0 else."""
-    if not lam0 > 0:
-        raise ValueError(f"energy must be positive, got {lam0}")
+    _check_lambda(lam0)
     return lam0 if system.kind == DELTA else 1.0 / lam0
 
 

@@ -14,23 +14,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DELTA, DELTA_PRIME, KINDS, SystemSpec
+from .lattice import DELTA, DELTA_PRIME, KINDS, SystemSpec, _check_lambda
 
 DIRICHLET_START = (0.0, 1.0)  # psi(0) = 0 normalization
 
 
-def _check_lambda(lam: float):
-    if not lam > 0:
-        raise ValueError(f"energy must be positive, got {lam}")
+def _cell(lam: float, d, kind: str | None = None, alpha=None) -> tuple:
+    """Entries (m00, m01, m10, m11) of one cell's matrix, elementwise over d.
+
+    The cell is free propagation over a gap d, followed, when ``kind`` is
+    given, by the jump of strength ``alpha``.  Every matrix and flow of this
+    module reads its entries here, so each cell has one formula and one
+    rounding.  A gap past double range gives NaN entries.
+    """
+    _check_lambda(lam)
+    rt = math.sqrt(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = d * rt
+        c, s = np.cos(phase), np.sin(phase)
+        f00, f01, f10, f11 = c, s / rt, -rt * s, c
+        if kind == DELTA:  # jump [[1, 0], [a, 1]]
+            return f00, f01, alpha * f00 + f10, alpha * f01 + f11
+        if kind == DELTA_PRIME:  # jump [[1, a], [0, 1]]
+            return f00 + alpha * f10, f01 + alpha * f11, f10, f11
+    return f00, f01, f10, f11
 
 
 def fundamental_matrix(lam: float, d: float) -> np.ndarray:
     """Propagator of (psi, psi') across a free interval of length d."""
-    _check_lambda(lam)
-    rt = math.sqrt(lam)
-    c = math.cos(d * rt)
-    s = math.sin(d * rt)
-    return np.array([[c, s / rt], [-rt * s, c]])
+    return np.reshape(_cell(lam, d), (2, 2))
 
 
 def jump_matrix(kind: str, alpha: float) -> np.ndarray:
@@ -53,7 +65,7 @@ def step_matrix(system: SystemSpec, lam: float, n: int) -> np.ndarray:
             f"gap {n - 1} is not representable in double precision; "
             "use the log-domain growth routines instead")
     alpha = float(system.strengths.alphas(n, n)[0])
-    return jump_matrix(system.kind, alpha) @ fundamental_matrix(lam, g)
+    return np.reshape(_cell(lam, g, system.kind, alpha), (2, 2))
 
 
 class PropagationOverflow(OverflowError):
@@ -69,8 +81,8 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
               n_max: int = 0) -> np.ndarray:
     """Boundary vectors xi_0 .. xi_{n_max} from a real xi0, shape (n_max+1, 2).
 
-    Step n is jump_matrix(kind, alpha_n) @ fundamental_matrix(lam, gap n-1);
-    the entries of all steps come from one gaps and one alphas evaluation.
+    Step n is step_matrix(system, lam, n), whose entries for all steps come
+    from one gaps and one alphas evaluation.
     No per-step renormalization is applied; a vector leaving double range
     (an infinite gap included) raises PropagationOverflow.
     """
@@ -84,16 +96,8 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
         raise ValueError("initial boundary vector must be nonzero")
     rows = [tuple(xi0.astype(float).tolist())]
     if n_max > 0:
-        rt = math.sqrt(lam)
         a = system.strengths.alphas(1, n_max)
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = system.lattice.gaps(0, n_max - 1) * rt
-            f00, s = np.cos(phase), np.sin(phase)
-            f01, f10, f11 = s / rt, -rt * s, f00  # free propagator
-            if system.kind == DELTA:  # jump [[1, 0], [a, 1]]
-                m = f00, f01, a * f00 + f10, a * f01 + f11
-            else:  # jump [[1, a], [0, 1]]
-                m = f00 + a * f10, f01 + a * f11, f10, f11
+        m = _cell(lam, system.lattice.gaps(0, n_max - 1), system.kind, a)
         v0, v1 = rows[0]
         for n, (m00, m01, m10, m11) in enumerate(zip(*(e.tolist() for e in m)), 1):
             v0, v1 = m00 * v0 + m01 * v1, m10 * v0 + m11 * v1
@@ -105,10 +109,8 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
 
 def free_flow(lam: float, d, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(psi, psi') of fundamental_matrix(lam, d[i]) @ vecs[i] for every row i."""
-    _check_lambda(lam)
-    rt = math.sqrt(lam)
-    c, s = np.cos(d * rt), np.sin(d * rt)
-    return c * vecs[:, 0] + (s / rt) * vecs[:, 1], -rt * s * vecs[:, 0] + c * vecs[:, 1]
+    m00, m01, m10, m11 = _cell(lam, d)
+    return m00 * vecs[:, 0] + m01 * vecs[:, 1], m10 * vecs[:, 0] + m11 * vecs[:, 1]
 
 
 def diagonalizer(lam: float) -> tuple[np.ndarray, np.ndarray]:

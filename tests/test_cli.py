@@ -33,11 +33,8 @@ def run_cli(args, capsys):
 
 def config_dict(run):
     """A config document that parses to ``run``: the system as every output
-    echoes it, the params, and the output block if any."""
-    doc = {"system": cli._system_dict(run.system), "params": run.params}
-    output = {k: v for k, v in (("format", run.output_format),
-                                ("path", run.output_path)) if v is not None}
-    return {**doc, "output": output} if output else doc
+    echoes it, and the params."""
+    return {"system": cli._system_dict(run.system), "params": run.params}
 
 
 def edited(doc, path, value):
@@ -101,13 +98,6 @@ class TestConfigParsing:
         again = parse_config(doc)
         assert again == run
         assert config_dict(again) == doc
-
-    def test_round_trip_with_output_block(self):
-        doc = dict(FREE_PI)
-        doc["output"] = {"format": "json", "path": "x.json"}
-        run = parse_config(doc)
-        assert run.output_format == "json"
-        assert parse_config(config_dict(run)) == run
 
     def test_unknown_key_rejected(self):
         doc = {"system": dict(FACTORIAL_QUARTER["system"], bogus=1),
@@ -298,10 +288,9 @@ CONFIG_ERRORS = [
     ("eigs", json.dumps(edited(FREE_PI, ("system", "positions", "points"), [])),
      "system.positions.points must be a nonempty array"),
     ("eigs", json.dumps(edited(FREE_PI, ("params",), [])), "params must be an object"),
-    ("eigs", json.dumps(edited(FREE_PI, ("output",), {"format": "xml"})),
-     "output.format must be 'csv' or 'json'"),
-    ("eigs", json.dumps(edited(FREE_PI, ("output",), {"path": 3})),
-     "output.path must be a string"),
+    # --format and --out choose a table's format and destination
+    ("eigs", json.dumps(edited(FREE_PI, ("output",), {"format": "json"})),
+     "unknown key(s) in config: ['output']"),
     ("eigs", None,
      "cannot read config {path}: [Errno 2] No such file or directory: {path!r}"),
     ("eigs", "not json",
@@ -339,7 +328,7 @@ CONFIG_ERRORS = [
 
 @pytest.mark.parametrize("command, text, message", CONFIG_ERRORS,
                          ids=["config_object", "positions_type", "points_empty",
-                              "params_object", "output_format", "output_path",
+                              "params_object", "output_block",
                               "unreadable", "not_json", "n_points_integer",
                               "n_points_minimum", "growth_window", "oracle",
                               "fd_h_without_oracle", "max_index_indices_collide",

@@ -89,6 +89,20 @@ class TestStepMatrix:
         with pytest.raises(OverflowError):
             step_matrix(sys, 1.0, 171)
 
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_columns_are_propagate_vectors_to_the_bit(self, kind, rng):
+        # one cell, one formula: not a product of rounded jump and free matrices
+        for _ in range(1000):
+            lam = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+            sys = random_small_system(rng, kind, 4, gap_range=(1e-3, 1e3),
+                                      alpha_range=(-20.0, 20.0))
+            n = int(rng.integers(1, 5))
+            cell = SystemSpec(kind, SparseSet.explicit([sys.lattice.gap(n - 1)]),
+                              StrengthSequence.explicit(sys.strengths.alphas(n, n)))
+            m = step_matrix(sys, lam, n)
+            assert np.array_equal(m[:, 0], propagate(cell, lam, (1.0, 0.0), 1)[1])
+            assert np.array_equal(m[:, 1], propagate(cell, lam, (0.0, 1.0), 1)[1])
+
 
 def step_product(system, lam, xi0, n_max):
     """One step_matrix product per step: the propagation reference."""
@@ -304,14 +318,14 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 class TestFreeFlow:
     def test_rows_match_fundamental_matrix(self, rng):
-        lam = 2.3
-        vecs = rng.normal(size=(40, 2))
-        d = rng.uniform(0.0, 30.0, 40)
-        psi, dpsi = free_flow(lam, d, vecs)
-        for i in range(40):
-            want = fundamental_matrix(lam, d[i]) @ vecs[i]
-            assert abs(psi[i] - want[0]) <= 1e-13 * np.hypot(*want)
-            assert abs(dpsi[i] - want[1]) <= 1e-13 * np.hypot(*want)
+        for lam in np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 20)):
+            vecs = rng.normal(size=(100, 2))
+            d = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 100))
+            psi, dpsi = free_flow(lam, d, vecs)
+            m = np.array([fundamental_matrix(lam, x) for x in d])
+            # the matrix applied by hand: matmul may fuse a multiply-add
+            assert np.array_equal(psi, m[:, 0, 0] * vecs[:, 0] + m[:, 0, 1] * vecs[:, 1])
+            assert np.array_equal(dpsi, m[:, 1, 0] * vecs[:, 0] + m[:, 1, 1] * vecs[:, 1])
 
 
 class TestSampleSolution:
