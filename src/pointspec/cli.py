@@ -22,7 +22,8 @@ Exit codes: 0 success, 2 configuration error (also an output file or stdout
 that cannot be written, a request too large for memory, and any
 ``ValueError`` or ``IndexError`` from the library), 3 numerical failure:
 under ``--strict`` a propagate overflow footer or eigs roots closer than
-``tol`` reported once, and any other ``OverflowError`` with or without it.
+``tol`` reported once, and any other ``OverflowError`` with or without it,
+such as an alpha_n that the command reads past double range.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ from .transfer import DIRICHLET_START, diagonalizer, operator_norm, propagate
 def _log_factors(system: SystemSpec, lam_eff: float, n_lo: int, n_hi: int) -> np.ndarray:
     """log(1 + |alpha_i| / sqrt(lam_eff)) for i in [n_lo, n_hi]; an alpha_i
     past double range raises OverflowError."""
-    system.strengths._check_representable(n_lo, n_hi)
     alphas = system.strengths.alphas(n_lo, n_hi)
-    return np.log1p(np.abs(alphas) / math.sqrt(lam_eff))
+    with np.errstate(over="ignore"):  # inf where the quotient passes double range
+        return np.log1p(np.abs(alphas) / math.sqrt(lam_eff))
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,10 @@ def series_terms(system: SystemSpec, lam0: float, n_max: int) -> GrowthProfile:
     log_products = np.zeros(n_max + 1)
     if n_max >= 1:
         log_products[1:] = np.cumsum(_log_factors(system, lam_eff, 1, n_max))
-    return GrowthProfile(lam0=lam0, log_gaps=log_gaps,
-                         log_products=log_products,
-                         terms=log_gaps - 2.0 * log_products)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, the term is indeterminate
+        return GrowthProfile(lam0=lam0, log_gaps=log_gaps,
+                             log_products=log_products,
+                             terms=log_gaps - 2.0 * log_products)
 
 
 def log_dalembert_ratios(system: SystemSpec, lam0: float, n_lo: int,

@@ -259,9 +259,10 @@ class SparseSet:
         pos = ns >= 1
         npos = ns[pos]
         if self.kind == "power":
-            # gap(n) = c * n^p * ((1 + 1/n)^p - 1)
-            out[pos] = (math.log(self.c) + self.p * np.log(npos)
-                        + _log_expm1(self.p * np.log1p(1.0 / npos)))
+            # gap(n) = c * n^p * ((1 + 1/n)^p - 1), +inf where p ln n is past range
+            with np.errstate(over="ignore"):
+                out[pos] = (math.log(self.c) + self.p * np.log(npos)
+                            + _log_expm1(self.p * np.log1p(1.0 / npos)))
             out[~pos] = math.log(self.c)
             return out
         # exponential: gap(n) = c * exp(q n^r) * (exp(q dr) - 1), dr = (n+1)^r - n^r
@@ -377,9 +378,7 @@ class StrengthSequence:
     def _check_representable(self, n_lo: int, n_hi: int):
         """``_check_range``, then raise OverflowError naming the first n in
         [n_lo, n_hi] whose alpha_n is past double range.  Only power
-        strengths with p > 0 get there, monotonically in n, from near
-        n = exp((ln max - ln|c|) / p): the search probes there first, then
-        bisects."""
+        strengths with p > 0 get there, monotonically in n, so it bisects."""
         self._check_range(n_lo, n_hi)
 
         def past(n):  # alpha_n by the ufuncs of ``alphas``
@@ -389,22 +388,19 @@ class StrengthSequence:
         if self.kind != "power" or self.c == 0 or not past(n_hi):
             return
         lo, hi = n_lo - 1, n_hi  # alpha_hi is past double range, alpha_lo not
-        guess = math.ceil(math.exp(min((_LOG_MAX_DOUBLE - math.log(abs(self.c)))
-                                       / self.p, _LOG_MAX_DOUBLE)))
-        probes = [guess - 1, guess]
         while hi - lo > 1:
-            n = probes.pop() if probes else (lo + hi) // 2
-            if lo < n < hi:
-                lo, hi = (lo, n) if past(n) else (n, hi)
+            n = (lo + hi) // 2
+            lo, hi = (lo, n) if past(n) else (n, hi)
         raise OverflowError(f"|alpha_n| is past double range from n={hi}")
 
     def alphas(self, n_lo: int, n_hi: int, *, out=None, work=None) -> np.ndarray:
         """alpha_n over inclusive range [n_lo, n_hi], n_lo >= 1.
 
         ``out`` and ``work`` as for ``SparseSet.log_gap_ratios`` (here
-        ``work`` needs N entries).
+        ``work`` needs N entries).  An alpha_n past double range raises
+        OverflowError (``_check_representable``).
         """
-        self._check_range(n_lo, n_hi)
+        self._check_representable(n_lo, n_hi)
         size = n_hi - n_lo + 1
         out = _result(out, size)
         if self.kind == "power" and self.c != 0:
@@ -531,6 +527,7 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
     trace.  Without ``settle`` every tail minimum is exact.
     """
     system.lattice._check_ratio_range(n_lo, n_hi)
+    # the blocks read ln|alpha_n|, and form alpha_n only in the tail: refuse upfront
     system.strengths._check_representable(n_lo, n_hi)
     scales = [math.sqrt(_effective_lambda(system, lam)) for lam in lams]
     tail_start = n_hi - max(2, int(math.ceil((n_hi - n_lo + 1) * tail_fraction))) + 1
@@ -626,11 +623,12 @@ def _tail_part(abs_alphas, log_sparse, scale: float, out, steps) -> bool:
     """Log d'Alembert ratios log_sparse - 2 ln(1 + abs_alphas / scale) into
     out, and whether no step between them falls by more than ``_TAIL_SLOP``
     (a NaN step falls); ``steps`` is scratch one entry shorter."""
-    np.divide(abs_alphas, scale, out=out)
-    np.log1p(out, out=out)
-    out *= -2.0
-    out += log_sparse
-    np.subtract(out[1:], out[:-1], out=steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf ratio, -inf - -inf step
+        np.divide(abs_alphas, scale, out=out)
+        np.log1p(out, out=out)
+        out *= -2.0
+        out += log_sparse
+        np.subtract(out[1:], out[:-1], out=steps)
     return not len(steps) or bool(steps.min() >= -_TAIL_SLOP)  # min keeps NaN
 
 
@@ -692,9 +690,10 @@ def threshold_ratio(system: SystemSpec, n: int) -> float:
     return math.inf if d > _LOG_MAX_DOUBLE else math.exp(d)
 
 
-def _tail_trend(values: np.ndarray, tail_len: int, slop: float = 1e-14) -> str:
+def _tail_trend(values: np.ndarray, slop: float = 1e-14) -> str:
+    """Trend of the trailing entries a ``WindowScan`` keeps."""
     with np.errstate(invalid="ignore"):  # inf - inf: nan, read as mixed
-        d = np.diff(values[-tail_len:])
+        d = np.diff(values)
     if len(d) == 0 or np.any(np.isnan(d)):
         return "mixed"
     if np.all(np.abs(d) <= slop):
@@ -732,7 +731,7 @@ def _threshold_from_scan(w: WindowScan,
     with np.errstate(over="ignore"):
         value = float(np.exp(w.min_log_threshold))
         last = float(np.exp(logr[-1]))
-    trend = _tail_trend(logr, max(2, min(len(logr), _TREND_LEN)))
+    trend = _tail_trend(logr)
     diverging = trend == "increasing" and last > infinity_threshold
     return ThresholdEstimate(value=value, diverging=diverging, trend=trend,
                              window=w.window, last_ratio=last,

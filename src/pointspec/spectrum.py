@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .growth import _verdict_from_scan
-from .lattice import (_TREND_LEN, DELTA, DELTA_PRIME, SystemSpec,
-                      ThresholdEstimate, WindowScan, _check_window, _tail_trend,
-                      _threshold_from_scan, window_scan)
+from .lattice import (DELTA, DELTA_PRIME, SystemSpec, ThresholdEstimate,
+                      WindowScan, _check_window, _tail_trend, _threshold_from_scan,
+                      window_scan)
 
 CASE_I_DELTA = "case_i_delta"
 CASE_I_DELTA_PRIME = "case_i_delta_prime"
@@ -122,13 +122,12 @@ class ClassifyConfig:
 
 
 def _precondition_report(w: WindowScan, config: ClassifyConfig) -> dict:
-    tail_len = max(2, min(len(w.log_sparse), _TREND_LEN))
-    sparse_trend = _tail_trend(w.log_sparse, tail_len)
+    sparse_trend = _tail_trend(w.log_sparse)
     with np.errstate(over="ignore"):  # inf past double range
         last_sparse = float(np.exp(w.log_sparse[-1]))
     sparse_ok = (sparse_trend == "increasing"
                  and last_sparse > config.sparseness_threshold)
-    abs_tail_trend = _tail_trend(w.abs_alphas, tail_len)
+    abs_tail_trend = _tail_trend(w.abs_alphas)
     last_abs = float(w.abs_alphas[-1])
     strength_ok = (abs_tail_trend == "increasing"
                    and last_abs > config.strength_threshold)
@@ -346,9 +345,8 @@ def _shooting_cells(system: SystemSpec, n_max: int):
     the closure), and whether the kind is delta-prime.  Strengths past
     double range raise OverflowError.
     """
-    system.strengths._check_representable(1, n_max)
-    gaps = system.lattice.gaps(0, n_max - 1).tolist()
     alphas = system.strengths.alphas(1, n_max)[:-1].tolist()
+    gaps = system.lattice.gaps(0, n_max - 1).tolist()
     blocks = [(lengths, weights, cells, np.array(kicks)) for lengths, weights, cells, kicks
               in _distinct_blocks(gaps, [0.0, *alphas])]
     return blocks, system.kind == DELTA_PRIME
@@ -866,11 +864,7 @@ def _fd_turning_maps(h: float, lengths: np.ndarray, z: np.ndarray):
     """``_fd_run_maps`` where 0 <= h^2 lam < 4, from z = sin(theta / 2)."""
     theta = 2.0 * np.arcsin(np.maximum(z, _TINY))
     s = np.sin(theta) / h
-    turns = lengths * theta
-    rho = np.fmod(turns, math.pi)  # exact, in [0, pi)
-    turns -= rho
-    turns /= math.pi
-    np.rint(turns, out=turns)
+    turns, rho = np.divmod(lengths * theta, math.pi)  # rho exact, in [0, pi)
     np.maximum(rho, _TINY, out=rho)
     np.tan(rho, out=rho)
     return np.divide(s, rho, out=rho), s * s, turns

@@ -82,9 +82,9 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
     """Boundary vectors xi_0 .. xi_{n_max} from a real xi0, shape (n_max+1, 2).
 
     Step n is step_matrix(system, lam, n), whose entries for all steps come
-    from one gaps and one alphas evaluation.
-    No per-step renormalization is applied; a vector leaving double range
-    (an infinite gap included) raises PropagationOverflow.
+    from one gaps and one alphas evaluation (which refuses an alpha_n past
+    double range).  No per-step renormalization is applied; a vector leaving
+    double range (an infinite gap included) raises PropagationOverflow.
     """
     _check_lambda(lam)
     xi0 = np.asarray(xi0)

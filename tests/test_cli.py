@@ -489,6 +489,11 @@ STEEP_EXPONENTIAL = {
                "strengths": {"type": "constant", "c": 1}}}
 
 
+# |alpha_n| / sqrt(lambda) passes double range at lambda = 1e-8
+HUGE_CONSTANT = {"kind": "delta", "positions": {"type": "factorial"},
+                 "strengths": {"type": "constant", "c": 1e308}}
+
+
 def golden_config(name, path, value):
     return edited(json.loads((GOLDEN / f"{name}.config.json").read_text()), path, value)
 
@@ -532,6 +537,48 @@ class TestDoubleRange:
         assert (code, out) == (3, "")
         assert err == f"numerical failure: |alpha_n| is past double range from n={n}\n"
         assert not target.exists()
+
+    def test_propagate_strengths_past_double_range_exit_3(self, tmp_path, capsys):
+        # the chain once printed its rows up to the first overflow, with a footer
+        doc = {"system": {"kind": "delta", "positions": {"type": "factorial"},
+                          "strengths": {"type": "power", "c": 1, "p": 400}},
+               "params": {"lambda": 1, "n_max": 10}}
+        target = tmp_path / "out"
+        code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, doc),
+                                  "--out", str(target)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: |alpha_n| is past double range from n=6\n"
+        assert not target.exists()
+
+    def test_classify_tail_ratio_past_double_range(self, tmp_path, capsys):
+        # 1e308 / sqrt(1e-8) is +inf, and every tail step -inf - -inf is NaN
+        doc = {"system": HUGE_CONSTANT,
+               "params": {"window": [100, 110], "lambda0_grid": [1e-8]}}
+        code, out, err = run_cli(["classify", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        verdicts = json.loads(out)["result"]["diagnostics"]["exclusion_verdicts"]
+        assert verdicts == ["inconclusive"]
+
+    def test_growth_coupling_factor_past_double_range(self, tmp_path, capsys):
+        doc = {"system": HUGE_CONSTANT, "params": {"lambda0": 1e-8, "window": [0, 10]}}
+        code, out, err = run_cli(["growth", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        products = [l.split(",")[2] for l in out.splitlines()[1:] if l[0] != "#"]
+        assert products == ["0.0"] + ["inf"] * 10
+
+    def test_growth_power_log_gap_past_double_range(self, tmp_path, capsys):
+        # p ln n passes double range from n = 6
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "power", "c": 1, "p": 1e308},
+                          "strengths": {"type": "constant", "c": 1}},
+               "params": {"lambda0": 1, "window": [0, 10]}}
+        code, out, err = run_cli(["growth", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        log_gaps = [float(l.split(",")[1]) for l in out.splitlines()[1:] if l[0] != "#"]
+        assert all(map(math.isfinite, log_gaps[:6])) and log_gaps[6:] == [math.inf] * 5
 
     @pytest.mark.parametrize("p", [1, 1e300])
     @pytest.mark.parametrize("command", ["avalue", "classify", "growth"])

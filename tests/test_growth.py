@@ -161,6 +161,13 @@ class TestLowerBoundCheck:
             res = lower_bound_check(sys, lam, n, xi0=xi0)
             assert res.min_slack >= 1.0 - 1e-9, (trial, kind, lam)
 
+    def test_strengths_past_double_range_raise(self):
+        # alpha_n = n^400 is past double range from n = 6
+        sys = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.power(1.0, 400.0))
+        with pytest.raises(OverflowError) as info:
+            lower_bound_check(sys, 1.0, 10)
+        assert str(info.value) == "|alpha_n| is past double range from n=6"
+
 
 class TestTildePropagationConsistency:
     def test_diagonalized_route_matches_direct(self, rng):

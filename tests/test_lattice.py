@@ -323,8 +323,11 @@ class TestStrengthSequence:
         message = f"|alpha_n| is past double range from n={first}"
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
             strengths._check_representable(*window)
-        with np.errstate(over="ignore"):
-            alphas = strengths.alphas(max(window[0], first - 1), first)
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            strengths.alphas(*window)
+        ns = np.arange(max(window[0], first - 1), first + 1, dtype=float)
+        with np.errstate(over="ignore"):  # alpha_n by the ufuncs of ``alphas``
+            alphas = c * np.power(ns, p)
         assert np.isinf(alphas[-1]) and np.isfinite(alphas[:-1]).all()
 
     @pytest.mark.parametrize("strengths", [

@@ -38,7 +38,7 @@ def oracle_threshold(system, window, infinity_threshold):
     with np.errstate(over="ignore"):
         value = float(np.exp(np.min(logr)))
         last = float(np.exp(logr[-1]))
-    trend = _tail_trend(logr, max(2, min(len(logr), 25)))
+    trend = _tail_trend(logr[-25:])
     return ThresholdEstimate(value=value,
                              diverging=trend == "increasing" and last > infinity_threshold,
                              trend=trend, window=tuple(window), last_ratio=last,
@@ -64,10 +64,9 @@ def oracle_verdict(system, lam0, window, margin=0.05, tail_fraction=0.5):
 
 def oracle_preconditions(system, window, config):
     log_sparse, abs_alphas, _, positive = oracle_window(system, *window)
-    tail_len = max(2, min(len(log_sparse), 25))
-    sparse_trend = _tail_trend(log_sparse, tail_len)
+    sparse_trend = _tail_trend(log_sparse[-25:])
     last_sparse = float(np.exp(min(log_sparse[-1], 700.0)))
-    abs_trend = _tail_trend(abs_alphas, tail_len)
+    abs_trend = _tail_trend(abs_alphas[-25:])
     last_abs = float(abs_alphas[-1])
     return {
         "sparseness_ok": (sparse_trend == "increasing"

@@ -680,6 +680,14 @@ class TestFdOracle:
         for e0, e1 in zip(errs, errs[1:]):
             assert 3.0 < e0 / e1 < 5.0
 
+    def test_strengths_past_double_range_raise(self):
+        # alpha_n = n^400 is past double range from n = 6
+        sys = SystemSpec("delta", SparseSet.explicit(np.arange(1.0, 8.0)),
+                         StrengthSequence.power(1.0, 400.0))
+        with pytest.raises(OverflowError) as info:
+            fd_oracle_eigenvalues(sys, 7, 0.25, count=1)
+        assert str(info.value) == "|alpha_n| is past double range from n=6"
+
     def test_delta_at_midpoint_matches_shooting(self):
         lat = SparseSet.explicit([0.0, 1.0, 2.0])
         sys = SystemSpec("delta", lat, StrengthSequence.explicit([10.0, 0.0]))

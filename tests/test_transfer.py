@@ -89,6 +89,13 @@ class TestStepMatrix:
         with pytest.raises(OverflowError):
             step_matrix(sys, 1.0, 171)
 
+    def test_strength_past_double_range_raises(self):
+        # alpha_n = n^400 is past double range from n = 6; step 7 reads alpha_7 alone
+        sys = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.power(1.0, 400.0))
+        with pytest.raises(OverflowError) as info:
+            step_matrix(sys, 1.0, 7)
+        assert str(info.value) == "|alpha_n| is past double range from n=7"
+
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_columns_are_propagate_vectors_to_the_bit(self, kind, rng):
         # one cell, one formula: not a product of rounded jump and free matrices
