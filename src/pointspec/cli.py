@@ -17,6 +17,9 @@ table of ``KERNEL_MIN_CELLS`` cells or more renders through the numpy kernel
 of ``_shortest``, with the same bytes, once the kernel is loaded in the
 process; the kernel's first table in a process must also repay its import,
 so it takes only tables of ``KERNEL_COLD_MIN_CELLS`` cells or more.
+A propagate table ends before its first row whose x, psi or psi' is not
+finite, under the footer ``#overflow at n=N``, N one past the last row's n;
+``log_norm_xi`` is finite wherever psi and psi' are.
 
 Exit codes: 0 success, 2 configuration error (also an output file or stdout
 that cannot be written, a request too large for memory, and any
@@ -39,11 +42,11 @@ import sys
 import numpy as np
 
 from . import growth as growth_mod
-from .lattice import (MAX_INDEX, SparseSet, StrengthSequence, SystemSpec,
+from .lattice import (MAX_INDEX, SparseSet, StrengthSequence, SystemSpec, _exp,
                       estimate_threshold)
 from .spectrum import (ClassifyConfig, classify, fd_oracle_nearest,
                        truncated_eigenvalues)
-from .transfer import PropagationOverflow, free_flow, propagate
+from .transfer import PropagationOverflow, _log_norm, free_flow, propagate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -341,8 +344,7 @@ def cmd_growth(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, 
     prof = growth_mod.series_terms(run.system, lam0, n_hi)
     first = max(n_lo, 1)  # the ratio needs n >= 1
     log_ratios = growth_mod.log_dalembert_ratios(run.system, lam0, first, n_hi)
-    with np.errstate(over="ignore"):  # inf past double range
-        ratios = np.concatenate([np.full(first - n_lo, math.nan), np.exp(log_ratios)])
+    ratios = np.concatenate([np.full(first - n_lo, math.nan), _exp(log_ratios)])
     rows = _table(GROWTH_COLUMNS, [np.arange(n_lo, n_hi + 1, dtype=np.int64),
                                    prof.log_gaps[n_lo:], prof.log_products[n_lo:],
                                    ratios, prof.terms[n_lo:]])
@@ -397,26 +399,25 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dic
     lam, n_max, xi0, dense = params.values()
     try:
         vecs = propagate(run.system, lam, xi0, n_max)
-        overflow_at = None
-    except PropagationOverflow as exc:
-        vecs, overflow_at = exc.vectors, exc.n
+    except PropagationOverflow as exc:  # its rows before the step, then the footer
+        vecs = exc.vectors
     xs = run.system.lattice.positions(len(vecs) - 1)
-    if not np.all(np.isfinite(xs)):
-        overflow_at = int(np.argmin(np.isfinite(xs)))
-        vecs, xs = vecs[:overflow_at], xs[:overflow_at]
-    # each interval's rows: its left lattice point, then the dense points,
-    # which are the free flow of the lattice row's vector
-    x = np.append(np.linspace(xs[:-1], xs[1:], dense + 2, axis=1)[:, :-1], xs[-1])
-    n = np.arange(len(x), dtype=np.int64) // (dense + 1)
-    psi, dpsi = free_flow(lam, x - xs[n], vecs[n])
-    psi[::dense + 1], dpsi[::dense + 1] = vecs.T
-    rows = _table(PROPAGATE_COLUMNS, [n, x, psi, dpsi, np.log(np.hypot(psi, dpsi))])
-    footers = []
-    if overflow_at is not None:
-        footers.append(f"#overflow at n={overflow_at}")
+    # each interval's rows: its left lattice point, then the free flow of its
+    # vector at the dense points; the table ends before its first row not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.append(np.linspace(xs[:-1], xs[1:], dense + 2, axis=1)[:, :-1], xs[-1])
+        n = np.arange(len(x), dtype=np.int64) // (dense + 1)
+        psi, dpsi = free_flow(lam, x - xs[n], vecs[n])
+    x[::dense + 1], psi[::dense + 1], dpsi[::dense + 1] = xs, *vecs.T
+    finite = np.isfinite(x) & np.isfinite(psi) & np.isfinite(dpsi)
+    end = len(x) if finite.all() else int(np.argmin(finite))
+    rows = _table(PROPAGATE_COLUMNS,
+                  [a[:end] for a in (n, x, psi, dpsi, _log_norm(psi, dpsi))])
+    overflow = end < len(finite) or len(vecs) <= n_max
+    footers = [f"#overflow at n={n[end - 1] + 1}"] if overflow else []
     footers.append(f"# lambda={lam!r} n_max={n_max} xi0={xi0!r} "
                    f"dense_per_interval={dense}")
-    return PROPAGATE_COLUMNS, rows, footers, params, overflow_at is not None
+    return PROPAGATE_COLUMNS, rows, footers, params, overflow
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (SystemSpec, WindowScan, _check_window, _effective_lambda,
-                      window_scan)
-from .transfer import DIRICHLET_START, diagonalizer, operator_norm, propagate
+                      _exp, _log_dalembert, window_scan)
+from .transfer import DIRICHLET_START, _log_norm, diagonalizer, operator_norm, propagate
 
 
-def _log_factors(system: SystemSpec, lam_eff: float, n_lo: int, n_hi: int) -> np.ndarray:
-    """log(1 + |alpha_i| / sqrt(lam_eff)) for i in [n_lo, n_hi]; an alpha_i
-    past double range raises OverflowError."""
-    alphas = system.strengths.alphas(n_lo, n_hi)
-    with np.errstate(over="ignore"):  # inf where the quotient passes double range
-        return np.log1p(np.abs(alphas) / math.sqrt(lam_eff))
+def _log_products(system: SystemSpec, lam_eff: float, n_max: int) -> np.ndarray:
+    """0, then sum_{i <= n} ln(1 + |alpha_i| / sqrt(lam_eff)) for n = 1..n_max,
+    the log coupling products; an alpha_i past double range raises OverflowError."""
+    out = np.zeros(n_max + 1)
+    if n_max >= 1:
+        alphas = system.strengths.alphas(1, n_max)
+        with np.errstate(over="ignore"):
+            np.cumsum(np.log1p(np.abs(alphas) / math.sqrt(lam_eff)), out=out[1:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,7 @@ def series_terms(system: SystemSpec, lam0: float, n_max: int) -> GrowthProfile:
     """Log series terms log(gap_n) - 2*log(product_n) for n = 0..n_max."""
     lam_eff = _effective_lambda(system, lam0)
     log_gaps = system.lattice.log_gaps(0, n_max)
-    log_products = np.zeros(n_max + 1)
-    if n_max >= 1:
-        log_products[1:] = np.cumsum(_log_factors(system, lam_eff, 1, n_max))
+    log_products = _log_products(system, lam_eff, n_max)
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, the term is indeterminate
         return GrowthProfile(lam0=lam0, log_gaps=log_gaps,
                              log_products=log_products,
@@ -64,14 +65,13 @@ def log_dalembert_ratios(system: SystemSpec, lam0: float, n_lo: int,
                          n_hi: int) -> np.ndarray:
     """Log consecutive-term ratios of the divergence series, n in [n_lo, n_hi].
 
-    Entry n is ln(gap(n)/gap(n-1)) - 2 ln(1 + |alpha_n| / sqrt(lam_eff)), by
-    the same operations as ``window_scan``'s tail.
+    Entry n is ln(gap(n)/gap(n-1)) - 2 ln(1 + |alpha_n| / sqrt(lam_eff)),
+    by ``window_scan``'s own ``_log_dalembert``.
     """
     log_sparse = system.lattice.log_gap_ratios(n_lo, n_hi)
-    out = _log_factors(system, _effective_lambda(system, lam0), n_lo, n_hi)
-    out *= -2.0
-    out += log_sparse
-    return out
+    scale = math.sqrt(_effective_lambda(system, lam0))
+    abs_alphas = np.abs(system.strengths.alphas(n_lo, n_hi))
+    return _log_dalembert(abs_alphas, log_sparse, scale, abs_alphas)
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def series_verdict(system: SystemSpec, lam0: float, window: tuple[int, int],
 def _verdict_from_scan(w: WindowScan, k: int, margin: float) -> DivergenceVerdict:
     """``series_verdict`` at the k-th probe energy of an already scanned window."""
     tail_min = w.tail_min[k]
-    with np.errstate(over="ignore"):
-        est = float(np.exp(tail_min))
+    est = float(_exp(tail_min))
     diverges = w.tail_nondecreasing[k] and tail_min > math.log1p(margin)
     return DivergenceVerdict(verdict="diverges" if diverges else "inconclusive",
                              liminf_ratio_estimate=est, window=w.window,
@@ -129,18 +128,16 @@ def lower_bound_check(system: SystemSpec, lam: float, n_max: int,
     """Verify ||xi_n|| >= c * ||xi_0|| / product_n along a direct propagation.
 
     The constant is c = 1 / (||U|| * ||U_inv||) with U the diagonalizing
-    basis change.  Feasible only while propagation stays in double range.
+    basis change.  The slack is formed in logs, so a product past double
+    range leaves it finite.  Feasible only while propagation stays in range.
     """
     lam_eff = _effective_lambda(system, lam)
     u, u_inv = diagonalizer(lam)
     c = 1.0 / (operator_norm(u) * operator_norm(u_inv))
     vecs = propagate(system, lam, xi0, n_max)
-    norms = np.hypot(vecs[:, 0], vecs[:, 1])  # finite for every finite row
-    if n_max >= 1:
-        log_products = np.cumsum(_log_factors(system, lam_eff, 1, n_max))
-        slack = norms[1:] * np.exp(log_products) / (c * norms[0])
-        min_slack = float(np.min(slack))
-    else:
-        min_slack = math.inf
+    log_norms = _log_norm(vecs[:, 0], vecs[:, 1])
+    log_slack = (log_norms + _log_products(system, lam_eff, n_max) - log_norms[0]
+                 - math.log(c))  # at n: ln(||xi_n|| product_n / (c ||xi_0||))
+    min_slack = float(_exp(np.min(log_slack[1:]))) if n_max >= 1 else math.inf
     return BoundCheck(c_lambda=c, min_slack=min_slack,
                       passed=min_slack >= 1.0 - 1e-9)

@@ -34,6 +34,12 @@ _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 MAX_INDEX = 2**53
 
 
+def _exp(x):
+    """e^x elementwise, +inf past double range."""
+    with np.errstate(over="ignore"):
+        return np.exp(x)
+
+
 def _log_expm1(y, out=None):
     """log(e^y - 1) for y > 0 without overflow: y + log(1 - e^-y)."""
     y = np.asarray(y, dtype=float)
@@ -244,8 +250,7 @@ class SparseSet:
             return np.where(ns < 170, _FACTORIAL_GAPS[np.minimum(ns, 169)], math.inf)
         if self.kind == "explicit":
             return np.diff(self.points[n_lo:n_hi + 2])
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_gaps(n_lo, n_hi))
+        return _exp(self.log_gaps(n_lo, n_hi))
 
     def log_gaps(self, n_lo: int, n_hi: int) -> np.ndarray:
         """Vectorized ln(gap) over inclusive index range [n_lo, n_hi]."""
@@ -467,6 +472,7 @@ class ThresholdEstimate:
 WINDOW_BLOCK = 2**16  # indices per block of a window scan
 _TREND_LEN = 25  # tail entries behind the trend diagnostics
 _TAIL_SLOP = 1e-12  # a ratio tail may step down this much and stay nondecreasing
+_TREND_SLOP = 1e-14  # unlike _TAIL_SLOP until ROADMAP item 5 ties both to the rounding floor
 
 
 def _check_lambda(lam: float):
@@ -619,15 +625,22 @@ def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
     return np.min(log_threshold), positive, tails, trailing
 
 
-def _tail_part(abs_alphas, log_sparse, scale: float, out, steps) -> bool:
+def _log_dalembert(abs_alphas, log_sparse, scale: float, out) -> np.ndarray:
     """Log d'Alembert ratios log_sparse - 2 ln(1 + abs_alphas / scale) into
-    out, and whether no step between them falls by more than ``_TAIL_SLOP``
-    (a NaN step falls); ``steps`` is scratch one entry shorter."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf ratio, -inf - -inf step
+    out, +-inf past double range and NaN where +inf meets -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
         np.divide(abs_alphas, scale, out=out)
         np.log1p(out, out=out)
         out *= -2.0
         out += log_sparse
+    return out
+
+
+def _tail_part(abs_alphas, log_sparse, scale: float, out, steps) -> bool:
+    """``_log_dalembert`` into out, and whether no step between them falls by
+    more than ``_TAIL_SLOP`` (a NaN step falls); ``steps`` is scratch."""
+    _log_dalembert(abs_alphas, log_sparse, scale, out)
+    with np.errstate(invalid="ignore"):  # inf - inf step
         np.subtract(out[1:], out[:-1], out=steps)
     return not len(steps) or bool(steps.min() >= -_TAIL_SLOP)  # min keeps NaN
 
@@ -690,17 +703,17 @@ def threshold_ratio(system: SystemSpec, n: int) -> float:
     return math.inf if d > _LOG_MAX_DOUBLE else math.exp(d)
 
 
-def _tail_trend(values: np.ndarray, slop: float = 1e-14) -> str:
+def _tail_trend(values: np.ndarray) -> str:
     """Trend of the trailing entries a ``WindowScan`` keeps."""
     with np.errstate(invalid="ignore"):  # inf - inf: nan, read as mixed
         d = np.diff(values)
     if len(d) == 0 or np.any(np.isnan(d)):
         return "mixed"
-    if np.all(np.abs(d) <= slop):
+    if np.all(np.abs(d) <= _TREND_SLOP):
         return "flat"
-    if np.all(d >= -slop):
+    if np.all(d >= -_TREND_SLOP):
         return "increasing"
-    if np.all(d <= slop):
+    if np.all(d <= _TREND_SLOP):
         return "decreasing"
     return "mixed"
 
@@ -728,9 +741,8 @@ def _threshold_from_scan(w: WindowScan,
                          infinity_threshold: float) -> ThresholdEstimate:
     """``estimate_threshold`` over an already scanned window."""
     logr = w.log_threshold
-    with np.errstate(over="ignore"):
-        value = float(np.exp(w.min_log_threshold))
-        last = float(np.exp(logr[-1]))
+    value = float(_exp(w.min_log_threshold))
+    last = float(_exp(logr[-1]))
     trend = _tail_trend(logr)
     diverging = trend == "increasing" and last > infinity_threshold
     return ThresholdEstimate(value=value, diverging=diverging, trend=trend,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .growth import _verdict_from_scan
 from .lattice import (DELTA, DELTA_PRIME, SystemSpec, ThresholdEstimate,
-                      WindowScan, _check_window, _tail_trend, _threshold_from_scan,
-                      window_scan)
+                      WindowScan, _check_window, _exp, _tail_trend,
+                      _threshold_from_scan, window_scan)
 
 CASE_I_DELTA = "case_i_delta"
 CASE_I_DELTA_PRIME = "case_i_delta_prime"
@@ -123,8 +123,7 @@ class ClassifyConfig:
 
 def _precondition_report(w: WindowScan, config: ClassifyConfig) -> dict:
     sparse_trend = _tail_trend(w.log_sparse)
-    with np.errstate(over="ignore"):  # inf past double range
-        last_sparse = float(np.exp(w.log_sparse[-1]))
+    last_sparse = float(_exp(w.log_sparse[-1]))
     sparse_ok = (sparse_trend == "increasing"
                  and last_sparse > config.sparseness_threshold)
     abs_tail_trend = _tail_trend(w.abs_alphas)

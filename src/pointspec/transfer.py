@@ -113,6 +113,16 @@ def free_flow(lam: float, d, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m00 * vecs[:, 0] + m01 * vecs[:, 1], m10 * vecs[:, 0] + m11 * vecs[:, 1]
 
 
+def _log_norm(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """ln hypot(psi, dpsi), -inf at (0, 0) and finite wherever psi and dpsi
+    are: where only the norm passes double range, halve both and add ln 2."""
+    with np.errstate(over="ignore", divide="ignore"):
+        norm = np.hypot(psi, dpsi)
+        big = np.isinf(norm) & np.isfinite(psi) & np.isfinite(dpsi)
+        norm[big] = np.hypot(psi[big] / 2.0, dpsi[big] / 2.0)
+        return np.log(norm) + np.where(big, math.log(2.0), 0.0)
+
+
 def diagonalizer(lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Basis change (U, U_inv) that diagonalizes free propagation.
 

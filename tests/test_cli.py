@@ -580,6 +580,58 @@ class TestDoubleRange:
         log_gaps = [float(l.split(",")[1]) for l in out.splitlines()[1:] if l[0] != "#"]
         assert all(map(math.isfinite, log_gaps[:6])) and log_gaps[6:] == [math.inf] * 5
 
+    def test_growth_indeterminate_ratio_is_nan(self, tmp_path, capsys):
+        # from n = 1 the log gap ratio is +inf and the coupling term -inf
+        doc = {"system": {"kind": "delta_prime",
+                          "positions": {"type": "exponential", "c": 1e-300,
+                                        "q": 2.0**53, "r": 2.0**53, "max_index": 2**53},
+                          "strengths": {"type": "constant", "c": -1e308}},
+               "params": {"lambda0": 1e300, "window": [0, 156]}}
+        code, out, err = run_cli(["growth", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        ratios = [l.split(",")[3] for l in out.splitlines()[1:] if l[0] != "#"]
+        assert ratios == ["nan"] * 157
+
+    def test_propagate_log_norm_past_double_range_is_finite(self, tmp_path, capsys):
+        # from n = 7 the norm of (psi, psi') passes double range, neither component
+        doc = {"system": {"kind": "delta",
+                          "positions": {"type": "exponential", "c": 1e-300,
+                                        "q": 1e-12, "r": 1e-300},
+                          "strengths": {"type": "power", "c": 1, "p": -1}},
+               "params": {"lambda": 1e300, "n_max": 59, "xi0": [-1e308, 1],
+                          "dense_per_interval": 1}}
+        code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, doc)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[-2] == "#overflow at n=9"
+        rows = [[float(v) for v in l.split(",")] for l in lines[1:] if l[0] != "#"]
+        big = [r for r in rows if r[0] >= 7]
+        assert len(big) == 3 and all(r[4] > math.log(sys.float_info.max) for r in big)
+        for _, _, psi, dpsi, log_norm in rows:
+            a, b = sorted([abs(psi), abs(dpsi)], reverse=True)
+            want = math.log(a) + 0.5 * math.log1p((b / a) ** 2)
+            assert log_norm == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("n_max, xi0", [(105, [-1e308, 1e300]), (122, [1e308, 1])])
+    def test_propagate_dense_row_past_double_range_ends_the_table(
+            self, tmp_path, capsys, n_max, xi0):
+        # the dense rows after x_2 leave double range, the lattice rows after them not
+        doc = {"system": {"kind": "delta_prime", "positions": {"type": "factorial"},
+                          "strengths": {"type": "power", "c": 1, "p": -1e300}},
+               "params": {"lambda": 2, "n_max": n_max, "xi0": xi0,
+                          "dense_per_interval": 3}}
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli(["propagate", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[-2] == "#overflow at n=3"
+        rows = [l.split(",") for l in lines[1:] if l[0] != "#"]
+        assert len(rows) == 9 and rows[-1][:2] == ["2", "2.0"]
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+        assert run_cli(["propagate", "--config", cfg, "--strict"], capsys)[0] == 3
+
     @pytest.mark.parametrize("p", [1, 1e300])
     @pytest.mark.parametrize("command", ["avalue", "classify", "growth"])
     def test_zero_power_strengths_for_any_p(self, tmp_path, capsys, command, p):

@@ -16,7 +16,7 @@ import pytest
 from pointspec.cli import main
 
 COMMANDS = ["classify", "avalue", "growth", "eigs", "propagate"]
-SEEDS = range(300)
+SEEDS = [*range(300), 1797, 2239]
 
 TINY_TO_HUGE = [1e-300, 1e-12, 1, 2, 1e300, 1e308, 2.0**53]
 EDGES = [0, 1, -1, *TINY_TO_HUGE[:-1], -1e300, -1e308, 2**53]

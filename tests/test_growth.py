@@ -202,3 +202,14 @@ def test_refusals(fields, message):
 def test_lower_bound_check_without_steps():
     res = lower_bound_check(factorial_system("delta", 0.5), 1.0, 0)
     assert (res.min_slack, res.passed) == (math.inf, True)
+
+
+def test_lower_bound_check_past_double_range_product():
+    # every |xi_n| is 1 (each gap is pi at lam = 1), while the log product
+    # reaches 829, past ln(max double) ~ 709.8
+    sys = SystemSpec("delta", SparseSet.explicit([k * math.pi for k in range(1, 122)]),
+                     StrengthSequence.constant(1e3))
+    assert series_terms(sys, 1.0, 120).log_products[-1] > 829.0
+    res = lower_bound_check(sys, 1.0, 120)
+    assert res.passed
+    assert res.min_slack == pytest.approx(1000.999999999877, rel=1e-12)

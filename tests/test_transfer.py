@@ -7,7 +7,7 @@ from pointspec import (SparseSet, StrengthSequence, SystemSpec, diagonalizer,
                        fundamental_matrix, inverse_step_diagonalized,
                        jump_matrix, operator_norm, propagate, sample_solution,
                        step_matrix)
-from pointspec.transfer import PropagationOverflow, free_flow
+from pointspec.transfer import PropagationOverflow, _log_norm, free_flow
 
 from conftest import random_small_system
 
@@ -424,3 +424,33 @@ def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_log_norm_is_log_hypot_where_that_is_finite(rng):
+    # magnitudes from subnormal to the largest double, and exact zeros
+    psi, dpsi = (rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-320, 308.2, 20000)
+                 for _ in range(2))
+    psi[:100] = 0.0
+    dpsi[50:150] = 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        want = np.log(np.hypot(psi, dpsi))
+    finite = np.isfinite(want)
+    assert finite.sum() > 19000
+    assert np.array_equal(_log_norm(psi, dpsi)[finite], want[finite])
+
+
+def test_log_norm_where_only_the_norm_passes_double_range(rng):
+    mpmath = pytest.importorskip("mpmath")
+    psi, dpsi = (rng.choice([-1.0, 1.0], 20000) * rng.uniform(0.0, 1.79e308, 20000)
+                 for _ in range(2))
+    with np.errstate(over="ignore"):
+        big = np.isinf(np.hypot(psi, dpsi))
+    assert big.sum() > 4000
+    got = _log_norm(psi[big], dpsi[big])
+    with mpmath.workdps(50):
+        want = [float(mpmath.log(mpmath.hypot(a, b))) for a, b in zip(psi[big], dpsi[big])]
+    assert np.all(np.abs(got - want) <= 2e-16 * np.abs(want))
+
+
+def test_log_norm_of_zero_is_minus_inf():
+    assert _log_norm(np.zeros(2), np.array([0.0, -0.0])).tolist() == [-math.inf] * 2
