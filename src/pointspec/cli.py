@@ -42,11 +42,11 @@ import sys
 import numpy as np
 
 from . import growth as growth_mod
-from .lattice import (MAX_INDEX, SparseSet, StrengthSequence, SystemSpec, _exp,
-                      estimate_threshold)
+from .lattice import (KINDS, MAX_INDEX, SparseSet, StrengthSequence, SystemSpec,
+                      _exp, estimate_threshold)
 from .spectrum import (ClassifyConfig, classify, fd_oracle_nearest,
                        truncated_eigenvalues)
-from .transfer import PropagationOverflow, _log_norm, free_flow, propagate
+from .transfer import DIRICHLET_START, _log_norm, sample_solution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,7 +165,8 @@ PARAMS = {
     "propagate": {
         "lambda": (_POSITIVE, REQUIRED),
         "n_max": (_integer(1), REQUIRED),
-        "xi0": (_check((lambda v: _numbers(v, 2), "must be [psi, dpsi]")), [0.0, 1.0]),
+        "xi0": (_check((lambda v: _numbers(v, 2), "must be [psi, dpsi]")),
+                list(DIRICHLET_START)),
         "dense_per_interval": (_integer(0), 0)}}
 
 
@@ -226,8 +227,8 @@ def parse_config(doc: dict) -> RunConfig:
     _require_keys(sysblock, {"kind", "positions", "strengths"},
                   {"kind", "positions", "strengths"}, "system")
     kind = sysblock["kind"]
-    if kind not in ("delta", "delta_prime"):
-        raise ConfigError("system.kind must be 'delta' or 'delta_prime', "
+    if kind not in KINDS:
+        raise ConfigError(f"system.kind must be {' or '.join(map(repr, KINDS))}, "
                           f"got {kind!r}")
     system = SystemSpec(
         kind=kind,
@@ -252,6 +253,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:  # json's decoder recurses once per nested array
+        raise ConfigError(f"config {path} is nested too deeply") from None
     return parse_config(doc)
 
 
@@ -397,24 +400,10 @@ PROPAGATE_COLUMNS = ["n", "x", "re_psi", "re_dpsi", "log_norm_xi"]
 def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dict, bool]:
     params = _parse_keys(run.params, PARAMS["propagate"], "params")
     lam, n_max, xi0, dense = params.values()
-    try:
-        vecs = propagate(run.system, lam, xi0, n_max)
-    except PropagationOverflow as exc:  # its rows before the step, then the footer
-        vecs = exc.vectors
-    xs = run.system.lattice.positions(len(vecs) - 1)
-    # each interval's rows: its left lattice point, then the free flow of its
-    # vector at the dense points; the table ends before its first row not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.append(np.linspace(xs[:-1], xs[1:], dense + 2, axis=1)[:, :-1], xs[-1])
-        n = np.arange(len(x), dtype=np.int64) // (dense + 1)
-        psi, dpsi = free_flow(lam, x - xs[n], vecs[n])
-    x[::dense + 1], psi[::dense + 1], dpsi[::dense + 1] = xs, *vecs.T
-    finite = np.isfinite(x) & np.isfinite(psi) & np.isfinite(dpsi)
-    end = len(x) if finite.all() else int(np.argmin(finite))
-    rows = _table(PROPAGATE_COLUMNS,
-                  [a[:end] for a in (n, x, psi, dpsi, _log_norm(psi, dpsi))])
-    overflow = end < len(finite) or len(vecs) <= n_max
-    footers = [f"#overflow at n={n[end - 1] + 1}"] if overflow else []
+    s = sample_solution(run.system, lam, xi0, n_max, dense)
+    rows = _table(PROPAGATE_COLUMNS, [s.n, s.x, s.psi, s.dpsi, _log_norm(s.psi, s.dpsi)])
+    overflow = len(s.x) < n_max * (dense + 1) + 1  # the solution left double range
+    footers = [f"#overflow at n={s.n[-1] + 1}"] if overflow else []
     footers.append(f"# lambda={lam!r} n_max={n_max} xi0={xi0!r} "
                    f"dense_per_interval={dense}")
     return PROPAGATE_COLUMNS, rows, footers, params, overflow

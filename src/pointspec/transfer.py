@@ -173,36 +173,42 @@ def operator_norm(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SolutionSample:
-    """(x, psi(x), psi'(x)) sampled on a grid; right limits at lattice points."""
+    """Rows (n, x, psi(x), psi'(x)): n is the lattice index of the interval a
+    row lies in, and a lattice row holds the right limits at x_n."""
 
+    n: np.ndarray
     x: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
 
 
 def sample_solution(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
-                    grid=None) -> SolutionSample:
-    """Evaluate the solution on a grid inside [0, x_N].
+                    n_max: int = 0, dense_per_interval: int = 0) -> SolutionSample:
+    """The solution at x_0 .. x_{n_max} and at ``dense_per_interval`` evenly
+    spaced points inside each interval, in order of x.
 
-    Within each open cell the pair (psi, psi') is the free flow applied to
-    the boundary vector at the cell's left endpoint, so samples inherit the
-    interface conditions of the system's kind exactly.
+    Lattice rows are the vectors of ``propagate(system, lam, xi0, n_max)``;
+    a dense row is the free flow of its interval's lattice row, so rows
+    inherit the interface conditions of the system's kind exactly.  The rows
+    end before the first whose x, psi or psi' is not finite, so there are
+    fewer than ``n_max * (dense_per_interval + 1) + 1`` of them exactly when
+    the solution left double range.
     """
-    _check_lambda(lam)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("grid must be a nonempty 1-d array of positions")
-    if np.any(grid < 0):
-        raise ValueError("grid positions must be nonnegative")
-    x_max = float(np.max(grid))
-    lat = system.lattice
-    n = 0
-    while n < lat.max_index and lat.position(n + 1) <= x_max:
-        n += 1
-    if n < lat.max_index and lat.position(n + 1) == math.inf:
-        raise OverflowError("lattice position overflow inside sampling range")
-    xs = lat.positions(n)
-    vecs = propagate(system, lam, xi0, len(xs) - 1)
-    cell = np.searchsorted(xs, grid, side="right") - 1
-    psi, dpsi = free_flow(lam, grid - xs[cell], vecs[cell])
-    return SolutionSample(x=grid, psi=psi, dpsi=dpsi)
+    if dense_per_interval < 0:
+        raise ValueError("dense_per_interval must be >= 0")
+    try:
+        vecs = propagate(system, lam, xi0, n_max)
+    except PropagationOverflow as exc:  # its rows before the step
+        vecs = exc.vectors
+    xs = system.lattice.positions(len(vecs) - 1)
+    # each interval's rows: its left lattice point, then the free flow of its
+    # vector at the dense points
+    step = dense_per_interval + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.append(np.linspace(xs[:-1], xs[1:], step + 1, axis=1)[:, :-1], xs[-1])
+        n = np.arange(len(x), dtype=np.int64) // step
+        psi, dpsi = free_flow(lam, x - xs[n], vecs[n])
+    x[::step], psi[::step], dpsi[::step] = xs, *vecs.T
+    finite = np.isfinite(x) & np.isfinite(psi) & np.isfinite(dpsi)
+    end = len(x) if finite.all() else int(np.argmin(finite))
+    return SolutionSample(n[:end], x[:end], psi[:end], dpsi[:end])

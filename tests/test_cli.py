@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointspec import cli, fundamental_matrix
+from pointspec import cli, fundamental_matrix, sample_solution
 from pointspec.cli import ConfigError, main, parse_config
 from schemas import AVALUE_SCHEMA, CLASSIFY_SCHEMA, TABLE_SCHEMA
 
@@ -323,6 +323,10 @@ CONFIG_ERRORS = [
     ("avalue", json.dumps(edited(FACTORIAL_QUARTER, ("system", "positions"),
                                  {"type": "exponential", "c": 1.0, "q": 1.0, "r": 1e-320})),
      "q and r too small: gap 9999999 rounds to 0"),
+    # json's decoder recurses once per nested array
+    *(("avalue", json.dumps(edited(FACTORIAL_QUARTER, ("params", "window"), "NEST"))
+       .replace('"NEST"', "[" * depth + "[2, 3]" + "]" * depth),
+       "config {path} is nested too deeply") for depth in (990, 10**5)),
 ]
 
 
@@ -333,7 +337,8 @@ CONFIG_ERRORS = [
                               "n_points_minimum", "growth_window", "oracle",
                               "fd_h_without_oracle", "max_index_indices_collide",
                               "max_index_blocks_past_a_list", "power_gaps_round_to_0",
-                              "exponential_gaps_round_to_0"])
+                              "exponential_gaps_round_to_0", "nested_990",
+                              "nested_100000"])
 def test_config_error_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "config.json"
     if text is not None:
@@ -1069,6 +1074,30 @@ class TestPropagateCommand:
         assert [r[2:4] for r in rows[::3]] == vecs.tolist()
         assert [r[1] for r in rows[::3]] == \
             [float(math.factorial(n)) if n else 0.0 for n in range(171)]
+
+    @pytest.mark.parametrize("doc", [
+        json.loads((GOLDEN / "propagate.config.json").read_text()),
+        {"system": {"kind": "delta", "positions": {"type": "factorial"},
+                    "strengths": {"type": "constant", "c": 1.0}},
+         "params": {"lambda": 1.0, "n_max": 172, "dense_per_interval": 2}}],
+        ids=["golden", "factorial_overflow"])
+    def test_columns_are_sample_solution_arrays(self, tmp_path, capsys, doc):
+        from pointspec.transfer import _log_norm
+        code, out, _ = run_cli(["propagate", "--config", write_config(tmp_path, doc)],
+                               capsys)
+        assert code == 0
+        lines = out.splitlines()
+        p = doc["params"]
+        s = sample_solution(parse_config(doc).system, p["lambda"], n_max=p["n_max"],
+                            dense_per_interval=p["dense_per_interval"])
+        columns = list(zip(*(l.split(",") for l in lines[1:] if not l.startswith("#"))))
+        # every cell is its value's repr, so equal texts are equal bits
+        for text, want in zip(columns, (s.n, s.x, s.psi, s.dpsi,
+                                        _log_norm(s.psi, s.dpsi))):
+            assert list(text) == list(map(repr, want.tolist()))
+        full = len(s.x) == p["n_max"] * (p["dense_per_interval"] + 1) + 1
+        assert full == (p["n_max"] == 12)
+        assert ("#overflow at n=171" in lines) == (not full)
 
 
 def old_csv(columns, rows, footers):

@@ -339,28 +339,29 @@ class TestSampleSolution:
     def test_free_solution_is_sine(self):
         lat = SparseSet.explicit([0.0, 10.0])
         sys = SystemSpec("delta", lat, StrengthSequence.constant(0.0))
-        grid = np.linspace(0, 9.5, 97)
-        s = sample_solution(sys, 1.0, (0.0, 1.0), grid)
-        assert np.allclose(s.psi, np.sin(grid), atol=1e-10)
-        assert np.allclose(s.dpsi, np.cos(grid), atol=1e-10)
+        s = sample_solution(sys, 1.0, (0.0, 1.0), 1, dense_per_interval=96)
+        assert np.array_equal(s.x, np.linspace(0.0, 10.0, 98))
+        assert np.array_equal(s.n, [0] * 97 + [1]) and s.n.dtype == np.int64
+        assert np.allclose(s.psi, np.sin(s.x), atol=1e-10)
+        assert np.allclose(s.dpsi, np.cos(s.x), atol=1e-10)
 
     def test_delta_keeps_value_continuous(self, rng):
         sys = random_small_system(rng, "delta", 2, alpha_range=(2, 6))
         lam = 2.0
         x1 = sys.lattice.position(1)
-        right = sample_solution(sys, lam, (0.0, 1.0), np.array([x1]))
+        right = sample_solution(sys, lam, (0.0, 1.0), 1)
+        assert right.x[-1] == x1 and right.n[-1] == 1
         left_vec = fundamental_matrix(lam, x1) @ [0.0, 1.0]
-        assert float(np.real(right.psi[0])) == pytest.approx(left_vec[0],
-                                                             rel=1e-10)
+        assert right.psi[-1] == pytest.approx(left_vec[0], rel=1e-10)
 
     def test_delta_prime_keeps_derivative_continuous(self, rng):
         sys = random_small_system(rng, "delta_prime", 2, alpha_range=(2, 6))
         lam = 2.0
         x1 = sys.lattice.position(1)
-        right = sample_solution(sys, lam, (0.0, 1.0), np.array([x1]))
+        right = sample_solution(sys, lam, (0.0, 1.0), 1)
+        assert right.x[-1] == x1 and right.n[-1] == 1
         left_vec = fundamental_matrix(lam, x1) @ [0.0, 1.0]
-        assert float(np.real(right.dpsi[0])) == pytest.approx(left_vec[1],
-                                                              rel=1e-10)
+        assert right.dpsi[-1] == pytest.approx(left_vec[1], rel=1e-10)
 
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_interface_conditions_at_every_lattice_point(self, kind, rng):
@@ -384,18 +385,37 @@ class TestSampleSolution:
             diagonalizer(-1.0)
         with pytest.raises(ValueError):
             inverse_step_diagonalized("delta", -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            sample_solution(UNIT, -1.0, n_max=2)
 
     def test_free_equation_residual_inside_cells(self, rng):
         sys = random_small_system(rng, "delta", 3, alpha_range=(-4, 4))
         lam = 2.5
         x1, x2 = sys.lattice.position(1), sys.lattice.position(2)
         h = (x2 - x1) / 400
-        grid = np.linspace(x1 + h, x2 - h, 399)
-        s = sample_solution(sys, lam, (0.0, 1.0), grid)
-        psi = np.real(s.psi)
+        s = sample_solution(sys, lam, (0.0, 1.0), 2, dense_per_interval=399)
+        cell = s.n == 1  # x_1 (its right limit), then 399 points inside
+        assert np.allclose(np.diff(s.x[cell]), h, rtol=1e-9)
+        psi = s.psi[cell]
         second = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / h**2
         residual = np.abs(second + lam * psi[1:-1])
         assert residual.max() < 1e-4 * max(np.abs(psi).max(), 1.0)
+
+    def test_lattice_rows_are_propagate_vectors(self, rng):
+        sys = random_small_system(rng, "delta_prime", 6)
+        s = sample_solution(sys, 1.7, (0.3, -1.0), 6, dense_per_interval=3)
+        assert len(s.x) == 6 * 4 + 1
+        assert np.array_equal(s.n[::4], np.arange(7))
+        assert np.array_equal(s.x[::4], sys.lattice.positions(6))
+        vecs = propagate(sys, 1.7, (0.3, -1.0), 6)
+        assert np.array_equal(np.stack([s.psi[::4], s.dpsi[::4]], axis=1), vecs)
+
+    def test_factorial_rows_end_before_x171(self):
+        # gap 170 = 170 * 170! is past double range, so step 171 overflows
+        s = sample_solution(FACTORIAL, 1.0, n_max=180, dense_per_interval=2)
+        assert len(s.x) == 171 + 170 * 2 < 180 * 3 + 1
+        assert s.n[-1] == 170 and s.x[-1] == float(math.factorial(170))
+        assert np.isfinite(s.psi).all() and np.isfinite(s.dpsi).all()
 
 
 UNIT = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.0]),
@@ -409,17 +429,10 @@ FACTORIAL = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.constant
      "initial boundary vector must have two components"),
     (lambda: inverse_step_diagonalized("delta_triple", 1.0, 1.0, 1.0), ValueError,
      "kind must be one of ('delta', 'delta_prime'), got 'delta_triple'"),
-    (lambda: sample_solution(UNIT, 1.0, grid=[]), ValueError,
-     "grid must be a nonempty 1-d array of positions"),
-    (lambda: sample_solution(UNIT, 1.0, grid=[[0.5]]), ValueError,
-     "grid must be a nonempty 1-d array of positions"),
-    (lambda: sample_solution(UNIT, 1.0, grid=[0.5, -0.5]), ValueError,
-     "grid positions must be nonnegative"),
-    # x_170 = 170! < 1e308 < x_171, which is past double range
-    (lambda: sample_solution(FACTORIAL, 1.0, grid=[1e308]), OverflowError,
-     "lattice position overflow inside sampling range"),
-], ids=["step_matrix", "propagate", "inverse_step_diagonalized", "sample_solution-empty",
-        "sample_solution-2d", "sample_solution-negative", "sample_solution-overflow"])
+    (lambda: sample_solution(UNIT, 1.0, n_max=2, dense_per_interval=-1), ValueError,
+     "dense_per_interval must be >= 0"),
+], ids=["step_matrix", "propagate", "inverse_step_diagonalized",
+        "sample_solution-negative-dense"])
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
