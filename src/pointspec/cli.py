@@ -81,6 +81,11 @@ def _check_finite(v, where: str, entry: bool = False):
         for key, x in v.items():
             _check_finite(x, f"{where}.{key}" if where else key)
     elif isinstance(v, list):
+        try:  # fsum is exact: it is finite only if every entry is a finite number
+            if math.isfinite(math.fsum(v)):
+                return
+        except (TypeError, ValueError, OverflowError):  # a non-number, inf - inf, overflow
+            pass
         for x in v:
             _check_finite(x, where, True)
     elif _is_number(v):

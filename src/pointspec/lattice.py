@@ -223,14 +223,18 @@ class SparseSet:
     def positions(self, n_max: int) -> np.ndarray:
         """x_0 .. x_{n_max} as an array (entries may be +inf).
 
-        Factorial positions are a slice of the exact table, +inf beyond it;
-        the other generators stay scalar, so each entry is ``position``'s
-        double (numpy's vectorized ``power`` and ``exp`` may round
-        differently from libm's)."""
-        if self.kind != "factorial":
+        Factorial and explicit positions are slices of the exact table and
+        of the points, +inf beyond the table; the other generators stay
+        scalar, so each entry is ``position``'s double (numpy's vectorized
+        ``power`` and ``exp`` may round differently from libm's)."""
+        if self.kind not in ("factorial", "explicit"):
             return np.array([self.position(n) for n in range(n_max + 1)])
         if n_max >= 0:
             self.position(n_max)  # the index check
+        if self.kind == "explicit":
+            xs = np.array(self.points[:max(n_max + 1, 0)], dtype=float)
+            xs[:1] = 0.0  # x_0 as ``position`` spells it, whatever the sign of the first zero
+            return xs
         xs = _FACTORIAL_POSITIONS[:max(n_max + 1, 0)]
         return np.concatenate([xs, np.full(max(n_max + 1 - len(xs), 0), math.inf)])
 

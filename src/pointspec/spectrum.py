@@ -36,8 +36,7 @@ _CALL_ENERGIES = 512  # most midpoints a count call of more than one level takes
 _FD_GRID = 512  # cells of the FD oracle's isolation grid
 _FD_TREE_LEVELS = 9  # an FD count costs little per energy: up to 511 midpoints a bracket
 _TINY = 1e-100  # least angle of a cell's or an FD run's map: keeps every map finite
-_FD_ROWS = 8  # FD count denominators held at once
-_FD_BLOCK = 64  # most distinct lengths whose maps are formed at once, and most kicks
+_FD_BLOCK = 64  # most distinct lengths whose maps are formed at once, most kicks, most FD rows
 # half-width, relative, of the interval fd_oracle_nearest certifies about each
 # energy; a value within half of it is accepted.  The benchmark's 702 roots at
 # fd_h 1/128 lie within 2.2e-4 of their nearest FD eigenvalues
@@ -341,16 +340,17 @@ def _shooting_cells(system: SystemSpec, n_max: int):
     Reads the gaps and strengths once, for every count of a solve.  Returns
     the cells in ``_distinct_blocks``, each kick the strength at the node
     the cell starts from (0 at x_0; the interaction at x_N is inert under
-    the closure), and whether the kind is delta-prime.  Strengths past
-    double range raise OverflowError.
+    the closure) in a column, and whether the kind is delta-prime.
+    Strengths past double range raise OverflowError.
     """
     alphas = system.strengths.alphas(1, n_max)[:-1].tolist()
     gaps = system.lattice.gaps(0, n_max - 1).tolist()
-    blocks = [(lengths, weights, cells, np.array(kicks)) for lengths, weights, cells, kicks
-              in _distinct_blocks(gaps, [0.0, *alphas])]
+    blocks = [(lengths, weights, cells, np.array(kicks)[:, None])
+              for lengths, weights, cells, kicks in _distinct_blocks(gaps, [0.0, *alphas])]
     return blocks, system.kind == DELTA_PRIME
 
 
+@np.errstate(all="ignore")  # only an exact psi = 0 at a node divides by 0
 def _count_below(blocks: list, delta_prime: bool, lams) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues at or below each energy of a truncation (``_shooting_cells``),
     and u = cot(phi) at x_N.
@@ -380,84 +380,148 @@ def _count_below(blocks: list, delta_prime: bool, lams) -> tuple[np.ndarray, np.
     """
     rt = np.sqrt(np.asarray(lams, dtype=float))
     beta = -rt if delta_prime else 1.0 / rt
-    count = np.zeros(len(rt))  # whole numbers, exact below 2^53
-    u = np.zeros(len(rt))
-    start = not delta_prime  # the first cell sets u, with no denominator
-    with np.errstate(all="ignore"):  # only an exact psi = 0 at a node divides by 0
-        for lengths, weights, cells, kicks in blocks:
-            whole, rho = np.divmod(lengths * rt, math.pi)  # rho exact, in [0, pi)
-            count += weights @ whole
-            np.maximum(rho, _TINY, out=rho)
-            cot = np.cos(rho)
-            cot /= np.sin(rho, out=rho)
-            for lo in range(0, len(cells), _FD_BLOCK):
-                # each cell's kick, then its denominator in the same row
-                dens = np.multiply.outer(kicks[lo:lo + _FD_BLOCK], beta)
-                for den, cell in zip(dens, cells[lo:lo + _FD_BLOCK]):
-                    c = cot[cell]
-                    if start:
-                        u[:] = c
-                        den.fill(1.0)
-                        start = False
-                        continue
-                    u += den
-                    np.add(u, c, out=den)
-                    u *= c
-                    u -= 1.0
-                    u /= den
-                count += np.add.reduce(dens <= 0.0, axis=0)
-    if np.isnan(u).any():  # NaN sticks, and misses every crossing after it
+    count = 0.0  # whole numbers, exact below 2^53
+    u = np.zeros(len(rt)) if delta_prime else None  # None: the first cell sets u
+    for lengths, weights, cells, kicks in blocks:
+        whole, rho = np.divmod(lengths * rt, math.pi)  # rho exact, in [0, pi)
+        count += weights @ whole
+        np.maximum(rho, _TINY, out=rho)
+        cot = np.cos(rho)
+        cot = list(np.divide(cot, np.sin(rho, rho), cot))  # one row per distinct gap
+        for lo in range(0, len(cells), _FD_BLOCK):
+            # each cell's kick, then its denominator in the same row
+            dens = kicks[lo:lo + _FD_BLOCK] * beta
+            for den, cell in zip(dens, cells[lo:lo + _FD_BLOCK]):
+                c = cot[cell]
+                if u is None:
+                    u = c.copy()
+                    den.fill(1.0)
+                    continue
+                np.add(u, den, u)
+                np.add(u, c, den)
+                np.multiply(u, c, u)
+                np.subtract(u, 1.0, u)
+                np.divide(u, den, u)
+            count += np.add.reduce(dens <= 0.0, axis=0)
+    # NaN sticks, and misses every crossing after it
+    if math.isnan(np.minimum.reduce(u, initial=0.0)):
         raise OverflowError("Prufer cotangent passed double range")
     return count.astype(np.int64), u
 
 
-def _bisect_tree(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: np.ndarray,
-                 tol: float, max_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Several bisection steps of every bracket from one call of ``count``.
+def _stop(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
+    """A width above which every bracket [lo, hi] is live: math.ulp at the
+    largest |edge| bounds every bracket's own gap between adjacent doubles."""
+    return max(tol, math.ulp(max(-np.minimum.reduce(lo), np.maximum.reduce(hi))))
 
-    Halves every sub-bracket of each bracket ``levels`` times, each midpoint
-    0.5 * (a + b) of its own sub-bracket, and counts all the midpoints in one
-    call.  ``levels`` is ``max_levels`` while the trees fit in
+
+def _tree(lo: np.ndarray, hi: np.ndarray, tol: float, max_levels: int, stop=None):
+    """The live brackets [lo, hi] and the midpoints of several bisection steps of each.
+
+    A bracket is live while wider than ``tol`` and than the gap between
+    adjacent doubles at its upper edge; ``stop`` is ``_stop``'s width where
+    the caller knows it is ``tol``.  Halves every sub-bracket of each
+    live bracket ``levels`` times, each midpoint 0.5 * (a + b) of its own
+    sub-bracket.  ``levels`` is ``max_levels`` while the trees fit in
     ``_CALL_ENERGIES`` midpoints and shrinks as the brackets grow in number,
     down to one step per call: there a deeper tree would multiply the
-    energies that one-at-a-time bisection counts.  Each root then walks down
-    its tree under the same stopping test as before every step: the brackets
-    are those of one-at-a-time bisection, bit for bit.  ``width`` is hi - lo.
+    energies that one-at-a-time bisection counts.
+
+    Returns None when no bracket is live, else ``(live, edges, mids,
+    wide)``: ``live`` is None when every bracket is, else their mask;
+    ``edges`` holds one row of 2^(levels + 1) per live bracket, its first
+    2^levels + 1 entries the edges of its tree in order; ``mids`` are the
+    trees' midpoints, tree by tree, one contiguous array to count; ``wide``
+    is true when every cell a step starts from is live.  A row is twice as
+    long as its tree so that the midpoints of a level are one strided run
+    through all the rows (the second half of a row bisects the gap up to
+    the next row's bracket, and is never counted).
     """
-    # a bracket wider than stop is live, and `needed` steps bring the widest
-    # down to stop: a deeper tree would only add energies
-    stop = max(tol, math.ulp(max(-lo.min(), hi.max())))
-    needed = math.ceil(math.log2(width.max() / stop))
-    levels = max(1, min(max_levels, needed,
-                        int(math.log2(_CALL_ENERGIES / len(lo) + 1))))
-    edges = np.empty((len(lo), 2**levels + 1))
-    edges[:, 0], edges[:, -1] = lo, hi
+    width = hi - lo
+    if stop is None:
+        stop = _stop(lo, hi, tol)
+    narrowest = np.minimum.reduce(width)
+    live = None
+    if not narrowest > stop:  # some bracket may have stopped: test each
+        live = width > np.maximum(tol, np.spacing(np.abs(hi)))
+        if not live.any():
+            return None
+        lo, hi, width = lo[live], hi[live], width[live]
+        stop = _stop(lo, hi, tol)
+        narrowest = np.minimum.reduce(width)
+    levels = max(1, min(max_levels, int(math.log2(_CALL_ENERGIES / len(lo) + 1))))
+    # `needed` steps bring the widest down to stop: a deeper tree would only
+    # add energies (and the widest needs no fewer steps than the narrowest)
+    if math.ceil(math.log2(narrowest / stop)) < levels:
+        needed = math.ceil(math.log2(np.maximum.reduce(width) / stop))
+        levels = max(1, min(levels, needed))
+    size = 2**levels
+    flat = np.empty(2 * size * len(lo) + 1)  # the last entry closes the last row
+    edges = flat[:-1].reshape(len(lo), 2 * size)
+    edges[:, 0], edges[:, size], flat[-1] = lo, hi, hi[-1]
     for level in range(levels - 1, -1, -1):  # each sub-bracket's midpoint, top down
         step = 2**level
-        mid = edges[:, step::2 * step]
-        np.add(edges[:, :-step:2 * step], edges[:, 2 * step::2 * step], out=mid)
-        mid *= 0.5
-    counts = count(edges[:, 1:-1].ravel()).reshape(len(lo), -1)
-    rows = np.arange(len(js))
-    if ((counts[:, 1:] >= counts[:, :-1]).all()
-            and (edges[:, 2::2] - edges[:, :-2:2]).min() > stop):
-        # the count rises along every tree, and every cell a step starts from
-        # passes the stopping test: each walk ends in the finest cell where
-        # the count reaches its root
-        at = (counts < js[:, None]).sum(axis=1)
-        return edges[rows, at], edges[rows, at + 1]
-    mids = edges[:, 1:-1]  # ascending; the tree's root sits in the middle
-    left_of = counts >= js[:, None]
-    at = np.full(len(js), -1)  # mids[at]: left edge (-1: lo)
-    live = True  # every bracket passed in is live
-    for level in range(levels - 1, -1, -1):
-        at += 2**level  # each sub-bracket's midpoint
-        mid, left = mids[rows, at], left_of[rows, at]
-        hi = np.where(live & left, mid, hi)
-        lo = np.where(live & ~left, mid, lo)
-        at -= 2**level * left  # roots left of it keep their left edge
-        if level:
-            live = hi - lo > np.maximum(tol, np.spacing(np.abs(hi)))
+        mid = flat[step::2 * step]
+        np.add(flat[:-step:2 * step], flat[2 * step::2 * step], mid)
+        np.multiply(mid, 0.5, mid)
+    # a step takes a width w to at least w / 2 - stop / 2, so the cells of
+    # the last step stay wider than stop while the narrowest bracket is
+    # wider than 2^(levels + 2) stop; nearer the end each cell is measured
+    wide = (levels == 1 or narrowest > 2.0**(levels + 2) * stop or np.minimum.reduce(
+        edges[:, 2:size + 1:2] - edges[:, :size - 1:2], axis=None) > stop)
+    return live, edges, edges[:, 1:size].ravel(), wide
+
+
+def _descend(js: np.ndarray, lo: np.ndarray, hi: np.ndarray, tree, counts: np.ndarray,
+             tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The brackets of the js-th eigenvalues after a counted ``_tree`` of [lo, hi].
+
+    ``counts`` are the counts at the tree's midpoints.  Each root walks down
+    its tree under the same stopping test as before every step of
+    one-at-a-time bisection, so the brackets are that bisection's, bit for
+    bit.  Where each tree's midpoints left of its root come first, the walk
+    follows the cells that end at the last of them, down to the finest, and
+    stops in the first of those cells that is not live: the cells of the
+    path are read directly, and measured only where some cell a step starts
+    from may have stopped (not ``wide``).  Trees whose count steps back are
+    walked step by step.  Brackets that were not live keep their place.
+    """
+    live, edges, _, wide = tree
+    if live is not None:
+        js = js[live]
+    n, size = len(js), edges.shape[1] // 2
+    below = counts.reshape(n, size - 1) < js[:, None]  # midpoints left of each root
+    flat, rows = edges.ravel(), np.arange(0, 2 * size * n, 2 * size)
+    if not np.count_nonzero(below[:, 1:] > below[:, :-1]):
+        at = np.add.reduce(below, axis=1)  # each root's finest cell
+        if wide:
+            at += rows
+            walked = flat.take(at), flat.take(at + 1)
+        else:  # each path's cells after 1, 2, ... steps: the walk ends in the first not live
+            shift = np.arange(size.bit_length() - 2, -1, -1)[:, None]
+            left = (at >> shift << shift) + rows
+            a, b = flat.take(left), flat.take(left + (1 << shift))
+            stopped = b - a <= np.maximum(tol, np.spacing(np.abs(b)))
+            stopped[-1] = True  # or in the finest
+            depth, cols = np.argmax(stopped, axis=0), np.arange(n)
+            walked = a[depth, cols], b[depth, cols]
+    else:
+        cols = np.arange(n)
+        at = np.zeros(n, dtype=np.intp)  # each bracket's left edge
+        a, b = edges[:, 0], edges[:, size]
+        steps = True  # every bracket of the tree is live
+        for level in range(size.bit_length() - 2, -1, -1):
+            at += 2**level  # each sub-bracket's midpoint
+            mid, left = edges[cols, at], ~below[cols, at - 1]
+            b = np.where(steps & left, mid, b)
+            a = np.where(steps & ~left, mid, a)
+            at -= 2**level * left  # roots left of it keep their left edge
+            if level:
+                steps = b - a > np.maximum(tol, np.spacing(np.abs(b)))
+        walked = a, b
+    if live is None:
+        return walked
+    lo[live], hi[live] = walked
     return lo, hi
 
 
@@ -468,20 +532,16 @@ def _bisect(count, js: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float,
     ``count(lams)`` gives the eigenvalues at or below each energy, and each
     bracket holds its root: count(lo) < j <= count(hi).  Brackets stop once
     no wider than ``tol``, or than the gap between adjacent doubles; each
-    call of ``count`` serves up to ``max_levels`` steps (``_bisect_tree``).
+    call of ``count`` serves up to ``max_levels`` steps of every live
+    bracket (``_tree``, ``_descend``).
     """
-    while True:
-        width = hi - lo
-        # adjacent doubles cannot be split, whatever tol asks
-        live = width > np.maximum(tol, np.spacing(np.abs(hi)))
-        n_live = np.count_nonzero(live)
-        if not n_live:
-            return lo, hi
-        if n_live == len(live):
-            lo, hi = _bisect_tree(count, js, lo, hi, width, tol, max_levels)
-        else:
-            lo[live], hi[live] = _bisect_tree(count, js[live], lo[live], hi[live],
-                                              width[live], tol, max_levels)
+    if not len(js):
+        return lo, hi
+    # brackets only shrink: where tol alone stops them now, it does in every round
+    stop = tol if _stop(lo, hi, tol) == tol else None
+    while (tree := _tree(lo, hi, tol, max_levels, stop)) is not None:
+        lo, hi = _descend(js, lo, hi, tree, count(tree[2]), tol)
+    return lo, hi
 
 
 def truncated_eigenvalues(system: SystemSpec, n_max: int,
@@ -671,7 +731,12 @@ def fd_oracle_nearest(system: SystemSpec, n_max: int, h: float, lams,
     the list's length is min(count(upper) + 1, size), and each j-th
     eigenvalue is bisected from its grid cell along the path the full list
     takes, its steps replayed without counting while their midpoints lie
-    outside the interval (``_replay``).  Where each value lies within
+    outside the interval (``_replay``).  Where every interval lies inside
+    one grid cell, that cell is, for a count that rises along the grid, the
+    one the certificate finds: the replayed brackets are known before any
+    count, and the first tree of their bisection (``_tree``) is counted in
+    the certificate's call, then walked once the certificate and the cells
+    hold.  Where each value lies within
     ``_FD_NEAR`` |lam| / 2 of its energy it is the nearest by a margin, and
     is returned.  Otherwise the full list is bisected and searched, from
     the mesh and grid counts already taken.
@@ -680,14 +745,29 @@ def fd_oracle_nearest(system: SystemSpec, n_max: int, h: float, lams,
     oracle = _FdOracle(system, n_max, h)
     radius = _FD_NEAR * np.abs(lams)
     below, above = lams - radius, lams + radius
-    counts = oracle.count_grid(upper, np.concatenate([[upper + 4.0 * oracle.tol], below, above]))
+    grid, n = oracle.grid, len(lams)
+    cell = np.searchsorted(grid, below, side="right") - 1  # grid[cell] <= below
+    inside = (n > 0 and cell.min() >= 0 and cell.max() < _FD_GRID
+              and (above <= grid[cell + 1]).all())
+    tree = None
+    if inside:
+        lo, hi = _replay(grid[cell], grid[cell + 1], below, above, oracle.tol)
+        tree = _tree(lo, hi, oracle.tol, _FD_TREE_LEVELS)
+    counts = oracle.count_grid(upper, np.concatenate(
+        [[upper + 4.0 * oracle.tol], below, above, () if tree is None else tree[2]]))
     at_upper, past_upper = counts[:2]
-    to_below, to_above = np.split(counts[2:], 2)
-    if past_upper == at_upper and np.all(to_above - to_below == 1):
+    to_below, to_above = counts[2:2 + n], counts[2 + n:2 + 2 * n]
+    if past_upper == at_upper and (to_above - to_below == 1).all():
         js, first = np.unique(to_above, return_index=True)
-        lo, hi = _replay(*oracle.cells(js), below[first], above[first], oracle.tol)
+        cell_lo, cell_hi = oracle.cells(js)
+        if inside and (cell_lo == grid[cell[first]]).all():
+            if tree is not None:
+                lo, hi = _descend(to_above, lo, hi, tree, counts[2 + 2 * n:], oracle.tol)
+            lo, hi = lo[first], hi[first]
+        else:
+            lo, hi = _replay(cell_lo, cell_hi, below[first], above[first], oracle.tol)
         values = oracle.eigenvalues(js, lo, hi)[np.searchsorted(js, to_above)]
-        if np.all(np.abs(values - lams) < 0.5 * radius):
+        if (np.abs(values - lams) < 0.5 * radius).all():
             return values, int(min(at_upper + 1, oracle.size))
     fd = oracle.through(upper, at_upper)
     return fd[np.argmin(np.abs(fd - lams[:, None]), axis=1)], len(fd)
@@ -702,12 +782,14 @@ def _replay(lo: np.ndarray, hi: np.ndarray, below: np.ndarray, above: np.ndarray
     ``below`` under the root (it becomes lo) and one at or above ``above``
     over it (it becomes hi).  Steps are replayed so, under ``_bisect``'s
     stopping test, until a midpoint falls inside the interval: the brackets
-    are those ``_bisect`` reaches from [lo, hi], bit for bit.  A few brackets
-    of ~15 steps each: scalar steps cost less than array ones.
+    are those ``_bisect`` reaches from [lo, hi], bit for bit.  ``tol`` is the
+    FD oracle's 2 ulp ||T||, above the gap between adjacent doubles anywhere
+    on its grid, so that test is width > tol.  A few brackets of ~15 steps
+    each: scalar steps cost less than array ones.
     """
     los, his = [], []
     for a, b, left, right in zip(lo.tolist(), hi.tolist(), below.tolist(), above.tolist()):
-        while b - a > max(tol, math.ulp(abs(b))):  # np.spacing(|b|), as _bisect's test
+        while b - a > tol:
             mid = 0.5 * (a + b)
             if mid <= left:
                 a = mid
@@ -741,9 +823,9 @@ def _fd_runs(system: SystemSpec, n_max: int, h: float):
         raise ValueError("mesh too coarse for the truncation length")
     points = system.lattice.positions(n_max)[1:] / h
     nodes = np.rint(points)  # nondecreasing
-    if nodes[0] <= 0 or np.any(nodes[1:] == nodes[:-1]):
+    if nodes[0] <= 0 or np.count_nonzero(nodes[1:] == nodes[:-1]):
         raise ValueError("lattice points collide on the mesh; refine h")
-    if np.any(off := np.abs(points - nodes) > 1e-9):
+    if np.count_nonzero(off := np.abs(points - nodes) > 1e-9):
         n = int(np.argmax(off)) + 1
         raise ValueError(f"lattice point x_{n} = {system.lattice.position(n)!r} is off the "
                          f"FD mesh of fd_h = {h!r}; choose an fd_h that divides the gaps")
@@ -753,17 +835,19 @@ def _fd_runs(system: SystemSpec, n_max: int, h: float):
     delta_prime = system.kind == DELTA_PRIME
     kept = np.abs(a) > 1e-12 if delta_prime else a != 0.0
     a = a[kept]
-    gaps = np.diff(np.concatenate([[0], nodes[inner][kept], [m]])).tolist()
+    ends = np.concatenate([[0.0], nodes[inner][kept], [m]])
+    gaps = (ends[1:] - ends[:-1]).tolist()
     blocks = _distinct_blocks(gaps, [None, *a.tolist()])
     # bonds of weight 1/h add at most 4/h^2 per unit mass; a delta node adds
     # alpha/h, a split node's bond 1/alpha at most 4/(alpha h) either way
     extra = a / h if not delta_prime else 4.0 / (a * h)
-    bounds = (min(0.0, np.min(extra, initial=0.0)),
-              4.0 / h**2 + max(0.0, np.max(extra, initial=0.0)))
+    bounds = (np.minimum.reduce(extra, initial=0.0),
+              4.0 / h**2 + np.maximum.reduce(extra, initial=0.0))
     size = m + len(a) if delta_prime else m - 1
     return (h, blocks, delta_prime), size, bounds
 
 
+@np.errstate(all="ignore")  # only an exact u = 0 at a node divides by 0
 def _fd_count_below(h: float, blocks: list, delta_prime: bool, lams) -> np.ndarray:
     """Eigenvalues at or below each energy of the FD matrix, run by run.
 
@@ -780,47 +864,48 @@ def _fd_count_below(h: float, blocks: list, delta_prime: bool, lams) -> np.ndarr
     A split delta-prime node is two rows: u jumps by alpha D while D carries
     over, so v goes to (v / alpha) / (v + 1 / alpha), whose denominator is
     the left row's pivot.  The Neumann row at x_N has pivot v.
-    The run maps are formed a block of runs at a time, so memory stays
-    O(energies) however many distinct run lengths there are.
+    The run maps are formed a block of runs at a time, and the denominators
+    counted ``_FD_BLOCK`` rows at a time, so memory stays O(energies)
+    however many runs and distinct run lengths there are.
     """
     x = np.asarray(lams, dtype=float)
-    count = np.zeros(len(x), dtype=np.int64)
     if not len(x):
-        return count
+        return np.zeros(0, dtype=np.int64)
+    count = 0.0  # whole numbers, exact below 2^53
     # one denominator per step, counted a block of rows at a time
-    dens, k = np.empty((_FD_ROWS, len(x))), 0
-    rows = list(dens)
-    with np.errstate(all="ignore"):  # only an exact u = 0 at a node divides by 0
-        for lengths, weights, runs, kicks in blocks:
-            maps, s2, turns = _fd_run_maps(h, lengths, x)
-            count += (weights @ turns).astype(np.int64)
-            maps = list(maps)
-            for run, alpha in zip(runs, kicks):
-                run_map = maps[run]
-                if alpha is None:  # the first run starts from u = 0: no denominator
-                    v = run_map.copy()
-                    continue
-                if delta_prime:
-                    jump = 1.0 / alpha
-                    np.add(v, jump, out=rows[k])
-                    v *= jump
-                    v /= rows[k]
-                    k += 1
-                else:
-                    v += alpha
-                den = rows[k]
-                np.add(v, run_map, out=den)
-                v *= run_map
-                v -= s2
-                v /= den
+    dens, k = np.empty((_FD_BLOCK, len(x))), 0
+    for lengths, weights, runs, kicks in blocks:
+        maps, s2, turns = _fd_run_maps(h, lengths, x)
+        count += weights @ turns
+        maps = list(maps)
+        for run, alpha in zip(runs, kicks):
+            run_map = maps[run]
+            if alpha is None:  # the first run starts from u = 0: no denominator
+                v = run_map.copy()
+                continue
+            if delta_prime:
+                jump = 1.0 / alpha
+                den = dens[k]
+                np.add(v, jump, den)
+                np.multiply(v, jump, v)
+                np.divide(v, den, v)
                 k += 1
-                if k >= _FD_ROWS - 1:  # room for the next step's two rows
-                    count += np.add.reduce(dens[:k] <= 0.0, axis=0)
-                    k = 0
+            else:
+                np.add(v, alpha, v)
+            den = dens[k]
+            np.add(v, run_map, den)
+            np.multiply(v, run_map, v)
+            np.subtract(v, s2, v)
+            np.divide(v, den, v)
+            k += 1
+            if k >= _FD_BLOCK - 1:  # room for the next step's two rows
+                count += np.add.reduce(dens[:k] <= 0.0, axis=0)
+                k = 0
     if delta_prime:
         dens[k] = v
         k += 1
-    return count + np.add.reduce(dens[:k] <= 0.0, axis=0)
+    count += np.add.reduce(dens[:k] <= 0.0, axis=0)
+    return count.astype(np.int64)
 
 
 def _fd_run_maps(h: float, lengths: np.ndarray, x: np.ndarray):
@@ -843,9 +928,10 @@ def _fd_run_maps(h: float, lengths: np.ndarray, x: np.ndarray):
     Angles are kept at or above _TINY, so A stays finite where rho or eta
     vanish within rounding; there it takes its limit.
     """
-    z = (0.5 * h) * np.sqrt(np.abs(x))  # sin(theta / 2), or its continuation
-    if x.min() >= 0.0 and z.max() < 1.0:
+    z = (0.5 * h) * np.sqrt(x)  # sin(theta / 2); NaN where lam < 0
+    if np.maximum.reduce(z) < 1.0:
         return _fd_turning_maps(h, lengths, z)
+    z = (0.5 * h) * np.sqrt(np.abs(x))  # and its continuation
     maps, s2, turns = _fd_turning_maps(h, lengths, np.minimum(z, 1.0))
     hyperbolic = (x < 0.0) | (z >= 1.0)  # theta imaginary, or pi plus imaginary
     z, above = z[hyperbolic], x[hyperbolic] > 0.0

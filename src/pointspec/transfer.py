@@ -79,7 +79,7 @@ class PropagationOverflow(OverflowError):
 
 def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
               n_max: int = 0) -> np.ndarray:
-    """Boundary vectors xi_0 .. xi_{n_max} from a real xi0, shape (n_max+1, 2).
+    """Boundary vectors xi_0 .. xi_{n_max} from a real, finite, nonzero xi0, shape (n_max+1, 2).
 
     Step n is step_matrix(system, lam, n), whose entries for all steps come
     from one gaps and one alphas evaluation (which refuses an alpha_n past
@@ -95,6 +95,8 @@ def propagate(system: SystemSpec, lam: float, xi0=DIRICHLET_START,
     if not np.any(xi0 != 0):
         raise ValueError("initial boundary vector must be nonzero")
     rows = [tuple(xi0.astype(float).tolist())]
+    if not all(map(math.isfinite, rows[0])):
+        raise ValueError("initial boundary vector must be finite")
     if n_max > 0:
         a = system.strengths.alphas(1, n_max)
         m = _cell(lam, system.lattice.gaps(0, n_max - 1), system.kind, a)

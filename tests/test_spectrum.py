@@ -1,3 +1,4 @@
+import json
 import math
 from collections import defaultdict
 from pathlib import Path
@@ -606,6 +607,72 @@ class TestCoarseGridAndMidpointTree:
             assert len(res) > 250 and 0 < ours <= sum(map(len, calls["all"]))
 
 
+def bisect_one_at_a_time(count, js, lo, hi, tol):
+    """Reference bisection: one midpoint per bracket and round, under
+    ``_bisect``'s stopping test (tol, or the gap between adjacent doubles at |hi|)."""
+    lo, hi = lo.copy(), hi.copy()
+    while np.any(live := hi - lo > np.maximum(tol, np.spacing(np.abs(hi)))):
+        mid = 0.5 * (lo[live] + hi[live])
+        left = count(mid) >= js[live]
+        hi[live] = np.where(left, mid, hi[live])
+        lo[live] = np.where(left, lo[live], mid)
+    return lo, hi
+
+
+def step_count(roots, backs=(), stepped_back=None):
+    """Roots at or below each energy, one fewer inside each (a, b] of
+    ``backs``; appends to ``stepped_back`` the energies counted there."""
+    def count(lams):
+        got = np.searchsorted(roots, lams, side="right")
+        for a, b in backs:
+            inside = (lams > a) & (lams <= b)
+            got -= inside
+            if stepped_back is not None:
+                stepped_back.extend(lams[inside])
+        return got
+    return count
+
+
+class TestBisect:
+    @pytest.mark.parametrize("n_brackets", [1, 7, 300, 600])
+    @pytest.mark.parametrize("max_levels", [spectrum._TREE_LEVELS, spectrum._FD_TREE_LEVELS])
+    def test_equals_one_at_a_time_bisection(self, n_brackets, max_levels):
+        # step counts with random roots, some stepping back by one inside a
+        # 1e-9 band just above a root (the walk down each tree step by
+        # step), brackets below, across and above 0, tol 0 (adjacent
+        # doubles) among the tolerances, and brackets that start narrower
+        # than tol or far narrower than the others; 1, 7 and 300 brackets
+        # take trees of 9 levels down to 1, and 600, more than
+        # _CALL_ENERGIES, one level
+        rng = np.random.default_rng(100 * n_brackets + max_levels)
+        stepped_back = []
+        for i, (a, b) in enumerate([(0.5, 20.0), (-6.0, -0.25), (-1.0, 1.0), (1e3, 2e3)] * 3):
+            roots = np.sort(rng.uniform(a, b, n_brackets))
+            picked = roots[(rng.random(n_brackets) < 0.3) | (np.arange(n_brackets) == 0)]
+            shifts = rng.uniform(0.0, 1e-9, len(picked))
+            backs = [(r + d, r + d + 1e-9) for r, d in zip(picked, shifts)]
+            count = step_count(roots, backs if i % 3 else (), stepped_back)
+            grid = np.linspace(a - 0.01, b + 0.01, int(rng.integers(2, 3000)))
+            js = np.arange(1, n_brackets + 1)
+            cell = np.searchsorted(count(grid), js) - 1
+            lo, hi = grid[cell], grid[cell + 1]
+            tol = (0.0, 1e-10, 1e-6, 0.05)[i % 4]
+            # brackets about their roots, some narrower than tol from the
+            # start, some 2^-k of their cell, so they stop inside a tree
+            narrow = rng.random(n_brackets) < 0.2
+            lo[narrow] = np.nextafter(roots[narrow], -np.inf) - 0.25 * tol
+            hi[narrow] = roots[narrow] + 0.25 * tol
+            shrunk = ~narrow & (rng.random(n_brackets) < 0.3)
+            scale = 2.0 ** -rng.integers(1, 40, n_brackets)[shrunk]
+            lo[shrunk] = np.minimum(roots[shrunk] - (roots - lo)[shrunk] * scale,
+                                    np.nextafter(roots[shrunk], -np.inf))
+            hi[shrunk] = roots[shrunk] + (hi - roots)[shrunk] * scale
+            got = spectrum._bisect(count, js, lo.copy(), hi.copy(), tol, max_levels)
+            want = bisect_one_at_a_time(count, js, lo, hi, tol)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert stepped_back  # some midpoints met a count that stepped back
+
+
 class TestResiduals:
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_end_angle_matches_mpmath(self, kind):
@@ -951,7 +1018,51 @@ def full_list_nearest(system, n, h, lams, upper):
     return full[np.argmin(np.abs(full - lams[:, None]), axis=1)], len(full)
 
 
+def fd_eigenvalues_one_at_a_time(system, n, h, upper):
+    """Reference FD list: every eigenvalue at or below ``upper`` plus the next,
+    each from its grid cell of a full-grid count, one midpoint per round, to
+    the oracle's tolerance of 2 ulp ||T||."""
+    oracle = spectrum._FdOracle(system, n, h)
+    grid_counts = np.concatenate([[0], oracle.count(oracle.grid[1:-1]), [oracle.size]])
+    vals, wanted = np.zeros(0), min(int(oracle.count([upper])[0]) + 1, oracle.size)
+    while len(vals) < wanted or (vals[-1] <= upper and len(vals) < oracle.size):
+        js = np.arange(len(vals) + 1, max(wanted, len(vals) + 1) + 1)
+        cell = np.searchsorted(grid_counts, js) - 1
+        lo, hi = bisect_one_at_a_time(oracle.count, js, oracle.grid[cell], oracle.grid[cell + 1],
+                                      oracle.tol)
+        vals = np.concatenate([vals, 0.5 * (lo + hi)])
+    return vals
+
+
 class TestFdOracleNearest:
+    @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+    def test_equals_one_at_a_time_bisection(self, kind, monkeypatch):
+        # the list and the nearest values, certified or not, against
+        # bisection one midpoint per round from the cells of a full-grid
+        # count; the shooting roots take the certificate (and its first
+        # tree) and the fallback, random energies mostly the fallback
+        fallbacks = []
+        through = spectrum._FdOracle.through
+        monkeypatch.setattr(spectrum._FdOracle, "through",
+                            lambda oracle, *args: fallbacks.append(args) or through(oracle, *args))
+        rng = np.random.default_rng(45 if kind == "delta" else 46)
+        certified = 0
+        for _ in range(100):
+            n, system = nearest_truncation(rng, kind)
+            h = 1.0 / int(rng.choice([32, 64, 128, 256]))
+            upper = float(rng.uniform(2.0, 60.0))
+            want = fd_eigenvalues_one_at_a_time(system, n, h, upper)
+            got = fd_oracle_eigenvalues(system, n, h, upper=upper).values
+            assert got.tobytes() == want.tobytes()
+            roots = truncated_eigenvalues(system, n, (float(rng.uniform(0.01, 1.0)), upper)).values
+            for lams in (roots, rng.uniform(0.0, 3.0 * upper, 4)):
+                taken = len(fallbacks)
+                values, count = spectrum.fd_oracle_nearest(system, n, h, lams, upper)
+                certified += lams is roots and len(fallbacks) == taken
+                nearest = want[np.argmin(np.abs(want - lams[:, None]), axis=1)]
+                assert values.tobytes() == nearest.tobytes() and count == len(want)
+        assert 25 <= certified < 100
+
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_equals_the_full_list(self, kind, monkeypatch):
         # the certified brackets against the whole list searched, at the
@@ -1015,15 +1126,50 @@ class TestFdOracleNearest:
 
     def test_count_calls_on_the_golden_config(self, tmp_path, monkeypatch):
         # tests/golden/eigs.config.json: the whole list took 9 count calls of
-        # 2725 energies; the certificate rides on the first call
+        # 2725 energies; the certificate rides on the first call, and so
+        # does the first tree of the certified eigenvalues' bisection
         energies = []
         original = spectrum._fd_count_below
         monkeypatch.setattr(spectrum, "_fd_count_below",
                             lambda *args: energies.append(len(args[-1])) or original(*args))
         config = Path(__file__).parent / "golden" / "eigs.config.json"
         assert main(["eigs", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
-        assert len(energies) <= 8
+        assert len(energies) <= 7
         assert sum(energies) <= 1724
+
+    def test_count_calls_on_a_benchmark_shaped_request(self, tmp_path, monkeypatch):
+        # a 16-point delta-prime truncation at fd_h 1/128, as the spectrum
+        # workload draws them: 9 shooting calls (coarse grid, fine grid, 6
+        # bisection rounds, residuals) and 7 FD calls (the certificate with
+        # the first tree, then 6 rounds), 8 before the first tree rode on
+        # the certificate; the printed values are those of one-at-a-time
+        # bisection on both counts
+        system = random_truncation(np.random.default_rng(1), "delta_prime", 16)
+        doc = {"system": {"kind": "delta_prime",
+                          "positions": {"type": "explicit",
+                                        "points": list(system.lattice.points[1:])},
+                          "strengths": {"type": "explicit",
+                                        "values": list(system.strengths.values)}},
+               "params": {"n_points": 16, "lambda_range": [0.1, 12.0], "oracle": "fd",
+                          "fd_h": 1 / 128}}
+        config, out = tmp_path / "eigs.json", tmp_path / "out.csv"
+        config.write_text(json.dumps(doc))
+        calls = {"_count_below": 0, "_fd_count_below": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(spectrum, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(spectrum, name, counted)
+        assert main(["eigs", "--config", str(config), "--out", str(out)]) == 0
+        assert calls["_count_below"] <= 9 and calls["_fd_count_below"] <= 7
+        monkeypatch.undo()
+        roots = eigenvalues_one_at_a_time(system, 16, (0.1, 12.0)).values
+        fd = fd_eigenvalues_one_at_a_time(system, 16, 1 / 128, 12.0)
+        nearest = fd[np.argmin(np.abs(fd - roots[:, None]), axis=1)]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]
+                if not line.startswith("#")]
+        assert [row[1] for row in rows] == [repr(v) for v in roots.tolist()]
+        assert [row[4] for row in rows] == [repr(v) for v in nearest.tolist()]
 
 
 class TestEigenvalueList:

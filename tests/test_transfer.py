@@ -431,8 +431,16 @@ FACTORIAL = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.constant
      "kind must be one of ('delta', 'delta_prime'), got 'delta_triple'"),
     (lambda: sample_solution(UNIT, 1.0, n_max=2, dense_per_interval=-1), ValueError,
      "dense_per_interval must be >= 0"),
+    # a non-finite start is refused before any step, not reported as an overflow
+    (lambda: propagate(UNIT, 1.0, (math.nan, 1.0), 0), ValueError,
+     "initial boundary vector must be finite"),
+    (lambda: propagate(FACTORIAL, 1.0, (1.0, -math.inf), 3), ValueError,
+     "initial boundary vector must be finite"),
+    (lambda: sample_solution(FACTORIAL, 1.0, (math.inf, 1.0), 3), ValueError,
+     "initial boundary vector must be finite"),
 ], ids=["step_matrix", "propagate", "inverse_step_diagonalized",
-        "sample_solution-negative-dense"])
+        "sample_solution-negative-dense", "propagate-nan-start", "propagate-inf-start",
+        "sample_solution-inf-start"])
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
