@@ -148,7 +148,10 @@ class SparseSet:
             pts = tuple(float(x) for x in self.points)
             if pts[0] != 0.0:
                 pts = (0.0,) + pts
-            diffs = np.diff(pts)
+            xs = np.array(pts)
+            if not np.isfinite(xs).all():
+                raise ValueError("explicit lattice points must be finite")
+            diffs = np.diff(xs)
             if len(pts) < 2 or np.any(diffs <= 0):
                 raise ValueError("explicit lattice must be strictly increasing above 0")
             object.__setattr__(self, "points", pts)
@@ -156,6 +159,9 @@ class SparseSet:
         else:
             if not 1 <= self.max_index <= MAX_INDEX:
                 raise ValueError(f"max_index must be in [1, {MAX_INDEX}]")
+            for name in {"power": "cp", "exponential": "cqr"}.get(self.kind, ""):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite")
             if self.kind in ("power", "exponential") and self.c <= 0:
                 raise ValueError("c must be positive")
             if self.kind == "power" and self.p <= 0:

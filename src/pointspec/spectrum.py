@@ -657,8 +657,8 @@ class _FdOracle:
         return self.grid[cell], self.grid[cell + 1]
 
     def eigenvalues(self, js: np.ndarray, lo=None, hi=None) -> np.ndarray:
-        """The js-th eigenvalues, bisected from brackets on their bisection
-        paths from their grid cells (the cells themselves by default)."""
+        """The js-th eigenvalues, bisected from the brackets [lo, hi] (their
+        grid cells by default)."""
         if lo is None:
             lo, hi = self.cells(js)
         lo, hi = _bisect(self.count, js, lo, hi, self.tol, _FD_TREE_LEVELS)
@@ -722,84 +722,40 @@ def fd_oracle_nearest(system: SystemSpec, n_max: int, h: float, lams,
     """The FD eigenvalue nearest each energy, and the length of the ``upper`` list.
 
     With ``fd = fd_oracle_eigenvalues(system, n_max, h, upper=upper)``,
-    returns ``fd.values[argmin |fd.values - lam|]`` per energy (the first
-    of equals) and ``len(fd)``, bit for bit, but bisects only the
-    eigenvalues it returns when it can certify which they are.  One count
-    call takes the grid, ``upper``, ``upper + 4 tol`` and each lam -+
-    ``_FD_NEAR`` |lam|.  The certificate holds when each such interval holds
-    one eigenvalue, the j-th, and none lies in (upper, upper + 4 tol]: then
-    the list's length is min(count(upper) + 1, size), and each j-th
-    eigenvalue is bisected from its grid cell along the path the full list
-    takes, its steps replayed without counting while their midpoints lie
-    outside the interval (``_replay``).  Where every interval lies inside
-    one grid cell, that cell is, for a count that rises along the grid, the
-    one the certificate finds: the replayed brackets are known before any
-    count, and the first tree of their bisection (``_tree``) is counted in
-    the certificate's call, then walked once the certificate and the cells
-    hold.  Where each value lies within
-    ``_FD_NEAR`` |lam| / 2 of its energy it is the nearest by a margin, and
-    is returned.  Otherwise the full list is bisected and searched, from
-    the mesh and grid counts already taken.
+    returns the length of ``fd`` and, per energy, either the nearest of its
+    values or that eigenvalue bisected from the interval that certifies it:
+    the two lie within 2 tol of each other, tol the oracle's 2 ulp ||T||.
+    One count call takes the grid, ``upper``, ``upper + 4 tol``, each
+    interval (lam - r, lam + r] with r = ``_FD_NEAR`` |lam|, and the first
+    tree of each interval's bisection (``_tree``).  The certificate holds
+    when each interval holds one eigenvalue, the j-th, and none lies in
+    (upper, upper + 4 tol]: then the list's length is min(count(upper) + 1,
+    size), and each j-th eigenvalue is bisected from its interval (the
+    first energy's, where several certify it), its first tree walked
+    (``_descend``).  Where each value lies within ``_FD_NEAR`` |lam| / 2 of
+    its energy it is the nearest by a margin, and is returned.  Otherwise
+    the full list is bisected and searched, from the mesh and grid counts
+    already taken.
     """
     lams = np.asarray(lams, dtype=float)
     oracle = _FdOracle(system, n_max, h)
     radius = _FD_NEAR * np.abs(lams)
-    below, above = lams - radius, lams + radius
-    grid, n = oracle.grid, len(lams)
-    cell = np.searchsorted(grid, below, side="right") - 1  # grid[cell] <= below
-    inside = (n > 0 and cell.min() >= 0 and cell.max() < _FD_GRID
-              and (above <= grid[cell + 1]).all())
-    tree = None
-    if inside:
-        lo, hi = _replay(grid[cell], grid[cell + 1], below, above, oracle.tol)
-        tree = _tree(lo, hi, oracle.tol, _FD_TREE_LEVELS)
+    below, above, n = lams - radius, lams + radius, len(lams)
+    tree = _tree(below, above, oracle.tol, _FD_TREE_LEVELS) if n else None
     counts = oracle.count_grid(upper, np.concatenate(
         [[upper + 4.0 * oracle.tol], below, above, () if tree is None else tree[2]]))
     at_upper, past_upper = counts[:2]
     to_below, to_above = counts[2:2 + n], counts[2 + n:2 + 2 * n]
     if past_upper == at_upper and (to_above - to_below == 1).all():
+        lo, hi = below, above
+        if tree is not None:
+            lo, hi = _descend(to_above, lo, hi, tree, counts[2 + 2 * n:], oracle.tol)
         js, first = np.unique(to_above, return_index=True)
-        cell_lo, cell_hi = oracle.cells(js)
-        if inside and (cell_lo == grid[cell[first]]).all():
-            if tree is not None:
-                lo, hi = _descend(to_above, lo, hi, tree, counts[2 + 2 * n:], oracle.tol)
-            lo, hi = lo[first], hi[first]
-        else:
-            lo, hi = _replay(cell_lo, cell_hi, below[first], above[first], oracle.tol)
-        values = oracle.eigenvalues(js, lo, hi)[np.searchsorted(js, to_above)]
+        values = oracle.eigenvalues(js, lo[first], hi[first])[np.searchsorted(js, to_above)]
         if (np.abs(values - lams) < 0.5 * radius).all():
             return values, int(min(at_upper + 1, oracle.size))
     fd = oracle.through(upper, at_upper)
     return fd[np.argmin(np.abs(fd - lams[:, None]), axis=1)], len(fd)
-
-
-def _replay(lo: np.ndarray, hi: np.ndarray, below: np.ndarray, above: np.ndarray,
-            tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The bisection steps of ``_bisect`` from [lo, hi] that need no count.
-
-    Each bracket's root is the one eigenvalue in (below, above].  A count
-    that does not decrease away from eigenvalues puts a midpoint at or below
-    ``below`` under the root (it becomes lo) and one at or above ``above``
-    over it (it becomes hi).  Steps are replayed so, under ``_bisect``'s
-    stopping test, until a midpoint falls inside the interval: the brackets
-    are those ``_bisect`` reaches from [lo, hi], bit for bit.  ``tol`` is the
-    FD oracle's 2 ulp ||T||, above the gap between adjacent doubles anywhere
-    on its grid, so that test is width > tol.  A few brackets of ~15 steps
-    each: scalar steps cost less than array ones.
-    """
-    los, his = [], []
-    for a, b, left, right in zip(lo.tolist(), hi.tolist(), below.tolist(), above.tolist()):
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if mid <= left:
-                a = mid
-            elif mid >= right:
-                b = mid
-            else:
-                break
-        los.append(a)
-        his.append(b)
-    return np.array(los, dtype=float), np.array(his, dtype=float)
 
 
 def _fd_runs(system: SystemSpec, n_max: int, h: float):

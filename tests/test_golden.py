@@ -23,8 +23,9 @@ from pointspec.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (command, config file, expected output file, extra arguments); the eigs
-# ids start with "eigs", which CI's run with AVX-512 switched off selects
+# (command, config file, expected output file, extra arguments); CI's run
+# with AVX-512 switched off deselects the growth and propagate cases and the
+# no-scipy run of them all, whose bytes depend on numpy's CPU dispatch
 CASES = [
     ("classify", "classify.config.json", "classify.out.json", ()),
     ("avalue", "avalue.config.json", "avalue.out.json", ()),

@@ -169,6 +169,17 @@ class TestSparseSet:
          "q and r too small: gap 9999999 rounds to 0"),
         (dict(kind="exponential", c=1.0, q=5e-324, r=0.5),
          "q and r too small: gap 1 rounds to 0"),
+        # non-finite points and parameters, which the checks above let through
+        (dict(kind="explicit", points=(1.0, math.nan, 3.0)),
+         "explicit lattice points must be finite"),
+        (dict(kind="explicit", points=(1.0, math.inf)), "explicit lattice points must be finite"),
+        (dict(kind="power", c=math.inf, p=1.0), "c must be finite"),
+        (dict(kind="exponential", c=math.inf, q=1.0), "c must be finite"),
+        (dict(kind="exponential", c=1.0, q=1.0, r=math.inf), "r must be finite"),
+        (dict(kind="power", c=math.nan, p=1.0), "c must be finite"),
+        (dict(kind="power", c=1.0, p=math.nan), "p must be finite"),
+        (dict(kind="power", c=1.0, p=math.inf), "p must be finite"),
+        (dict(kind="exponential", c=1.0, q=math.nan), "q must be finite"),
     ])
     def test_refusals(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

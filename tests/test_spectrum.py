@@ -672,6 +672,26 @@ class TestBisect:
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
         assert stepped_back  # some midpoints met a count that stepped back
 
+    def test_narrow_brackets_stop_inside_a_stepped_back_tree(self):
+        # one bracket 2^5-2^8 tol wide about the first root, with the count
+        # stepping back in a band 2-20 tol above that root, so each tree is
+        # walked step by step; three brackets 1-4 tol wide in the same call
+        # stop after a step or two inside their trees of up to 8 levels
+        rng = np.random.default_rng(26)
+        tol, stepped_back = 1e-6, []
+        for _ in range(400):
+            roots = np.sort(rng.uniform(0.5, 20.0, 4))
+            band = (roots[0] + 0.1 * tol, roots[0] + rng.uniform(2.0, 20.0) * tol)
+            count = step_count(roots, [band], stepped_back)
+            widths = np.r_[2.0 ** rng.uniform(5.0, 8.0), rng.uniform(1.0, 4.0, 3)] * tol
+            lo = roots - rng.uniform(0.1, 0.9, 4) * widths
+            hi = lo + widths
+            js = np.arange(1, 5)
+            got = spectrum._bisect(count, js, lo.copy(), hi.copy(), tol, spectrum._FD_TREE_LEVELS)
+            want = bisect_one_at_a_time(count, js, lo, hi, tol)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert stepped_back
+
 
 class TestResiduals:
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
@@ -1012,12 +1032,6 @@ def nearest_truncation(rng, kind):
                          StrengthSequence.explicit(rng.uniform(-20.0, 20.0, n)))
 
 
-def full_list_nearest(system, n, h, lams, upper):
-    """What fd_oracle_nearest must equal: the whole list and its argmin."""
-    full = fd_oracle_eigenvalues(system, n, h, upper=upper).values
-    return full[np.argmin(np.abs(full - lams[:, None]), axis=1)], len(full)
-
-
 def fd_eigenvalues_one_at_a_time(system, n, h, upper):
     """Reference FD list: every eigenvalue at or below ``upper`` plus the next,
     each from its grid cell of a full-grid count, one midpoint per round, to
@@ -1034,17 +1048,47 @@ def fd_eigenvalues_one_at_a_time(system, n, h, upper):
     return vals
 
 
+def fd_certified_one_at_a_time(system, n, h, lams):
+    """Reference certified values: the FD eigenvalue in each (lam - r, lam + r],
+    r = _FD_NEAR |lam|, bisected one midpoint per round from that interval
+    (the first energy's, where several hold the same eigenvalue); and the
+    oracle's tolerance."""
+    oracle = spectrum._FdOracle(system, n, h)
+    radius = spectrum._FD_NEAR * np.abs(lams)
+    below, above = lams - radius, lams + radius
+    js, first, back = np.unique(oracle.count(above), return_index=True, return_inverse=True)
+    lo, hi = bisect_one_at_a_time(oracle.count, js, below[first], above[first], oracle.tol)
+    return (0.5 * (lo + hi))[back.ravel()], oracle.tol
+
+
+def record_fallbacks(monkeypatch) -> list:
+    """The arguments of every whole-list fallback ``fd_oracle_nearest`` takes."""
+    fallbacks = []
+    through = spectrum._FdOracle.through
+    monkeypatch.setattr(spectrum._FdOracle, "through",
+                        lambda oracle, *args: fallbacks.append(args) or through(oracle, *args))
+    return fallbacks
+
+
+def assert_nearest(system, n, h, lams, values, certified, want):
+    """Certified values are bisected from their intervals, fallback values
+    are the list's argmin, and each lies within 2 tol of the list's nearest."""
+    nearest = want[np.argmin(np.abs(want - lams[:, None]), axis=1)]
+    ref, tol = fd_certified_one_at_a_time(system, n, h, lams)
+    assert values.tobytes() == (ref if certified else nearest).tobytes()
+    assert np.all(np.abs(values - nearest) <= 2.0 * tol)
+
+
 class TestFdOracleNearest:
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_equals_one_at_a_time_bisection(self, kind, monkeypatch):
-        # the list and the nearest values, certified or not, against
-        # bisection one midpoint per round from the cells of a full-grid
-        # count; the shooting roots take the certificate (and its first
-        # tree) and the fallback, random energies mostly the fallback
-        fallbacks = []
-        through = spectrum._FdOracle.through
-        monkeypatch.setattr(spectrum._FdOracle, "through",
-                            lambda oracle, *args: fallbacks.append(args) or through(oracle, *args))
+        # the list against bisection one midpoint per round from the cells
+        # of a full-grid count; the nearest values, certified or not,
+        # against one-midpoint-per-round bisection from their intervals or
+        # the list's argmin; the shooting roots take the certificate (and
+        # its first tree) and the fallback, random energies mostly the
+        # fallback
+        fallbacks = record_fallbacks(monkeypatch)
         rng = np.random.default_rng(45 if kind == "delta" else 46)
         certified = 0
         for _ in range(100):
@@ -1058,21 +1102,19 @@ class TestFdOracleNearest:
             for lams in (roots, rng.uniform(0.0, 3.0 * upper, 4)):
                 taken = len(fallbacks)
                 values, count = spectrum.fd_oracle_nearest(system, n, h, lams, upper)
-                certified += lams is roots and len(fallbacks) == taken
-                nearest = want[np.argmin(np.abs(want - lams[:, None]), axis=1)]
-                assert values.tobytes() == nearest.tobytes() and count == len(want)
+                held = len(fallbacks) == taken  # the certificate held
+                certified += lams is roots and held
+                assert_nearest(system, n, h, lams, values, held, want)
+                assert count == len(want)
         assert 25 <= certified < 100
 
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_equals_the_full_list(self, kind, monkeypatch):
-        # the certified brackets against the whole list searched, at the
+        # the nearest values against the whole list searched, at the
         # shooting roots and at random energies (beyond upper and the
         # spectrum among them); the roots take both the certificate and
         # the fallback
-        fallbacks = []
-        through = spectrum._FdOracle.through
-        monkeypatch.setattr(spectrum._FdOracle, "through",
-                            lambda oracle, *args: fallbacks.append(args) or through(oracle, *args))
+        fallbacks = record_fallbacks(monkeypatch)
         rng = np.random.default_rng(43 if kind == "delta" else 44)
         certified = 0
         for _ in range(200):
@@ -1083,15 +1125,17 @@ class TestFdOracleNearest:
             for lams in (roots, rng.uniform(0.0, 3.0 * upper, 4)):
                 taken = len(fallbacks)
                 values, count = spectrum.fd_oracle_nearest(system, n, h, lams, upper)
-                certified += lams is roots and len(fallbacks) == taken
-                want, want_count = full_list_nearest(system, n, h, lams, upper)
-                assert values.tobytes() == want.tobytes()
-                assert count == want_count and type(count) is int
+                held = len(fallbacks) == taken  # the certificate held
+                certified += lams is roots and held
+                want = fd_oracle_eigenvalues(system, n, h, upper=upper).values
+                assert_nearest(system, n, h, lams, values, held, want)
+                assert count == len(want) and type(count) is int
         assert 50 <= certified < 200
 
     def test_certifies_past_the_counted_grid(self, monkeypatch):
-        # an FD eigenvalue just above the first grid point above upper: its
-        # cell needs the rest of the grid counted, as the whole list's does
+        # an FD eigenvalue just above the first grid point above upper: it
+        # is certified from its interval, and the whole list's cell for it
+        # needs the rest of the grid counted
         system = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
                             StrengthSequence.explicit([3.0, 0.0]))
         oracle = spectrum._FdOracle(system, 2, 1 / 16)
@@ -1101,6 +1145,9 @@ class TestFdOracleNearest:
         lam, point = fd[k], below[k]
         upper = float(np.nextafter(point, -np.inf))
         assert upper < point < lam < upper * (1 + spectrum._FD_NEAR / 2)
+        monkeypatch.setattr(spectrum._FdOracle, "through", None)  # no fallback
+        values, count = spectrum.fd_oracle_nearest(system, 2, 1 / 16, [lam], upper)
+        monkeypatch.undo()
         grids = []
         cells = spectrum._FdOracle.cells
 
@@ -1110,12 +1157,10 @@ class TestFdOracleNearest:
             grids.append(len(oracle.grid_counts))
             return found
         monkeypatch.setattr(spectrum._FdOracle, "cells", counted_cells)
-        monkeypatch.setattr(spectrum._FdOracle, "through", None)  # no fallback
-        values, count = spectrum.fd_oracle_nearest(system, 2, 1 / 16, [lam], upper)
+        want = fd_oracle_eigenvalues(system, 2, 1 / 16, upper=upper).values
         assert grids[0] < grids[1] == len(oracle.grid)  # counted on past upper
-        monkeypatch.undo()
-        want, want_count = full_list_nearest(system, 2, 1 / 16, np.array([lam]), upper)
-        assert values.tobytes() == want.tobytes() and count == want_count
+        assert_nearest(system, 2, 1 / 16, np.array([lam]), values, True, want)
+        assert count == len(want)
 
     def test_no_energies(self):
         system = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
@@ -1127,23 +1172,24 @@ class TestFdOracleNearest:
     def test_count_calls_on_the_golden_config(self, tmp_path, monkeypatch):
         # tests/golden/eigs.config.json: the whole list took 9 count calls of
         # 2725 energies; the certificate rides on the first call, and so
-        # does the first tree of the certified eigenvalues' bisection
+        # does the first tree of each interval's bisection
         energies = []
         original = spectrum._fd_count_below
         monkeypatch.setattr(spectrum, "_fd_count_below",
                             lambda *args: energies.append(len(args[-1])) or original(*args))
         config = Path(__file__).parent / "golden" / "eigs.config.json"
         assert main(["eigs", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
-        assert len(energies) <= 7
-        assert sum(energies) <= 1724
+        assert len(energies) <= 6
+        assert sum(energies) <= 1665
 
     def test_count_calls_on_a_benchmark_shaped_request(self, tmp_path, monkeypatch):
         # a 16-point delta-prime truncation at fd_h 1/128, as the spectrum
         # workload draws them: 9 shooting calls (coarse grid, fine grid, 6
-        # bisection rounds, residuals) and 7 FD calls (the certificate with
-        # the first tree, then 6 rounds), 8 before the first tree rode on
-        # the certificate; the printed values are those of one-at-a-time
-        # bisection on both counts
+        # bisection rounds, residuals) and 6 FD calls (the certificate with
+        # the first tree of each interval, then 5 rounds); the printed
+        # roots are those of one-at-a-time bisection on the shooting count,
+        # the FD values those of one-at-a-time bisection from their
+        # certified intervals
         system = random_truncation(np.random.default_rng(1), "delta_prime", 16)
         doc = {"system": {"kind": "delta_prime",
                           "positions": {"type": "explicit",
@@ -1154,6 +1200,7 @@ class TestFdOracleNearest:
                           "fd_h": 1 / 128}}
         config, out = tmp_path / "eigs.json", tmp_path / "out.csv"
         config.write_text(json.dumps(doc))
+        fallbacks = record_fallbacks(monkeypatch)
         calls = {"_count_below": 0, "_fd_count_below": 0}
         for name in calls:
             def counted(*args, name=name, original=getattr(spectrum, name)):
@@ -1161,15 +1208,16 @@ class TestFdOracleNearest:
                 return original(*args)
             monkeypatch.setattr(spectrum, name, counted)
         assert main(["eigs", "--config", str(config), "--out", str(out)]) == 0
-        assert calls["_count_below"] <= 9 and calls["_fd_count_below"] <= 7
+        assert calls["_count_below"] <= 9 and calls["_fd_count_below"] <= 6
+        assert not fallbacks
         monkeypatch.undo()
         roots = eigenvalues_one_at_a_time(system, 16, (0.1, 12.0)).values
-        fd = fd_eigenvalues_one_at_a_time(system, 16, 1 / 128, 12.0)
-        nearest = fd[np.argmin(np.abs(fd - roots[:, None]), axis=1)]
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]
                 if not line.startswith("#")]
         assert [row[1] for row in rows] == [repr(v) for v in roots.tolist()]
-        assert [row[4] for row in rows] == [repr(v) for v in nearest.tolist()]
+        values = np.array([float(row[4]) for row in rows])
+        assert_nearest(system, 16, 1 / 128, roots, values, True,
+                       fd_eigenvalues_one_at_a_time(system, 16, 1 / 128, 12.0))
 
 
 class TestEigenvalueList:
