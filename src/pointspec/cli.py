@@ -9,8 +9,9 @@ Every number, scalar or array entry, must be a finite double: ``1e400``, or an
 integer literal past the largest double, is a configuration error before
 anything is computed.
 Every output echoes the system and the resolved parameters, so results are
-reproducible from the file alone; outputs are deterministic (no timestamps)
-and written atomically.
+reproducible from the file alone; outputs are deterministic (no timestamps).
+A table is written piece by piece as it renders: an ``--out`` file appears
+whole or not at all, while stdout keeps the pieces written before a failure.
 The table commands return int64 and float64 columns, and every cell renders
 as its value's ``repr`` (JSON quotes ``nan``, ``inf`` and ``-inf``).  A
 table of ``KERNEL_MIN_CELLS`` cells or more renders through the numpy kernel
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import growth as growth_mod
 from .lattice import (KINDS, MAX_INDEX, SparseSet, StrengthSequence, SystemSpec,
-                      _exp, estimate_threshold)
+                      _exp, _run_blocks, _usable_cpus, estimate_threshold)
 from .spectrum import (ClassifyConfig, classify, fd_oracle_nearest,
                        truncated_eigenvalues)
 from .transfer import DIRICHLET_START, _log_norm, sample_solution
@@ -418,18 +419,17 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dic
 # output plumbing
 
 
-# Rows per rendered block: bounds the transient cell texts, and a block of a
-# kernel table is one kernel call over its float64 columns stacked.
+# Rows per rendered block of a table that renders cell by cell, which bounds
+# the transient cell texts, and the least rows of a kernel table's round.
 BLOCK_ROWS = 4096
 # Tables of KERNEL_MIN_CELLS cells or more render their int64 and float64
-# columns with the numpy kernel of ``_shortest``, one block at a time on the
-# calling thread, once the kernel is loaded in the process; a table that
-# would be the kernel's first use takes it only from KERNEL_COLD_MIN_CELLS
-# cells, where it also repays the kernel's import and first call.  On a
-# 2-vCPU VM, warm: per-cell repr costs 0.5-0.9 us a cell, the kernel
-# ~0.45-0.9 ms a call plus ~0.2-0.3 us a cell on propagate tables (~0.1 us
-# on growth blocks), and on the table workload's propagate tables it wins
-# on half of them from ~1400 cells.
+# columns with the numpy kernel of ``_shortest`` once the kernel is loaded in
+# the process; a table that would be the kernel's first use takes it only
+# from KERNEL_COLD_MIN_CELLS cells, where it also repays the kernel's import
+# and first call.  On a 2-vCPU VM, warm: per-cell repr costs 0.5-0.9 us a
+# cell, the kernel ~0.45-0.9 ms a call plus ~0.2-0.3 us a cell on propagate
+# tables (~0.1 us on growth blocks), and on the table workload's propagate
+# tables it wins on half of them from ~1400 cells.
 # Cold: repr ~1 us a cell; the kernel its import (~5 ms, compiled from
 # source), ~5-10 us for each constants column a table reads (~20 for a
 # power chain, 200-800 for a factorial chain) and its first call's set-up,
@@ -437,6 +437,20 @@ BLOCK_ROWS = 4096
 # factorial ones.
 KERNEL_MIN_CELLS = 1_400
 KERNEL_COLD_MIN_CELLS = 15_000
+# A kernel table renders by rounds of equal length, at most KERNEL_ROUND_ROWS
+# rows whatever the CPU count, and at least three rounds where blocks of
+# BLOCK_ROWS allow: a round's kernel arrays take ~430 bytes a growth row,
+# against ~80 of CSV text, so the memory in flight stays below twice the
+# output.  A round is cut into up to one block per usable CPU, none shorter
+# than KERNEL_BLOCK_ROWS rows, each one kernel call on a ``_run_blocks``
+# worker; numpy releases the GIL in its loops.  On a 2-vCPU VM two workers
+# render two equal blocks in 1.28x the time of one worker at 4096 rows a
+# block (the kernel's calls are too short to share the GIL), 1.05x at 6144,
+# 0.78x at 8192 and 0.64-0.70x from 12 288, while one worker renders a row
+# in the same time in blocks of 4096 to 16 384 rows, and ~10% slower in
+# blocks of 32 768.
+KERNEL_ROUND_ROWS = 32_768
+KERNEL_BLOCK_ROWS = 8_192
 _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
@@ -450,63 +464,99 @@ def _cell_texts(column: np.ndarray, quote: bool):
 
 
 def _row_blocks(table: np.ndarray, cell_sep: str, row_sep: str, quote: bool):
-    """``table``'s rows as text by blocks of ``BLOCK_ROWS``, ``row_sep`` also
-    between; every cell as ``_cell_texts`` spells it."""
+    """``table``'s rows as text, a block at a time, ``row_sep`` also
+    between; every cell as ``_cell_texts`` spells it.  A table below the
+    kernel's size renders cell by cell in blocks of ``BLOCK_ROWS``, a kernel
+    table in rounds of blocks on ``_run_blocks`` workers (see
+    ``KERNEL_ROUND_ROWS``); the text does not depend on the blocks."""
     names = table.dtype.names
+    n = len(table)
     loaded = f"{__package__}._shortest" in sys.modules
-    kernel = (len(table) * len(names)
-              >= (KERNEL_MIN_CELLS if loaded else KERNEL_COLD_MIN_CELLS))
-    if kernel:
-        from . import _shortest
-    for start in range(0, len(table), BLOCK_ROWS):
-        if start:
-            yield row_sep
-        block = table[start:start + BLOCK_ROWS]
-        columns = [block[name] for name in names]
-        if kernel:
-            yield _shortest.rows_text(columns, cell_sep, row_sep, quote)
-        else:
-            texts = (_cell_texts(c, quote) for c in columns)
+    if n * len(names) < (KERNEL_MIN_CELLS if loaded else KERNEL_COLD_MIN_CELLS):
+        for start in range(0, n, BLOCK_ROWS):
+            if start:
+                yield row_sep
+            block = table[start:start + BLOCK_ROWS]
+            texts = (_cell_texts(block[name], quote) for name in names)
             yield row_sep.join(map(cell_sep.join, zip(*texts)))
+        return
+
+    from . import _shortest
+    cpus = _usable_cpus()
+    n_rounds = max(-(-n // KERNEL_ROUND_ROWS), min(3, n // BLOCK_ROWS), 1)
+    for r in range(n_rounds):
+        lo, hi = n * r // n_rounds, n * (r + 1) // n_rounds
+        k = min(cpus, max(1, (hi - lo) // KERNEL_BLOCK_ROWS))
+        cuts = [lo + (hi - lo) * i // k for i in range(k + 1)]
+
+        def block(i: int, _ws):
+            rows = table[cuts[i]:cuts[i + 1]]
+            return _shortest.rows_text([rows[name] for name in names],
+                                       cell_sep, row_sep, quote)
+
+        for i, text in enumerate(_run_blocks(block, k, 0)):
+            if r or i:
+                yield row_sep
+            yield text
 
 
-def _render_csv(columns, rows, footers) -> str:
-    return "".join([",".join(columns), "\n", *_row_blocks(rows, ",", "\n", False),
-                    "\n" if len(rows) else "", *(f + "\n" for f in footers)])
+def _render_csv(columns, rows, footers):
+    """The CSV table, by pieces: its header, its row blocks and its end."""
+    yield ",".join(columns) + "\n"
+    yield from _row_blocks(rows, ",", "\n", False)
+    yield "".join(["\n" if len(rows) else "", *(f + "\n" for f in footers)])
 
 
 def _render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _write_output(text: str, path: str | None):
-    if path is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:  # a full disk or a closed pipe
-            raise ConfigError(f"cannot write output <stdout>: {exc}") from exc
-        return
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:  # leave no partial temp file behind
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
-
-
-def _table_json(command, run, columns, rows, footers, params) -> str:
+def _table_json(command, run, columns, rows, footers, params):
+    """The JSON table document, by pieces: the text before its rows, their
+    blocks and the text after."""
     text = _render_json({"command": command, "system": _system_dict(run.system),
                          "params": _json_safe(params), "columns": columns, "rows": [],
                          "footers": [f.lstrip("# ") for f in footers]})
     if not len(rows):
-        return text
+        yield text
+        return
     head, _, tail = text.partition('"rows": []')  # JSON strings escape quotes
-    blocks = _row_blocks(rows, ",\n      ", "\n    ],\n    [\n      ", True)
-    return "".join([head, '"rows": [\n    [\n      ', *blocks, "\n    ]\n  ]", tail])
+    yield head + '"rows": [\n    [\n      '
+    yield from _row_blocks(rows, ",\n      ", "\n    ],\n    [\n      ", True)
+    yield "\n    ]\n  ]" + tail
+
+
+def _write_output(text: str, out):
+    """Write one piece of the output to the open text stream ``out``; every
+    byte of every output goes through here, where ``bench/tracing.py`` times
+    and counts it."""
+    out.write(text)
+
+
+def _emit(pieces, path: str | None):
+    """Write each text of ``pieces`` as it comes, to stdout or, when a
+    ``path`` is given, to a temporary file beside it that replaces ``path``
+    once every piece is written.  A failure, in writing or in making a
+    piece, removes the temporary file, so ``path`` is whole or untouched;
+    stdout keeps the pieces written before it.  A write that fails raises a
+    ConfigError."""
+    tmp = None if path is None else f"{path}.tmp.{os.getpid()}"
+    try:
+        if tmp is None:
+            for text in pieces:
+                _write_output(text, sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for text in pieces:
+                    _write_output(text, fh)
+            os.replace(tmp, path)
+    except OSError as exc:  # a full disk, a closed pipe or a missing directory
+        name = "<stdout>" if path is None else path
+        raise ConfigError(f"cannot write output {name}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,15 +588,15 @@ def main(argv=None) -> int:
         if args.command in documents:
             if args.format == "csv":
                 raise ConfigError(f"{args.command} emits JSON only")
-            _write_output(_render_json(documents[args.command](run)), args.out)
+            _emit([_render_json(documents[args.command](run))], args.out)
             return EXIT_OK
 
         columns, rows, footers, params, degraded = tables[args.command](run)
         if args.format in (None, "csv"):
-            text = _render_csv(columns, rows, footers)
+            pieces = _render_csv(columns, rows, footers)
         else:
-            text = _table_json(args.command, run, columns, rows, footers, params)
-        _write_output(text, args.out)
+            pieces = _table_json(args.command, run, columns, rows, footers, params)
+        _emit(pieces, args.out)
         return EXIT_NUMERICAL if degraded and args.strict else EXIT_OK
     except (ConfigError, ValueError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -655,24 +655,32 @@ def _tail_part(abs_alphas, log_sparse, scale: float, out, steps) -> bool:
     return not len(steps) or bool(steps.min() >= -_TAIL_SLOP)  # min keeps NaN
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _run_blocks(block, n_blocks: int, size: int) -> list:
     """``[block(i, ws) for i in range(n_blocks)]``, block i on worker i mod W.
 
-    W is the number of usable CPUs, at most n_blocks; the caller is worker 0
-    and so evaluates block 0.  Each worker makes one ``_Workspace(size)``
-    for all of its blocks, dropped when the call returns.  Each worker runs
-    in a copy of the caller's context, so numpy error settings carry over,
-    and the first error a worker raised is raised again here.
+    W is ``_usable_cpus()``, at most n_blocks; the caller is worker 0 and so
+    evaluates block 0, and a single block starts no thread.  Each worker
+    makes one ``_Workspace(size)`` for all of its blocks, dropped when the
+    call returns.  Each worker runs in a copy of the caller's context, so
+    numpy error settings carry over, and the first error a worker raised is
+    raised again here once every worker has ended.  Two callers:
+    ``window_scan``, whose blocks fill the workspace, and ``cli._row_blocks``,
+    one round of a kernel table's blocks a call, which needs none.
     """
-    import contextvars  # only the window scan needs these three
-    import os
+    import contextvars  # only the window scan and table rounds need these
     import threading
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, n_blocks)
+    workers = min(_usable_cpus(), n_blocks)
     parts = [None] * n_blocks
     errors = []
 

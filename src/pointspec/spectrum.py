@@ -639,7 +639,9 @@ class _FdOracle:
     def count_grid(self, upper: float | None, extra=()) -> np.ndarray:
         """The counts at ``upper`` and ``extra``, from one call that also
         counts the grid as far as its first point above ``upper`` (all of it
-        without ``upper``)."""
+        without ``upper``).  A NaN ``upper`` is refused."""
+        if upper is not None and math.isnan(upper):
+            raise ValueError("upper must be a number, got nan")
         known = (_FD_GRID - 1 if upper is None
                  else min(int(np.searchsorted(self.grid, upper)), _FD_GRID - 1))
         counts = self.count(np.concatenate(
@@ -702,6 +704,8 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     every eigenvalue at or below ``upper`` plus the next one (capped at the
     matrix size), so negative and below-range eigenvalues cannot push the
     ones near ``upper`` out of the list: the last one lies above ``upper``.
+    So ``upper = inf`` returns every eigenvalue and ``upper = -inf`` the
+    lowest alone; a NaN ``upper`` raises ``ValueError``.
     The values equal those of ``count = len(result)``.  Where only the
     eigenvalues nearest some energies are wanted, ``fd_oracle_nearest``
     bisects those alone.
@@ -735,9 +739,12 @@ def fd_oracle_nearest(system: SystemSpec, n_max: int, h: float, lams,
     (``_descend``).  Where each value lies within ``_FD_NEAR`` |lam| / 2 of
     its energy it is the nearest by a margin, and is returned.  Otherwise
     the full list is bisected and searched, from the mesh and grid counts
-    already taken.
+    already taken.  Energies that are not finite, and a NaN ``upper``, raise
+    ``ValueError``.
     """
     lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise ValueError(f"energies must be finite, got {lams[~np.isfinite(lams)].tolist()}")
     oracle = _FdOracle(system, n_max, h)
     radius = _FD_NEAR * np.abs(lams)
     below, above, n = lams - radius, lams + radius, len(lams)

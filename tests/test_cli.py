@@ -1146,17 +1146,17 @@ class TestTableRendering:
         columns = self.COLUMNS if columns is None else columns
         table = columnar(columns, rows)
         assert len(table) == len(rows)
-        assert (cli._render_csv(columns, table, self.FOOTERS)
+        assert ("".join(cli._render_csv(columns, table, self.FOOTERS))
                 == old_csv(columns, rows, self.FOOTERS))
-        assert (cli._table_json("propagate", self.RUN, columns, table,
-                                self.FOOTERS, params)
+        assert ("".join(cli._table_json("propagate", self.RUN, columns, table,
+                                        self.FOOTERS, params))
                 == old_json("propagate", self.RUN, columns, rows,
                             self.FOOTERS, params))
 
     def test_empty_rows(self):
         self.assert_renders_as_before([])
-        assert '"rows": [],' in cli._table_json("growth", self.RUN, self.COLUMNS,
-                                                columnar(self.COLUMNS, []), [], {})
+        assert '"rows": [],' in "".join(cli._table_json(
+            "growth", self.RUN, self.COLUMNS, columnar(self.COLUMNS, []), [], {}))
 
     def test_nonfinite_cells(self):
         self.assert_renders_as_before(
@@ -1198,22 +1198,32 @@ class TestTableRendering:
                 for i in range(n_rows)]
         self.assert_renders_as_before(rows)
 
-    def test_peak_memory_below_three_outputs(self):
+    def test_peak_memory_below_three_outputs(self, tmp_path):
         run = parse_config({"system": FACTORIAL_SQRT["system"],
                             "params": {"lambda0": 4.0, "window": [0, 20000]}})
-        columns, rows, footers, params, _ = cli.cmd_growth(run)
-        renderers = {
-            "csv": lambda: cli._render_csv(columns, rows, footers),
+        for fmt, pieces in growth_renderers(run).items():
+            text, peak = emitted(pieces, tmp_path / f"growth.{fmt}")
+            assert peak < 3 * len(text), (fmt, peak / len(text))
+
+
+def growth_renderers(run) -> dict:
+    """Per format, a function that renders ``run``'s growth table by pieces."""
+    columns, rows, footers, params, _ = cli.cmd_growth(run)
+    return {"csv": lambda: cli._render_csv(columns, rows, footers),
             "json": lambda: cli._table_json("growth", run, columns, rows,
                                             footers, params)}
-        for fmt, render in renderers.items():
-            tracemalloc.start()
-            try:
-                text = render()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 3 * len(text), (fmt, peak / len(text))
+
+
+def emitted(pieces, path) -> tuple[str, int]:
+    """The text that rendering ``pieces()`` and writing it to ``path`` leaves
+    there, and the traced peak memory of doing both."""
+    tracemalloc.start()
+    try:
+        cli._emit(pieces(), str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return path.read_text(encoding="utf-8"), peak
 
 
 class TestKernelRendering(TestTableRendering):
@@ -1226,53 +1236,82 @@ class TestKernelRendering(TestTableRendering):
 
 
 class TestRenderWorkers:
-    """Kernel tables render on the calling thread, whatever the CPU count,
-    with the same bytes."""
+    """Kernel tables render by rounds of blocks, up to one block a usable CPU
+    in each round, with the same bytes whatever the CPU count; the caller
+    renders one block of each round, and a worker thread each other."""
 
-    @pytest.mark.parametrize("n_blocks", [3, 8, 9, 25])
-    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, n_blocks):
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The threads that call the kernel, that start and that are joined."""
         from pointspec import _shortest
-        run = parse_config({"system": FACTORIAL_SQRT["system"],
-                            "params": {"lambda0": 4.0,
-                                       "window": [0, n_blocks * cli.BLOCK_ROWS - 1]}})
-        columns, rows, footers, params, _ = cli.cmd_growth(run)
-        renderers = {
-            "csv": lambda: cli._render_csv(columns, rows, footers),
-            "json": lambda: cli._table_json("growth", run, columns, rows,
-                                            footers, params)}
-        callers, started = [], []
-        rows_text, start = _shortest.rows_text, threading.Thread.start
+        seen = {"callers": [], "started": [], "joined": []}
+        rows_text = _shortest.rows_text
+        start, join = threading.Thread.start, threading.Thread.join
 
         def recording(*args, **kwargs):
-            callers.append(threading.current_thread())
+            seen["callers"].append(threading.current_thread())
             return rows_text(*args, **kwargs)
 
         def starting(thread):
-            started.append(thread)
+            seen["started"].append(thread)
             return start(thread)
+
+        def joining(thread, *args, **kwargs):
+            seen["joined"].append(thread)
+            return join(thread, *args, **kwargs)
 
         monkeypatch.setattr(_shortest, "rows_text", recording)
         monkeypatch.setattr(threading.Thread, "start", starting)
-        for render in renderers.values():
-            render()  # the kernel's constants are filled once per process
-        for fmt, render in renderers.items():
+        monkeypatch.setattr(threading.Thread, "join", joining)
+        return seen
+
+    @pytest.mark.parametrize("n_blocks", [3, 8, 9, 25])
+    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path,
+                                                  threads, n_blocks):
+        run = parse_config({"system": FACTORIAL_SQRT["system"],
+                            "params": {"lambda0": 4.0,
+                                       "window": [0, n_blocks * cli.BLOCK_ROWS - 1]}})
+        n_rows = n_blocks * cli.BLOCK_ROWS
+        # rounds of one length: at most KERNEL_ROUND_ROWS rows, and three
+        # or more where each keeps BLOCK_ROWS; blocks of KERNEL_BLOCK_ROWS
+        # or more, most of them a round
+        rounds = max(-(-n_rows // cli.KERNEL_ROUND_ROWS), min(3, n_blocks))
+        most = max(1, n_rows // rounds // cli.KERNEL_BLOCK_ROWS)
+        renderers = growth_renderers(run)
+        for pieces in renderers.values():
+            "".join(pieces())  # the kernel's constants are filled once per process
+        for fmt, pieces in renderers.items():
             texts = set()
             for cpus in (1, 2, 4, 8):
                 monkeypatch.setattr(os, "sched_getaffinity",
                                     lambda pid, c=cpus: set(range(c)))
-                callers.clear()
-                tracemalloc.start()
-                try:
-                    text = render()
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
+                for seen in threads.values():
+                    seen.clear()
+                text, peak = emitted(pieces, tmp_path / f"growth.{fmt}")
                 texts.add(text)
-                assert len(callers) == n_blocks, (fmt, cpus)
-                assert set(callers) == {threading.current_thread()}, (fmt, cpus)
+                workers = min(cpus, most)
+                assert len(threads["callers"]) == rounds * workers, (fmt, cpus)
+                assert len(threads["started"]) == rounds * (workers - 1), (fmt, cpus)
+                assert (set(threads["callers"])
+                        == {threading.current_thread(), *threads["started"]}), (fmt, cpus)
+                assert set(threads["joined"]) >= set(threads["started"]), (fmt, cpus)
+                assert not any(t.is_alive() for t in threads["started"]), (fmt, cpus)
                 assert peak < 3 * len(text), (fmt, cpus, peak / len(text))
             assert len(texts) == 1, fmt
-        assert started == []
+
+    def test_one_block_starts_no_thread(self, monkeypatch, tmp_path, capsys, threads):
+        # a propagate chain of 1001 rows, past KERNEL_MIN_CELLS with the
+        # kernel loaded but shorter than two blocks, on eight CPUs
+        cfg = write_config(tmp_path, {
+            "system": {"kind": "delta",
+                       "positions": {"type": "power", "c": 1.0, "p": 1.2},
+                       "strengths": {"type": "constant", "c": 0.5}},
+            "params": {"lambda": 2.0, "n_max": 200, "dense_per_interval": 4}})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0 and out.count("\n") == 1003  # header, rows, footer
+        assert threads["callers"] == [threading.current_thread()]
+        assert threads["started"] == []
 
 
 class TestOutputWrite:
@@ -1320,6 +1359,38 @@ class TestOutputWrite:
         assert code == 2
         assert "cannot write output" in err and "No space left" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_render_failing_midway(self, tmp_path, capsys, monkeypatch):
+        # a growth table of three rounds, whose second kernel call fails: an
+        # --out target keeps its bytes and no temporary file is left, while
+        # stdout keeps the pieces written before the failure
+        from pointspec import _shortest
+        rows_text, calls = _shortest.rows_text, []
+
+        def second_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 1.00 GiB for an array")
+            return rows_text(*args)
+
+        cfg = write_config(tmp_path, {
+            "system": FACTORIAL_SQRT["system"],
+            "params": {"lambda0": 4.0, "window": [0, 3 * cli.BLOCK_ROWS - 1]}})
+        argv = ["growth", "--config", cfg, "--format", "json"]
+        code, whole, _ = run_cli(argv, capsys)
+        assert code == 0
+        monkeypatch.setattr(_shortest, "rows_text", second_call_fails)
+        target = tmp_path / "out.json"
+        target.write_text("earlier output")
+        code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: out of memory: Unable to allocate 1.00 GiB for an array\n"
+        assert target.read_text() == "earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.json"]
+        calls.clear()
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 2 and len(calls) == 2
+        assert whole.startswith(out) and len(whole) // 4 < len(out) < len(whole) // 2
 
     def test_full_stdout_exits_2(self, tmp_path, capsys, monkeypatch):
         class FullDisk:

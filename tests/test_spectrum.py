@@ -857,6 +857,24 @@ class TestFdOracle:
         assert len(fd) == 1 and fd.values[0] > 20.0
         assert np.array_equal(fd.values, fd_oracle_eigenvalues(sys, 4, 0.25, 1).values)
 
+    def test_upper_must_be_a_number(self):
+        sys = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
+                         StrengthSequence.explicit([3.0, 0.0]))
+        with pytest.raises(ValueError, match="upper must be a number, got nan"):
+            fd_oracle_eigenvalues(sys, 2, 1 / 16, upper=math.nan)
+
+    def test_infinite_upper(self):
+        # inf lies above every eigenvalue, -inf below the lowest
+        sys = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
+                         StrengthSequence.explicit([3.0, 0.0]))
+        size = spectrum._fd_runs(sys, 2, 1 / 16)[1]
+        every = fd_oracle_eigenvalues(sys, 2, 1 / 16, size).values
+        assert len(every) == size == 39
+        assert np.array_equal(fd_oracle_eigenvalues(sys, 2, 1 / 16, upper=math.inf).values,
+                              every)
+        assert np.array_equal(fd_oracle_eigenvalues(sys, 2, 1 / 16, upper=-math.inf).values,
+                              every[:1])
+
     @pytest.mark.requires_scipy
     def test_sturm_count_matches_lapack(self, rng):
         from scipy.linalg import eigh_tridiagonal
@@ -1168,6 +1186,20 @@ class TestFdOracleNearest:
         values, count = spectrum.fd_oracle_nearest(system, 2, 1 / 64, [], 30.0)
         assert len(values) == 0
         assert count == len(fd_oracle_eigenvalues(system, 2, 1 / 64, upper=30.0))
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_energies_must_be_finite(self, energy):
+        # NaN once took the list's first value, inf failed in a subtraction
+        system = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
+                            StrengthSequence.explicit([3.0, 0.0]))
+        with pytest.raises(ValueError, match=r"energies must be finite, got \[.*\]"):
+            spectrum.fd_oracle_nearest(system, 2, 1 / 16, [3.0, energy], 30.0)
+
+    def test_upper_must_be_a_number(self):
+        system = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
+                            StrengthSequence.explicit([3.0, 0.0]))
+        with pytest.raises(ValueError, match="upper must be a number, got nan"):
+            spectrum.fd_oracle_nearest(system, 2, 1 / 16, [3.0], math.nan)
 
     def test_count_calls_on_the_golden_config(self, tmp_path, monkeypatch):
         # tests/golden/eigs.config.json: the whole list took 9 count calls of
