@@ -419,8 +419,7 @@ def cmd_propagate(run: RunConfig) -> tuple[list[str], np.ndarray, list[str], dic
 # output plumbing
 
 
-# Rows per rendered block of a table that renders cell by cell, which bounds
-# the transient cell texts, and the least rows of a kernel table's round.
+# The least rows of a kernel table's round.
 BLOCK_ROWS = 4096
 # Tables of KERNEL_MIN_CELLS cells or more render their int64 and float64
 # columns with the numpy kernel of ``_shortest`` once the kernel is loaded in
@@ -466,19 +465,15 @@ def _cell_texts(column: np.ndarray, quote: bool):
 def _row_blocks(table: np.ndarray, cell_sep: str, row_sep: str, quote: bool):
     """``table``'s rows as text, a block at a time, ``row_sep`` also
     between; every cell as ``_cell_texts`` spells it.  A table below the
-    kernel's size renders cell by cell in blocks of ``BLOCK_ROWS``, a kernel
-    table in rounds of blocks on ``_run_blocks`` workers (see
-    ``KERNEL_ROUND_ROWS``); the text does not depend on the blocks."""
+    kernel's size, whose cells bound its text, renders cell by cell as one
+    piece, a kernel table in rounds of blocks on ``_run_blocks`` workers
+    (see ``KERNEL_ROUND_ROWS``); the text does not depend on the blocks."""
     names = table.dtype.names
     n = len(table)
     loaded = f"{__package__}._shortest" in sys.modules
     if n * len(names) < (KERNEL_MIN_CELLS if loaded else KERNEL_COLD_MIN_CELLS):
-        for start in range(0, n, BLOCK_ROWS):
-            if start:
-                yield row_sep
-            block = table[start:start + BLOCK_ROWS]
-            texts = (_cell_texts(block[name], quote) for name in names)
-            yield row_sep.join(map(cell_sep.join, zip(*texts)))
+        texts = (_cell_texts(table[name], quote) for name in names)
+        yield row_sep.join(map(cell_sep.join, zip(*texts)))
         return
 
     from . import _shortest

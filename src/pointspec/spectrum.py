@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -617,52 +618,37 @@ def truncated_eigenvalues(system: SystemSpec, n_max: int,
 class _FdOracle:
     """The FD matrix of ``fd_oracle_eigenvalues``, its tolerance and its grid.
 
-    Holds the mesh, the tolerance of the eigenvalues, and the isolation grid
-    with the counts taken on it.  The grid has ``_FD_GRID`` cells over bounds
-    on the whole spectrum, padded by far more than the count's rounding, so
-    no eigenvalue escapes it; its counts are taken from its low end as far as
-    the wanted eigenvalues need.  Where the count rises along the grid, each
-    cell is the whole grid's.
+    Holds the mesh, the tolerance of the eigenvalues, and the isolation grid.
+    The grid has ``_FD_GRID`` cells over bounds on the whole spectrum, padded
+    by far more than the count's rounding, so no eigenvalue escapes it; it is
+    counted whole, in one call, the first time an eigenvalue is bisected from
+    its grid cell.  A NaN ``upper`` is refused.
     """
 
-    def __init__(self, system: SystemSpec, n_max: int, h: float):
+    def __init__(self, system: SystemSpec, n_max: int, h: float,
+                 upper: float | None = None):
+        if upper is not None and math.isnan(upper):
+            raise ValueError("upper must be a number, got nan")
         self.mesh, self.size, (lowest, highest) = _fd_runs(system, n_max, h)
         # 2 ulp ||T||, ||T|| the larger bound: a bisection on the assembled matrix
         self.tol = 2.0 * np.finfo(float).eps * max(-lowest, highest)
         self.grid = np.linspace(lowest - 8.0 * self.tol, highest + 8.0 * self.tol,
                                 _FD_GRID + 1)
-        self.grid_counts = None
 
     def count(self, lams) -> np.ndarray:
         return _fd_count_below(*self.mesh, lams)
 
-    def count_grid(self, upper: float | None, extra=()) -> np.ndarray:
-        """The counts at ``upper`` and ``extra``, from one call that also
-        counts the grid as far as its first point above ``upper`` (all of it
-        without ``upper``).  A NaN ``upper`` is refused."""
-        if upper is not None and math.isnan(upper):
-            raise ValueError("upper must be a number, got nan")
-        known = (_FD_GRID - 1 if upper is None
-                 else min(int(np.searchsorted(self.grid, upper)), _FD_GRID - 1))
-        counts = self.count(np.concatenate(
-            [self.grid[1:known + 1], [] if upper is None else [upper], extra]))
-        self.grid_counts = np.append(0, counts[:known])  # at grid[0], grid[1], ...
-        return counts[known:]
-
-    def cells(self, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The grid cell of each ascending js-th eigenvalue, counting the rest
-        of the grid when one passes the counts taken."""
-        if len(js) and self.grid_counts[-1] < js[-1] and len(self.grid_counts) <= _FD_GRID:
-            rest = self.count(self.grid[len(self.grid_counts):-1])
-            self.grid_counts = np.concatenate([self.grid_counts, rest, [self.size]])
-        cell = np.searchsorted(self.grid_counts, js) - 1
-        return self.grid[cell], self.grid[cell + 1]
+    @cached_property
+    def grid_counts(self) -> np.ndarray:
+        """The count at each grid point: 0 and the size at its ends."""
+        return np.concatenate([[0], self.count(self.grid[1:-1]), [self.size]])
 
     def eigenvalues(self, js: np.ndarray, lo=None, hi=None) -> np.ndarray:
         """The js-th eigenvalues, bisected from the brackets [lo, hi] (their
         grid cells by default)."""
         if lo is None:
-            lo, hi = self.cells(js)
+            cell = np.searchsorted(self.grid_counts, js) - 1
+            lo, hi = self.grid[cell], self.grid[cell + 1]
         lo, hi = _bisect(self.count, js, lo, hi, self.tol, _FD_TREE_LEVELS)
         return 0.5 * (lo + hi)
 
@@ -696,9 +682,9 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
     The matrix is never assembled.  Its eigenvalues are bisected on the
     count of its nonpositive pivots (``_fd_count_below``), which costs
     O(lattice points) per energy, from a grid of ``_FD_GRID`` cells over
-    bounds on the whole spectrum (counted from its low end as far as the
-    wanted eigenvalues need), to brackets of 2 ulp ||T|| with ||T|| the
-    larger bound: the accuracy of a bisection on the assembled matrix.
+    bounds on the whole spectrum (counted whole, in one call), to brackets
+    of 2 ulp ||T|| with ||T|| the larger bound: the accuracy of a bisection
+    on the assembled matrix.
 
     Returns the lowest ``count`` eigenvalues.  Without ``count`` it returns
     every eigenvalue at or below ``upper`` plus the next one (capped at the
@@ -714,11 +700,10 @@ def fd_oracle_eigenvalues(system: SystemSpec, n_max: int, h: float,
         raise ValueError("need count or upper")
     if count is not None and not count >= 1:
         raise ValueError("need count >= 1")
-    oracle = _FdOracle(system, n_max, h)
-    counts = oracle.count_grid(upper)
+    oracle = _FdOracle(system, n_max, h, upper)
     if count is not None:
         return EigenvalueList(values=oracle.eigenvalues(np.arange(1, min(count, oracle.size) + 1)))
-    return EigenvalueList(values=oracle.through(upper, counts[0]))
+    return EigenvalueList(values=oracle.through(upper, oracle.count([upper])[0]))
 
 
 def fd_oracle_nearest(system: SystemSpec, n_max: int, h: float, lams,
@@ -729,7 +714,7 @@ def fd_oracle_nearest(system: SystemSpec, n_max: int, h: float, lams,
     returns the length of ``fd`` and, per energy, either the nearest of its
     values or that eigenvalue bisected from the interval that certifies it:
     the two lie within 2 tol of each other, tol the oracle's 2 ulp ||T||.
-    One count call takes the grid, ``upper``, ``upper + 4 tol``, each
+    One count call takes ``upper``, ``upper + 4 tol``, each
     interval (lam - r, lam + r] with r = ``_FD_NEAR`` |lam|, and the first
     tree of each interval's bisection (``_tree``).  The certificate holds
     when each interval holds one eigenvalue, the j-th, and none lies in
@@ -738,19 +723,19 @@ def fd_oracle_nearest(system: SystemSpec, n_max: int, h: float, lams,
     first energy's, where several certify it), its first tree walked
     (``_descend``).  Where each value lies within ``_FD_NEAR`` |lam| / 2 of
     its energy it is the nearest by a margin, and is returned.  Otherwise
-    the full list is bisected and searched, from the mesh and grid counts
-    already taken.  Energies that are not finite, and a NaN ``upper``, raise
-    ``ValueError``.
+    the full list is bisected and searched, on the mesh already laid out,
+    from the grid counted whole.  Energies that are not finite, and a NaN
+    ``upper``, raise ``ValueError``.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise ValueError(f"energies must be finite, got {lams[~np.isfinite(lams)].tolist()}")
-    oracle = _FdOracle(system, n_max, h)
+    oracle = _FdOracle(system, n_max, h, upper)
     radius = _FD_NEAR * np.abs(lams)
     below, above, n = lams - radius, lams + radius, len(lams)
     tree = _tree(below, above, oracle.tol, _FD_TREE_LEVELS) if n else None
-    counts = oracle.count_grid(upper, np.concatenate(
-        [[upper + 4.0 * oracle.tol], below, above, () if tree is None else tree[2]]))
+    counts = oracle.count(np.concatenate(
+        [[upper, upper + 4.0 * oracle.tol], below, above, () if tree is None else tree[2]]))
     at_upper, past_upper = counts[:2]
     to_below, to_above = counts[2:2 + n], counts[2 + n:2 + 2 * n]
     if past_upper == at_upper and (to_above - to_below == 1).all():

@@ -266,6 +266,12 @@ class TestSparseSet:
         assert ratios.dtype == np.float64
         assert bits(ratios) == bits(SparseSet.exponential(1.0, 1.0).log_gap_ratios(2, 5))
 
+    def test_exponential_ratios_are_q(self):
+        # with r = 1 gap(m) = c exp(q m) expm1(q), so every log-gap ratio is
+        # q itself, to the last bit
+        ratios = SparseSet.exponential(1.0, 0.5).log_gap_ratios(2, 10**4)
+        assert bits(ratios) == bits(np.full(10**4 - 1, 0.5))
+
     def test_sparseness_ratio_factorial(self):
         lat = SparseSet.factorial()
         ratio = math.exp(lat.log_gap_ratios(4, 4)[0])

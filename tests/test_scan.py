@@ -103,11 +103,11 @@ def assert_matches_oracle(system, window, grid=GRID):
     return res
 
 
-def explicit_system(kind, n_points, seed=3):
+def explicit_system(kind, n_points, seed=3, strengths=(-1.0, 8.0)):
     rng = np.random.default_rng(seed)
     points = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 5.0, n_points))])
     return SystemSpec(kind, SparseSet.explicit(points),
-                      StrengthSequence.explicit(rng.uniform(-1.0, 8.0, n_points)))
+                      StrengthSequence.explicit(rng.uniform(*strengths, n_points)))
 
 
 LATTICES = {
@@ -136,6 +136,14 @@ def test_generated_lattices_match_full_arrays(family, kind, n_lo, length):
 @pytest.mark.parametrize("n_lo,length", WINDOWS)
 def test_explicit_lattices_match_full_arrays(kind, n_lo, length):
     system = explicit_system(kind, n_lo + length + 1)
+    assert_matches_oracle(system, (n_lo, n_lo + length - 1))
+
+
+@pytest.mark.parametrize("kind", ["delta", "delta_prime"])
+@pytest.mark.parametrize("n_lo,length", WINDOWS)
+def test_positive_explicit_strengths_match_full_arrays(kind, n_lo, length):
+    # every strength positive, some of them below 1
+    system = explicit_system(kind, n_lo + length + 1, strengths=(0.1, 8.0))
     assert_matches_oracle(system, (n_lo, n_lo + length - 1))
 
 

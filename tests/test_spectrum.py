@@ -828,10 +828,10 @@ class TestFdOracle:
 
     @pytest.mark.parametrize("kind", ["delta", "delta_prime"])
     def test_upper_anywhere_on_the_grid(self, kind):
-        # with upper the grid is counted only up to its first point above
-        # upper, and on when the next eigenvalue lies past it (as it can mid
-        # spectrum, where eigenvalues are sparser than grid points): the
-        # values are the whole grid's either way
+        # upper on, just below and just above grid points, with the next
+        # eigenvalue past the grid point above upper among them (as it can
+        # be mid spectrum, where eigenvalues are sparser than grid points):
+        # the values are those of the count mode
         sys = SystemSpec(kind, SparseSet.explicit([0.0, 1.0, 2.5, 3.0]),
                          StrengthSequence.explicit([-6.0, 2.0, 3.0]))
         h = 3.0 / 600
@@ -966,6 +966,10 @@ def fd_truncations(rng, kind):
         system = random_truncation(rng, kind, n)
         alphas = system.strengths.values * rng.choice([0.0, 1e-13, 1.0], n)
         yield SystemSpec(kind, system.lattice, StrengthSequence.explicit(alphas)), n, h
+    # fd_h = 4, so 4 / fd_h^2 = 0.25: energies in [0.25, 1] take the run map
+    # of h^2 lam >= 4, not that of lam < 0
+    yield (SystemSpec(kind, SparseSet.explicit([0.0, 8.0, 16.0, 24.0]),
+                      StrengthSequence.explicit([1.0, -2.0, 0.5])), 3, 4.0)
 
 
 class TestFdCount:
@@ -1152,8 +1156,8 @@ class TestFdOracleNearest:
 
     def test_certifies_past_the_counted_grid(self, monkeypatch):
         # an FD eigenvalue just above the first grid point above upper: it
-        # is certified from its interval, and the whole list's cell for it
-        # needs the rest of the grid counted
+        # is certified from its interval by count calls that take no grid
+        # point, and the whole list reads its grid counted whole, in one call
         system = SystemSpec("delta", SparseSet.explicit([0.0, 1.0, 2.5]),
                             StrengthSequence.explicit([3.0, 0.0]))
         oracle = spectrum._FdOracle(system, 2, 1 / 16)
@@ -1163,20 +1167,23 @@ class TestFdOracleNearest:
         lam, point = fd[k], below[k]
         upper = float(np.nextafter(point, -np.inf))
         assert upper < point < lam < upper * (1 + spectrum._FD_NEAR / 2)
+        original = spectrum._fd_count_below
+
+        def record_energies():
+            energies = []
+            monkeypatch.setattr(spectrum, "_fd_count_below",
+                                lambda *args: energies.append(args[-1]) or original(*args))
+            return energies
+        certificate = record_energies()
         monkeypatch.setattr(spectrum._FdOracle, "through", None)  # no fallback
         values, count = spectrum.fd_oracle_nearest(system, 2, 1 / 16, [lam], upper)
         monkeypatch.undo()
-        grids = []
-        cells = spectrum._FdOracle.cells
-
-        def counted_cells(oracle, js):
-            grids.append(len(oracle.grid_counts))
-            found = cells(oracle, js)
-            grids.append(len(oracle.grid_counts))
-            return found
-        monkeypatch.setattr(spectrum._FdOracle, "cells", counted_cells)
+        assert not np.isin(oracle.grid, np.concatenate(certificate)).any()
+        whole = record_energies()
         want = fd_oracle_eigenvalues(system, 2, 1 / 16, upper=upper).values
-        assert grids[0] < grids[1] == len(oracle.grid)  # counted on past upper
+        monkeypatch.undo()
+        reads = [e for e in whole if np.isin(e, oracle.grid[1:-1]).any()]
+        assert len(reads) == 1 and np.array_equal(reads[0], oracle.grid[1:-1])
         assert_nearest(system, 2, 1 / 16, np.array([lam]), values, True, want)
         assert count == len(want)
 
@@ -1254,8 +1261,9 @@ class TestFdOracleNearest:
 
 class TestEigenvalueList:
     def test_must_be_ascending(self):
-        with pytest.raises(ValueError):
-            EigenvalueList(values=np.array([1.0, 0.5]))
+        for values in ([1.0, 0.5], [1.0, 1.0]):
+            with pytest.raises(ValueError):
+                EigenvalueList(values=np.array(values))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -1263,8 +1271,10 @@ class TestEigenvalueList:
      ValueError, "need positive mesh size"),
     (lambda: fd_oracle_eigenvalues(factorial_system("delta", 0.5), 171, 0.25, upper=10.0),
      OverflowError, "truncation endpoint beyond double range"),
+    (lambda: fd_oracle_eigenvalues(factorial_system("delta", 0.5), 3, 0.25, count=0),
+     ValueError, "need count >= 1"),
     (lambda: dirichlet_eigenvalues(0.0, 3), ValueError, "interval length must be positive"),
-], ids=["fd_mesh_size", "fd_endpoint", "dirichlet_length"])
+], ids=["fd_mesh_size", "fd_endpoint", "fd_count", "dirichlet_length"])
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
