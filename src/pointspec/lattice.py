@@ -305,7 +305,9 @@ class SparseSet:
         With ``out`` (float64, at least N = n_hi - n_lo + 1 entries) the
         ratios are written to, and returned as, ``out[:N]``, by the same
         operations; ``work`` (a ``_Workspace`` of at least N + 1 entries)
-        lends the index table and scratch, else the call makes its own.
+        lends the index table and scratch, else the call makes its own.  On
+        a factorial lattice with n_lo >= 2, ``work.array("a")[:N + 1]``
+        holds ln m, m = n_lo - 1 .. n_hi, when the call returns.
         """
         self._check_ratio_range(n_lo, n_hi)
         size = n_hi - n_lo + 1
@@ -319,18 +321,37 @@ class SparseSet:
                 self.log_gap_ratios(2, n_hi, out=out[1:], work=work)
             return out
         if self.kind == "exponential" and self.r == 1.0:
+            return self._ratio_steps(None, None, out)  # reads no indices
+        work = work or _Workspace(size + 1)
+        m = work.indices(n_lo - 1, size + 1, work.array("a"))
+        scratch = None if self.kind == "factorial" else work.array("b")[:size + 1]
+        return self._ratio_steps(m, scratch, out)
+
+    def _log_gap_ratios_at(self, ns: np.ndarray) -> np.ndarray:
+        """ln(gap(n) / gap(n-1)) at the float indices ns >= 2, by the
+        operations of ``log_gap_ratios``: each n is the second of the pair
+        n - 1, n, and the steps between pairs are discarded."""
+        m = np.empty(2 * len(ns))
+        np.subtract(ns, 1.0, out=m[0::2])
+        m[1::2] = ns
+        out = np.empty(len(m) - 1)
+        return self._ratio_steps(m, np.empty_like(m), out)[0::2]
+
+    def _ratio_steps(self, m: np.ndarray, scratch: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+        """ln(gap(m[k+1]) / gap(m[k])) into out (len(m) - 1 entries) for
+        m >= 1, read as m[k+1] = m[k] + 1; m and scratch (None will do on a
+        factorial lattice, which needs none) are overwritten."""
+        if self.kind == "exponential" and self.r == 1.0:
             # gap(m) = c exp(q m) expm1(q): every ratio is e^q
             out.fill(self.q)
             return out
-        work = work or _Workspace(size + 1)
-        m = work.indices(n_lo - 1, size + 1, work.array("a"))
         if self.kind == "factorial":
             # gap(m) = m * m!, so gap(n) / gap(n-1) = n^2 / (n-1)
             log_m = np.log(m, out=m)
             np.multiply(2.0, log_m[1:], out=out)
             out -= log_m[:-1]
             return out
-        scratch = work.array("b")[:size + 1]
         if self.kind == "power":
             # gap(m) = c m^p expm1(p log1p(1/m))
             y = np.divide(1.0, m, out=scratch)
@@ -348,6 +369,28 @@ class SparseSet:
             np.multiply(self.q, y, out=y)
             np.multiply(y, z, out=y)
             return _log_expm1_steps(y, z, out)
+
+    @property
+    def log_ratio_direction(self) -> int | None:
+        """How ln(gap(n) / gap(n-1)) moves with n from n = 2 on: 1 up, 0
+        constant, -1 down, None not known (``window_scan`` has the proofs)."""
+        if self.kind == "factorial":
+            return 1
+        if self.kind == "power":
+            return int(self.p < 1) - int(self.p > 1)
+        if self.kind == "exponential" and self.r == 1.0:
+            return 0
+        return None
+
+    def _ratio_error_scale(self, n_hi: int) -> float:
+        """s with |ratio| <= s and the ratio's rounding error at most
+        2^-49 s over 2 <= n <= n_hi, for a lattice with a direction
+        (``window_scan`` has the proof)."""
+        if self.kind == "factorial":
+            return 3.0 * math.log(n_hi)
+        if self.kind == "power":
+            return 5.0 + 7.0 * self.p + 3.0 * max(math.log((n_hi + 1) / self.p), 0.0)
+        return self.q  # exponential with r = 1: e^q exactly
 
 
 @dataclass(frozen=True)
@@ -429,23 +472,63 @@ class StrengthSequence:
         return out
 
     def log_abs_alphas(self, n_lo: int, n_hi: int, *, out=None,
-                       work=None) -> np.ndarray:
+                       work=None, log_n=None) -> np.ndarray:
         """ln|alpha_n| over [n_lo, n_hi]; -inf where alpha_n = 0.
 
-        ``out`` and ``work`` as for ``alphas``.
+        ``out`` and ``work`` as for ``alphas``.  ``log_n``, np.log of the
+        float indices n_lo .. n_hi, spares power strengths that log.
         """
         self._check_range(n_lo, n_hi)
         if self.kind == "power" and self.c != 0:
             size = n_hi - n_lo + 1
             out = _result(out, size)
-            ns = (work or _Workspace(size)).indices(n_lo, size, out)
-            np.log(ns, out=out)
-            np.multiply(self.p, out, out=out)
-            return np.add(math.log(abs(self.c)), out, out=out)
+            if log_n is None:
+                ns = (work or _Workspace(size)).indices(n_lo, size, out)
+                log_n = np.log(ns, out=out)
+            return self._power_log_abs(log_n, out)
         out = self.alphas(n_lo, n_hi, out=out, work=work)
         np.abs(out, out=out)
         with np.errstate(divide="ignore"):
             return np.log(out, out=out)
+
+    def _power_log_abs(self, log_n: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """ln|c| + p ln n into out, for power strengths with c != 0."""
+        np.multiply(self.p, log_n, out=out)
+        return np.add(math.log(abs(self.c)), out, out=out)
+
+    def _log_abs_alphas_at(self, ns: np.ndarray) -> np.ndarray:
+        """ln|alpha_n| at the float indices ns, by the operations of
+        ``log_abs_alphas``; power and constant strengths only."""
+        if self.kind == "power" and self.c != 0:
+            return self._power_log_abs(np.log(ns), np.empty_like(ns))
+        out = np.full_like(ns, self.c)
+        np.abs(out, out=out)
+        with np.errstate(divide="ignore"):
+            return np.log(out, out=out)
+
+    @property
+    def _sign_of_c(self) -> bool:
+        """Whether every alpha_n has the sign of c, so none needs reading for
+        it: |c n^p| >= |c| for n >= 1 when p >= 0, so none rounds to 0."""
+        return self.kind == "constant" or (self.kind == "power" and self.p >= 0)
+
+    @property
+    def log_abs_direction(self) -> int | None:
+        """How ln|alpha_n| moves with n >= 1: 1 up, 0 constant, -1 down,
+        None not known.  ln|c| + p ln n goes the way of p; -inf at c = 0."""
+        if self.kind == "explicit":
+            return None
+        if self.kind == "power" and self.c != 0:
+            return int(self.p > 0) - int(self.p < 0)
+        return 0
+
+    def _log_abs_error_scale(self, n_hi: int) -> float:
+        """s with |ln|alpha_n|| <= s and its rounding error at most 2^-49 s
+        over 1 <= n <= n_hi, for power and constant strengths (inf at c = 0)."""
+        if self.c == 0:
+            return math.inf
+        p = self.p if self.kind == "power" else 0.0
+        return abs(math.log(abs(self.c))) + abs(p) * math.log(n_hi)
 
 
 @dataclass(frozen=True)
@@ -541,6 +624,70 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
     blocks after it skip the energy.  A settled energy's ``tail_min`` is
     NaN, never a partial minimum, so which blocks evaluated it leaves no
     trace.  Without ``settle`` every tail minimum is exact.
+
+    Branch and bound (Land-Doig, Econometrica 28, 1960) skips the blocks
+    that provably cannot hold the least log threshold ratio
+    T(n) = S(n) - 2 A(n), S(n) = ln(gap(n)/gap(n-1)), A(n) = ln|alpha_n|.
+    Where S and A are monotone in n, min T over a block [lo, hi] is at least
+    min(S(lo), S(hi)) - 2 max(A(lo), A(hi)), so one vectorized pass over the
+    blocks' end indices, by the kernels the blocks run, bounds every block.
+    A block runs if it is the last (it keeps the trailing entries), holds
+    n = 1 (S(1) reads x_0 = 0, which no direction covers), lies in the tail
+    while an energy is live (every tail block without ``settle``), or has
+    its bound at or below the least T at the ends, which the window's least
+    T cannot exceed; the rest are never evaluated.  A skipped block's least
+    computed T is above that least, so ``min_log_threshold``, the tails and
+    the trailing entries keep their bits, and which blocks ran, and on how
+    many threads, leaves no trace.  Only families with known directions
+    where the sign of c is every alpha_n's (constant strengths, power
+    strengths with p >= 0; see ``_scan_block``) are bounded; any other
+    system, a one-block window and a two-block one starting at n = 1 run
+    every block with no bound work.
+
+    Directions from n = 2 on (``SparseSet.log_ratio_direction``,
+    ``StrengthSequence.log_abs_direction``):
+
+    * factorial: S = 2 ln n - ln(n-1), of derivative (n-2)/(n(n-1)) >= 0:
+      increasing.
+    * power: gap(m) = c g(m), g(m) = (m+1)^p - m^p = int_0^1 f(m+t) dt with
+      f(x) = p x^(p-1).  For p >= 1 f is log-concave, and so is g, a
+      marginal of the log-concave f(m+t) 1[0<=t<=1] (Prekopa, Acta Sci.
+      Math. 34, 1973): S(n) = ln(g(n)/g(n-1)) decreases.  For p <= 1 f is
+      log-convex, and so is g, an integral of log-convex functions of m:
+      S increases.  At p = 1, S = 0.
+    * exponential with r = 1: gap(m) = c e^(q m) (e^q - 1) for m >= 1, so
+      S = q, which the kernel writes exactly.  Other r, and explicit
+      lattices, have no direction.
+    * strengths: A = ln|c| + p ln n goes the way of p (constant: p = 0).
+
+    The margin.  numpy's log, log1p and expm1 loops err by at most 4 ulp,
+    a relative 2^-50, and +, -, *, / by 2^-53.  Each family gives a scale
+    s_S (``SparseSet._ratio_error_scale``) with |S| <= s_S and S's error at
+    most 2^-49 s_S over the window:
+
+    * factorial: 2 ln n and ln(n-1) err by 2^-50 each relatively, and the
+      difference by 2^-53: at most 3.25 2^-50 ln n, so s_S = 3 ln n_hi.
+    * power: y = p log1p(1/m) errs by at most 1.3 2^-50 y (the condition
+      number of log1p is at most 1), z = y + ln(1 - e^-y) by at most
+      2^-50 (2.4 + 1.5 y + 1.2 |d|), d = ln(1 - e^-y), as dz/dy =
+      1/(1 - e^-y) <= (1 + y)/y, and S = z(m+1) - z(m) + y(m) by at most
+      2^-50 (4.8 + 5.1 Y + 2.9 D) with Y = max y <= p ln 2 and
+      D = max |d| <= Y + max(0, ln((n_hi + 1)/p)), since 1 - e^-y >= y e^-y
+      and y >= p/(m+1): s_S = 5 + 7p + 3 max(0, ln((n_hi + 1)/p)).
+    * exponential with r = 1: S = q exactly, s_S = q.
+    * strengths: A errs by at most 1.25 2^-50 s_A, s_A = |ln|c|| +
+      |p| ln n_hi (``StrengthSequence._log_abs_error_scale``).
+
+    A computed T, a block's or an end's, is then within
+    E = 2^-49 (s_S + 2 s_A) + 2^-53 (s_S + 2 s_A) of the exact T.  The
+    margin mu = 2^-46 (s_S + s_A) is more than 1.8 times the
+    2E + 2^-53 (s_S + 2 s_A) that each side of the comparison needs (an end
+    and an index each err by E, and the side rounds once), so each
+    block's bound min(S(lo), S(hi)) - 2 max(A(lo), A(hi)) - mu is below
+    every T it computes, and the least T at the ends plus mu is above the
+    window's least computed T: a skipped block's computed T are all above
+    the least computed T of the blocks that ran.  A NaN bound or end
+    compares False and the block runs.
     """
     system.lattice._check_ratio_range(n_lo, n_hi)
     # the blocks read ln|alpha_n|, and form alpha_n only in the tail: refuse upfront
@@ -552,13 +699,25 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
     # one flag per energy, shared by the workers: a flag is only ever set, so
     # a worker that reads it before another sets it only repeats work
     settled = [False] * len(scales) if settle else None
+    # the blocks that may hold the least ratio run first, then the other
+    # tail blocks, each only while an energy is live; the rest never run
+    may_hold = _may_hold_minimum(system, n_lo, n_hi, n_blocks)
+    first_tail = n_blocks - 1 - (n_hi - tail_lo) // WINDOW_BLOCK
+    order = [i for i in range(n_blocks) if may_hold[i]]
+    n_needed = len(order)
+    if scales:
+        order += [i for i in range(first_tail, n_blocks) if not may_hold[i]]
 
-    def block(i: int, ws: _Workspace):
+    def block(j: int, ws: _Workspace):
+        if j >= n_needed and settled and all(settled):
+            return None
+        i = order[j]
         hi = n_hi - (n_blocks - 1 - i) * WINDOW_BLOCK
         return _scan_block(system, max(n_lo, hi - WINDOW_BLOCK + 1), hi,
                            tail_lo, scales, i == n_blocks - 1, ws, settled)
 
-    parts = _run_blocks(block, n_blocks, min(n_hi - n_lo + 1, WINDOW_BLOCK) + 1)
+    parts = _run_blocks(block, len(order), min(n_hi - n_lo + 1, WINDOW_BLOCK) + 1)
+    parts = [part for _, part in sorted(zip(order, parts)) if part is not None]
     mins, positive, block_tails, trailing = zip(*parts)
     tail_min, nondecreasing = [], []
     for k in range(len(scales)):
@@ -579,6 +738,36 @@ def window_scan(system: SystemSpec, n_lo: int, n_hi: int, lams=(),
                       tail_nondecreasing=tuple(nondecreasing))
 
 
+def _may_hold_minimum(system: SystemSpec, n_lo: int, n_hi: int,
+                      n_blocks: int) -> list[bool]:
+    """Per block of ``window_scan``, whether it may hold the window's least
+    log threshold ratio: False only where the block's lower bound is above
+    the least ratio at the blocks' ends (``window_scan`` has the proof)."""
+    lattice, strengths = system.lattice, system.strengths
+    may_hold = [True] * n_blocks
+    first = 1 if n_lo == 1 else 0  # block 0 holds n = 1, whose ratio reads x_0
+    if (n_blocks - first < 2 or lattice.log_ratio_direction is None
+            or strengths.log_abs_direction is None or not strengths._sign_of_c):
+        return may_hold
+    margin = 2.0**-46 * (lattice._ratio_error_scale(n_hi)
+                         + strengths._log_abs_error_scale(n_hi))
+    if not math.isfinite(margin):  # c = 0: every ratio is +inf
+        return may_hold
+    his = n_hi - WINDOW_BLOCK * np.arange(n_blocks - 1 - first, -1, -1, dtype=float)
+    ends = np.concatenate([np.maximum(his - (WINDOW_BLOCK - 1), n_lo), his])
+    log_sparse = lattice._log_gap_ratios_at(ends)
+    log_abs = strengths._log_abs_alphas_at(ends)
+    ratios = -2.0 * log_abs
+    ratios += log_sparse
+    k = len(his)  # ends[:k] are the blocks' first indices, ends[k:] their last
+    bounds = np.minimum(log_sparse[:k], log_sparse[k:])
+    bounds -= 2.0 * np.maximum(log_abs[:k], log_abs[k:])
+    bounds -= margin
+    least = np.min(ratios) + margin
+    may_hold[first:-1] = (~(bounds[:-1] > least)).tolist()
+    return may_hold
+
+
 def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
                 last: bool, ws: _Workspace, settled=None):
     """One block's share of ``window_scan``, in the worker's workspace.
@@ -594,14 +783,15 @@ def _scan_block(system: SystemSpec, lo: int, hi: int, tail_lo: int, scales,
     strengths = system.strengths
     n = hi - lo + 1
     log_sparse = system.lattice.log_gap_ratios(lo, hi, out=ws.array("sparse"), work=ws)
-    log_threshold = strengths.log_abs_alphas(lo, hi, out=ws.array("threshold"), work=ws)
+    # a factorial block leaves ln m, m = lo - 1 .. hi, in the scratch "a"
+    log_n = ws.array("a")[1:n + 1] if system.lattice.kind == "factorial" and lo > 1 else None
+    log_threshold = strengths.log_abs_alphas(lo, hi, out=ws.array("threshold"), work=ws,
+                                             log_n=log_n)
     log_threshold *= -2.0
     log_threshold += log_sparse
     tail = max(tail_lo - lo, 0) if hi >= tail_lo else n  # block offset of the tail
     live = [k for k in range(len(scales)) if not (settled and settled[k])]
-    # c n^p >= c for n >= 1 when p >= 0: the sign of c is every alpha_n's
-    sign_of_c = strengths.kind == "constant" or (
-        strengths.kind == "power" and strengths.p >= 0)
+    sign_of_c = strengths._sign_of_c
     if sign_of_c:
         positive = strengths.c > 0
         first = tail if live else n

@@ -148,6 +148,11 @@ class TestSparseSet:
         assert lat.position(10**7) == math.inf
         assert time.perf_counter() - start < 1e-3
 
+    def test_generators_default_to_the_cap(self):
+        for lat in (SparseSet.factorial(), SparseSet.power(1.2, 2.0),
+                    SparseSet.exponential(1.1, 0.7)):
+            assert lat.max_index == 10**7, lat.kind
+
     def test_max_index_at_most_two_to_53(self):
         # window indices are doubles, exact integers up to 2^53
         assert SparseSet.factorial(max_index=2**53).max_index == 2**53
@@ -365,6 +370,82 @@ class TestStrengthSequence:
     def test_log_abs_alphas_rejects_empty_range(self):
         with pytest.raises(IndexError):
             StrengthSequence.power(1.5, 0.5).log_abs_alphas(5, 3)
+
+
+DIRECTED_LATTICES = [
+    SparseSet.factorial(),
+    *(SparseSet.power(1.3, p) for p in (0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)),
+    SparseSet.exponential(0.9, 0.7),
+]
+DIRECTION_NS = (2, 3, 4, 7, 100, 10**4, 10**6, 10**7 - 2)
+
+
+def exact_log_gap(mp, lat, m):
+    m = mp.mpf(m)
+    if lat.kind == "factorial":
+        return mp.log(m) + mp.loggamma(m + 1)
+    if lat.kind == "power":
+        return mp.log(lat.c * ((m + 1) ** lat.p - m ** lat.p))
+    return mp.log(lat.c) + lat.q * m + mp.log(mp.expm1(lat.q))  # r = 1, m >= 1
+
+
+class TestDirections:
+    @pytest.mark.parametrize("lat", DIRECTED_LATTICES,
+                             ids=lambda lat: f"{lat.kind}-{lat.p}")
+    def test_log_ratio_direction_against_mpmath(self, lat):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for n in DIRECTION_NS:
+                ratios = [exact_log_gap(mp, lat, k) - exact_log_gap(mp, lat, k - 1)
+                          for k in (n, n + 1)]
+                step = ratios[1] - ratios[0]
+                moved = 0 if abs(step) < mp.mpf(10) ** -40 else int(mp.sign(step))
+                assert moved == lat.log_ratio_direction, n
+
+    def test_directions_by_family(self):
+        assert [lat.log_ratio_direction for lat in DIRECTED_LATTICES] == [
+            1, 1, 1, 1, 0, -1, -1, -1, 0]
+        assert SparseSet.exponential(0.9, 0.7, r=1.5).log_ratio_direction is None
+        assert SparseSet.explicit([1.0, 2.0]).log_ratio_direction is None
+        assert [StrengthSequence.power(-1.5, p).log_abs_direction
+                for p in (0.5, 0.0, -0.5)] == [1, 0, -1]
+        assert StrengthSequence.power(0.0, 0.5).log_abs_direction == 0  # -inf throughout
+        assert StrengthSequence.constant(-2.0).log_abs_direction == 0
+        assert StrengthSequence.explicit([1.0, 2.0]).log_abs_direction is None
+
+    @pytest.mark.parametrize("lat", DIRECTED_LATTICES,
+                             ids=lambda lat: f"{lat.kind}-{lat.p}")
+    def test_ratio_errors_within_their_scale(self, lat):
+        # the window scan's bound margin rests on these
+        mp = pytest.importorskip("mpmath")
+        n_hi = 10**7 - 1
+        scale = lat._ratio_error_scale(n_hi)
+        ns = np.array([n for n in DIRECTION_NS if n <= n_hi], dtype=float)
+        got = lat._log_gap_ratios_at(ns)
+        with mp.workdps(50):
+            for n, at in zip(ns.astype(int).tolist(), got):
+                exact = exact_log_gap(mp, lat, n) - exact_log_gap(mp, lat, n - 1)
+                assert abs(exact) <= scale * (1 + 2.0**-49)  # s is a double
+                for value in (at, lat.log_gap_ratios(n, n)[0]):
+                    assert abs(value - exact) <= 2.0**-49 * scale, n
+
+    @pytest.mark.parametrize("st", [StrengthSequence.power(1.5, 0.75),
+                                    StrengthSequence.power(-0.2, 2.5),
+                                    StrengthSequence.power(7.0, 0.0),
+                                    StrengthSequence.constant(-3e-5)],
+                             ids=["power", "negative_c", "p0", "constant"])
+    def test_log_abs_errors_within_their_scale(self, st):
+        mp = pytest.importorskip("mpmath")
+        n_hi = 10**7 - 1
+        scale = st._log_abs_error_scale(n_hi)
+        ns = np.array([1, 2, 3, 1000, n_hi], dtype=float)
+        got = st._log_abs_alphas_at(ns)
+        with mp.workdps(50):
+            for n, at in zip(ns.astype(int).tolist(), got):
+                exact = mp.log(abs(st.c)) + (st.p if st.kind == "power" else 0) * mp.log(n)
+                assert abs(exact) <= scale * (1 + 2.0**-49)  # s is a double
+                for value in (at, st.log_abs_alphas(n, n)[0]):
+                    assert abs(value - exact) <= 2.0**-49 * scale, n
 
 
 B = WINDOW_BLOCK

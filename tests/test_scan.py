@@ -10,6 +10,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ import pytest
 from pointspec import (ClassifyConfig, SparseSet, StrengthSequence, SystemSpec,
                        classify, estimate_threshold, lattice, series_verdict)
 from pointspec.growth import DivergenceVerdict
-from pointspec.lattice import (WINDOW_BLOCK, ThresholdEstimate, _scan_block,
-                               _tail_trend, _Workspace, window_scan)
+from pointspec.lattice import (WINDOW_BLOCK, ThresholdEstimate, _may_hold_minimum,
+                               _scan_block, _tail_trend, _Workspace, window_scan)
 
 B = WINDOW_BLOCK
 CAP = 10**7 - 1
@@ -162,6 +163,156 @@ def test_cap_window_matches_full_arrays():
     assert res.case == "case_ii"
 
 
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def evaluated_blocks(monkeypatch):
+    """The (lo, hi) of every block the scans evaluate from now on."""
+    blocks = []
+    scan_block = lattice._scan_block
+
+    def recording(system, lo, hi, *args):
+        blocks.append((lo, hi))
+        return scan_block(system, lo, hi, *args)
+
+    monkeypatch.setattr(lattice, "_scan_block", recording)
+    return blocks
+
+
+# Families by the directions of ln(gap(n)/gap(n-1)) and of ln|alpha_n|.  A
+# block is bounded only where both are known and c's sign is every
+# alpha_n's, so power strengths with p < 0 keep every block.
+PRUNED_LATTICES = {
+    "factorial_up": lambda rng: SparseSet.factorial(),
+    "power_up": lambda rng: SparseSet.power(rng.uniform(0.5, 2.0), rng.uniform(0.3, 0.95)),
+    "power_flat": lambda rng: SparseSet.power(rng.uniform(0.5, 2.0), 1.0),
+    "power_down": lambda rng: SparseSet.power(rng.uniform(0.5, 2.0), rng.uniform(1.05, 3.0)),
+    "exponential_flat": lambda rng: SparseSet.exponential(rng.uniform(0.5, 2.0),
+                                                          rng.uniform(0.5, 2.0)),
+}
+PRUNED_STRENGTHS = {
+    "power_up": lambda rng: StrengthSequence.power(
+        rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.0)),
+    "power_down": lambda rng: StrengthSequence.power(rng.uniform(0.5, 2.0),
+                                                     -rng.uniform(0.1, 1.0)),
+    "constant": lambda rng: StrengthSequence.constant(
+        rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 20.0)),
+}
+
+
+def two_blocks(rng):
+    lo = int(rng.integers(2, 10**4))
+    return lo, lo + int(rng.integers(B, 2 * B))
+
+
+PRUNED_WINDOWS = {
+    # three blocks, the first holding n = 1, whose ratio reads x_0
+    "from_1": lambda rng: (1, int(rng.integers(2 * B + 2, 3 * B))),
+    "two_blocks": two_blocks,
+    "cap": lambda rng: (CAP - int(rng.integers(2 * B, 3 * B)), CAP),
+}
+
+
+@pytest.mark.parametrize("window", sorted(PRUNED_WINDOWS))
+@pytest.mark.parametrize("strengths", sorted(PRUNED_STRENGTHS))
+@pytest.mark.parametrize("family", sorted(PRUNED_LATTICES))
+def test_pruned_scans_match_full_arrays(monkeypatch, family, strengths, window):
+    rng = np.random.default_rng(zlib.crc32(f"{family} {strengths} {window}".encode()))
+    system = SystemSpec(str(rng.choice(["delta", "delta_prime"])),
+                        PRUNED_LATTICES[family](rng), PRUNED_STRENGTHS[strengths](rng))
+    win = PRUNED_WINDOWS[window](rng)
+
+    def reports():
+        return [repr(classify(system, win, GRID, CONFIG)), repr(estimate_threshold(system, *win)),
+                *(repr(series_verdict(system, g, win)) for g in GRID)]
+
+    set_cpus(monkeypatch, 1)
+    assert_matches_oracle(system, win)
+    one = reports()  # as the oracle's, field by field
+    for cpus in (2, 4):
+        set_cpus(monkeypatch, cpus)
+        assert reports() == one
+
+
+@pytest.mark.parametrize("lattice_", [SparseSet.power(1.2, 1.0), SparseSet.exponential(1.1, 0.7)],
+                         ids=["power_p1", "exponential_r1"])
+def test_flat_ratios_skip_no_block(monkeypatch, lattice_):
+    # the log threshold ratio is constant, so rounding noise sets the least
+    # one, and every block may hold it
+    system = SystemSpec("delta", lattice_, StrengthSequence.constant(2.0))
+    window = (CAP - 3 * B, CAP)
+    assert _may_hold_minimum(system, *window, 4) == [True] * 4
+    blocks = evaluated_blocks(monkeypatch)
+    for cpus in (1, 2, 4):
+        set_cpus(monkeypatch, cpus)
+        blocks.clear()
+        estimate_threshold(system, *window)  # no energy: the bounds alone choose
+        assert len(blocks) == 4
+        assert_matches_oracle(system, window)
+
+
+def test_cap_window_evaluates_the_blocks_that_may_hold_its_minimum(monkeypatch):
+    # the threshold ratio falls with n, by ~0.01 a block at the cap: only the
+    # last of the 39 blocks may hold its minimum
+    system = SystemSpec("delta", SparseSet.power(1.2, 2.0), StrengthSequence.power(1.5, 0.75))
+    window = (7500000, 9999999)
+    last = (CAP - B + 1, CAP)
+    assert _may_hold_minimum(system, *window, 39) == [False] * 38 + [True]
+    blocks = evaluated_blocks(monkeypatch)
+    set_cpus(monkeypatch, 1)  # the last block runs first and settles every energy
+    res = classify(system, window, [0.1, 1.0, 10.0])
+    assert res.diagnostics["exclusion_verdicts"] == ["inconclusive"] * 3
+    assert blocks == [last]
+    set_cpus(monkeypatch, 2)
+    blocks.clear()
+    estimate_threshold(system, *window)
+    assert blocks == [last]
+    blocks.clear()  # series_verdict never settles: it reads all 20 tail blocks
+    assert series_verdict(system, 1.0, window).verdict == "inconclusive"
+    assert sorted(blocks)[0] == (CAP - 20 * B + 1, CAP - 19 * B) and len(blocks) == 20
+
+
+def test_a_dip_inside_a_block_keeps_the_block(monkeypatch):
+    # S and A both rise, and T = (2 - 2p) ln n - ln(n - 1) falls to n ~ 51
+    # and rises after: block 0's least T is inside it, below every end, and
+    # only the bound from S's least end and A's greatest keeps it
+    system = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.power(1.0, 0.49))
+    window = (2, 2 * B)
+    assert _may_hold_minimum(system, *window, 2) == [True, True]
+    blocks = evaluated_blocks(monkeypatch)
+    assert_matches_oracle(system, window)
+    assert (2, B) in blocks
+
+
+def test_a_live_tail_runs_the_blocks_that_cannot_hold_the_minimum(monkeypatch):
+    # ln(gap ratio) ~ ln n rises, so the threshold minimum is at n = 2 and
+    # the middle block may not hold it; the tail rises too, from just below
+    # ln(1.05) at its start, so the middle block holds the tail's minimum
+    # and with it the verdict "inconclusive"
+    system = SystemSpec("delta", SparseSet.factorial(), StrengthSequence.constant(320.0))
+    window = (2, 3 * B)
+    assert _may_hold_minimum(system, *window, 3) == [True, False, True]
+    blocks = evaluated_blocks(monkeypatch)
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        blocks.clear()
+        res = assert_matches_oracle(system, window, grid=[1.0])
+        assert res.diagnostics["exclusion_verdicts"] == ["inconclusive"]
+        assert (B + 1, 2 * B) in blocks
+
+
+def test_one_block_windows_do_no_bound_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(SparseSet, "_log_gap_ratios_at",
+                        lambda self, ns: calls.append(ns) or np.full(len(ns), np.nan))
+    system = SystemSpec("delta", SparseSet.power(1.2, 2.0), StrengthSequence.power(1.5, 0.75))
+    assert_matches_oracle(system, (CAP - B + 1, CAP))
+    assert not calls
+    classify(system, (CAP - B, CAP))  # two blocks
+    assert len(calls) == 1
+
+
 def straddling_system(dip):
     """Gap ratios increasing in n, but for one fall at n = 2B + 2 if dip.
 
@@ -297,36 +448,47 @@ def test_settled_energies_skip_the_later_blocks(monkeypatch):
         assert calls == [(CAP - 24, CAP)]  # the trailing entries only
 
 
-def assert_thread_count_free(monkeypatch, system, window):
-    """The scan runs on one thread per usable CPU, with the same result."""
-    threads = set()
+def assert_thread_count_free(monkeypatch, system, window, every_block=False):
+    """The scan runs one thread per evaluated block, up to the usable CPUs,
+    with the same result on any count; with ``every_block`` it evaluates
+    every block of the window, so on one thread per usable CPU."""
+    threads, blocks = set(), set()
     log_gap_ratios = SparseSet.log_gap_ratios
+    n_blocks = -(-(window[1] - window[0] + 1) // B)
 
     def recording(self, n_lo, n_hi, **kwargs):
         # the Thread object, not its ident: a finished worker's ident may be
         # handed to a worker started after it
         threads.add(threading.current_thread())
+        blocks.add(n_lo)
         return log_gap_ratios(self, n_lo, n_hi, **kwargs)
 
     def scan_threads(cpus):
         """Threads that evaluated the window for one classify call."""
         threads.clear()
+        blocks.clear()
         results[cpus] = repr(classify(system, window, GRID, CONFIG))
+        assert len(threads) == min(len(blocks), cpus)
+        if every_block:
+            assert len(blocks) == n_blocks
         return len(threads)
 
-    monkeypatch.setattr(SparseSet, "log_gap_ratios", recording)
     results = {}
     running = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches than cores: workers interleave
     try:
-        for cpus in (1, 4):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
-            assert scan_threads(cpus) == cpus
-            assert_matches_oracle(system, window)
-        monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert scan_threads(3) == 3
+        with monkeypatch.context() as mp:  # the callers may check twice
+            mp.setattr(SparseSet, "log_gap_ratios", recording)
+            for cpus in (1, 4):
+                mp.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+                threads_used = scan_threads(cpus)
+                assert threads_used == cpus if every_block else 1 <= threads_used <= cpus
+                assert_matches_oracle(system, window)
+            mp.delattr(os, "sched_getaffinity")  # platforms without affinity
+            mp.setattr(os, "cpu_count", lambda: 3)
+            threads_used = scan_threads(3)
+            assert threads_used == 3 if every_block else 1 <= threads_used <= 3
     finally:
         sys.setswitchinterval(interval)
     assert results[1] == results[4] == results[3]
@@ -334,15 +496,21 @@ def assert_thread_count_free(monkeypatch, system, window):
 
 
 def test_results_do_not_depend_on_the_thread_count(monkeypatch):
+    # the threshold ratio falls with n: only the last block may hold its
+    # minimum, and every tail falls, so a block runs only if it starts
+    # before the first tail block settles the three energies
     system = SystemSpec("delta_prime", SparseSet.power(1.2, 2.0),
                         StrengthSequence.power(1.5, 0.5))
     assert_thread_count_free(monkeypatch, system, (11, 11 + 9 * B))
+    # x_n = 1.2 n: rounding noise sets the least ratio, so no block is skipped
+    flat = SystemSpec("delta_prime", SparseSet.power(1.2, 1.0), StrengthSequence.constant(1.5))
+    assert_thread_count_free(monkeypatch, flat, (11, 11 + 9 * B), every_block=True)
 
 
 def test_explicit_lattices_scan_on_every_worker(monkeypatch):
     # five blocks: an explicit block reads only its own slice of the points
     system = explicit_system("delta", 4 * B + 20)
-    assert_thread_count_free(monkeypatch, system, (11, 11 + 4 * B))
+    assert_thread_count_free(monkeypatch, system, (11, 11 + 4 * B), every_block=True)
 
 
 def test_workers_keep_the_callers_numpy_errors(monkeypatch):
